@@ -8,8 +8,8 @@ same bytes.
 
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a property fails or a construction is refused (precondition,
-no inverse, decomposition refused), 2 for malformed input or a
-capability the chosen instance does not have.
+no inverse, decomposition refused, numeric failure), 2 for malformed
+input or a capability the chosen instance does not have.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from .core import (
 from .decomp import gcsvd_from_mp, gsvd_from_mp, polar_from_mp
 from .karoubi import embed, iso_from_mp, mp_from_iso, mp_in_karoubi
 from .matrix import (
-    ComplexMatrix,
     MatrixInstance,
+    _transpose_ranks,
     dagger_kernel,
     matrix_from_obj,
     matrix_to_obj,
-    numeric_rank,
     pinv,
     split_dagger_idempotent,
     svd,
@@ -134,11 +133,7 @@ def cmd_split_idem(args) -> tuple[dict, int]:
 
 def cmd_rank_transpose(args) -> tuple[dict, int]:
     (obj,) = _expect_inputs(args, 1)
-    a = matrix_from_obj(obj)
-    at = a.array.T
-    r = numeric_rank(a, rank_tol=args.rank_tol)
-    r_left = numeric_rank(ComplexMatrix(a.array @ at), rank_tol=args.rank_tol)
-    r_right = numeric_rank(ComplexMatrix(at @ a.array), rank_tol=args.rank_tol)
+    r, r_left, r_right = _transpose_ranks(matrix_from_obj(obj), args.rank_tol)
     has = r_left == r == r_right
     out = {"has_mp": has, "rank": r, "rank_a_at": r_left, "rank_at_a": r_right}
     return out, 0 if has else 1

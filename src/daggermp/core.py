@@ -32,7 +32,17 @@ EQ_TOL_DEFAULT = 100.0 * MACHINE_EPS
 
 
 class DaggerError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``residual`` is the deviation of the equation whose failure raised
+    the error, when there is one; it is appended to the message.
+    """
+
+    def __init__(self, message: str, residual: Optional[float] = None):
+        if residual is not None:
+            message = f"{message} (residual {residual:.3e})"
+        super().__init__(message)
+        self.residual = residual
 
 
 class InputError(DaggerError, ValueError):
@@ -44,27 +54,15 @@ class CapabilityError(DaggerError):
 
 
 class PreconditionError(DaggerError):
-    """A documented precondition failed; carries the offending residual."""
-
-    def __init__(self, message: str, residual: Optional[float] = None):
-        if residual is not None:
-            message = f"{message} (residual {residual:.3e})"
-        super().__init__(message)
-        self.residual = residual
+    """A documented precondition failed."""
 
 
 class NumericError(DaggerError, RuntimeError):
-    """An iterative numeric routine failed to converge."""
+    """A numeric routine failed: no convergence, or a result overflowed."""
 
 
 class NoMPInverseError(DaggerError):
     """No Moore-Penrose inverse exists along the attempted route."""
-
-    def __init__(self, message: str, residual: Optional[float] = None):
-        if residual is not None:
-            message = f"{message} (residual {residual:.3e})"
-        super().__init__(message)
-        self.residual = residual
 
 
 class ConsistencyError(DaggerError):
@@ -72,13 +70,12 @@ class ConsistencyError(DaggerError):
 
 
 class DecompositionError(DaggerError):
-    """A decomposition was refused; carries the failing residual."""
+    """A decomposition was refused because a defining equation failed."""
 
-    def __init__(self, message: str, residual: Optional[float] = None):
-        if residual is not None:
-            message = f"{message} (residual {residual:.3e})"
-        super().__init__(message)
-        self.residual = residual
+
+def is_plain_int(x: Any) -> bool:
+    """True for an int that is not a bool (JSON ``true`` parses as one)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -180,8 +177,18 @@ class DaggerInstance(ABC):
         """Size factor multiplying eq_tol in equality checks."""
         return 1.0
 
+    def compare(self, f: Any, g: Any) -> tuple[float, bool]:
+        """Deviation of f from g, and whether it is within the equality bound.
+
+        The bound is ``eq_tol * scale(f, g)``; a deviation that is not
+        finite never passes, whatever the bound.
+        """
+        dev = self.deviation(f, g)
+        bound = self.tolerance.eq_tol * self.scale(f, g)
+        return dev, math.isfinite(dev) and dev <= bound
+
     def equals(self, f: Any, g: Any) -> bool:
-        return self.deviation(f, g) <= self.tolerance.eq_tol * self.scale(f, g)
+        return self.compare(f, g)[1]
 
     # Optional capabilities.
 
@@ -275,19 +282,34 @@ def verify_mp(inst: DaggerInstance, f: Any, g: Any) -> MPReport:
         raise InputError("candidate inverse must have the dual type of f")
     fg = inst.compose(f, g)
     gf = inst.compose(g, f)
-    checks = (
-        (inst.compose(fg, f), f),
-        (inst.compose(gf, g), g),
-        (inst.dagger(fg), fg),
-        (inst.dagger(gf), gf),
+    (r1, ok1), (r2, ok2), (r3, ok3), (r4, ok4) = (
+        inst.compare(inst.compose(fg, f), f),
+        inst.compare(inst.compose(gf, g), g),
+        inst.compare(inst.dagger(fg), fg),
+        inst.compare(inst.dagger(gf), gf),
     )
-    flags = []
-    residuals = []
-    for lhs, rhs in checks:
-        dev = inst.deviation(lhs, rhs)
-        residuals.append(dev)
-        flags.append(dev <= inst.tolerance.eq_tol * inst.scale(lhs, rhs))
-    return MPReport(
-        flags[0], flags[1], flags[2], flags[3],
-        (residuals[0], residuals[1], residuals[2], residuals[3]),
-    )
+    return MPReport(ok1, ok2, ok3, ok4, (r1, r2, r3, r4))
+
+
+def check(inst: DaggerInstance, lhs: Any, rhs: Any, error: type, what: str) -> float:
+    """Return the deviation of lhs from rhs, raising ``error`` if they differ.
+
+    The raised ``error(what, residual=deviation)`` carries the residual;
+    the returned deviation is what factorizations record as residuals.
+    """
+    dev, ok = inst.compare(lhs, rhs)
+    if not ok:
+        raise error(what, residual=dev)
+    return dev
+
+
+def require_mp(inst: DaggerInstance, f: Any, g: Any, error: type, what: str) -> Any:
+    """Return g if it is the M-P inverse of f, else raise ``error``.
+
+    The error names the first failing identity and carries its residual.
+    """
+    report = verify_mp(inst, f, g)
+    if not report.all_hold:
+        i = (report.mp1, report.mp2, report.mp3, report.mp4).index(False)
+        raise error(f"{what}: MP{i + 1} fails", residual=report.residuals[i])
+    return g

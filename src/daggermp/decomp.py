@@ -27,20 +27,53 @@ from .core import (
     DecompositionError,
     InputError,
     PreconditionError,
-    is_coisometry,
-    is_isometry,
-    is_self_adjoint,
-    is_unitary,
-    verify_mp,
+    check,
+    require_mp,
 )
 
 
-def _require_verified(inst: DaggerInstance, f: Any, f_mp: Any, what: str) -> None:
-    report = verify_mp(inst, f, f_mp)
-    if not report.all_hold:
-        raise PreconditionError(
-            f"{what} needs a verified M-P pair (residuals {report.residuals})"
+def _residuals(inst: DaggerInstance, error: type, what: str, equations: dict) -> dict:
+    """Check each named equation lhs == rhs in order; return the residuals by name.
+
+    The first failing equation raises ``error``, naming it and carrying
+    its residual.
+    """
+    return {
+        name: check(inst, lhs, rhs, error, f"{what}: {name} equation fails")
+        for name, (lhs, rhs) in equations.items()
+    }
+
+
+def _check_unitary(inst: DaggerInstance, u: Any, error: type, what: str) -> None:
+    ud = inst.dagger(u)
+    _residuals(inst, error, what, {
+        "isometry": (inst.compose(u, ud), inst.identity(inst.source(u))),
+        "coisometry": (inst.compose(ud, u), inst.identity(inst.target(u))),
+    })
+
+
+def _compact_residuals(
+    inst: DaggerInstance, r: Any, d: Any, s: Any, d_inv: Any, error: type, f: Any = None
+) -> dict:
+    """The compact-form equations for r . d . s, checked in order.
+
+    The four factor equations raise ``error``.  The reconstruction
+    r . d . s == f is checked when f is given and raises
+    DecompositionError.
+    """
+    mid, mid_cod = inst.source(d), inst.target(d)
+    residuals = _residuals(inst, error, "compact form", {
+        "coisometry": (inst.compose(inst.dagger(r), r), inst.identity(mid)),
+        "isometry": (inst.compose(s, inst.dagger(s)), inst.identity(mid_cod)),
+        "invertible_left": (inst.compose(d, d_inv), inst.identity(mid)),
+        "invertible_right": (inst.compose(d_inv, d), inst.identity(mid_cod)),
+    })
+    if f is not None:
+        residuals["reconstruction"] = check(
+            inst, inst.compose(r, d, s), f, DecompositionError,
+            "compact form: reconstruction equation fails",
         )
+    return residuals
 
 
 @dataclass(frozen=True)
@@ -67,75 +100,30 @@ def gcsvd_from_mp(
     instance capability and its exceptions propagate (an instance that
     cannot split reports that here).
     """
-    _require_verified(inst, f, f_mp, "compact factorization")
+    require_mp(inst, f, f_mp, PreconditionError, "compact form needs an M-P pair")
     split = splitter if splitter is not None else inst.split_idempotent
     r = split(inst.compose(f, f_mp))
     s = inst.dagger(split(inst.compose(f_mp, f)))
     d = inst.compose(inst.dagger(r), f, inst.dagger(s))
     d_inv = inst.compose(s, f_mp, r)
-    mid = inst.source(d)
-    mid_cod = inst.target(d)
-    residuals = {
-        "coisometry": inst.deviation(
-            inst.compose(inst.dagger(r), r), inst.identity(mid)
-        ),
-        "isometry": inst.deviation(
-            inst.compose(s, inst.dagger(s)), inst.identity(mid_cod)
-        ),
-        "invertible_left": inst.deviation(
-            inst.compose(d, d_inv), inst.identity(mid)
-        ),
-        "invertible_right": inst.deviation(
-            inst.compose(d_inv, d), inst.identity(mid_cod)
-        ),
-        "reconstruction": inst.deviation(inst.compose(r, d, s), f),
-    }
-    if not is_coisometry(inst, r):
-        raise DecompositionError(
-            f"source factor is not a coisometry (residual {residuals['coisometry']:.3e})"
-        )
-    if not is_isometry(inst, s):
-        raise DecompositionError(
-            f"target factor is not an isometry (residual {residuals['isometry']:.3e})"
-        )
-    if not (
-        inst.equals(inst.compose(d, d_inv), inst.identity(mid))
-        and inst.equals(inst.compose(d_inv, d), inst.identity(mid_cod))
-    ):
-        worst = max(residuals["invertible_left"], residuals["invertible_right"])
-        raise DecompositionError(
-            f"middle factor is not two-sided invertible (residual {worst:.3e})"
-        )
-    if not inst.equals(inst.compose(r, d, s), f):
-        raise DecompositionError(
-            f"factors do not recompose the map (residual {residuals['reconstruction']:.3e})"
-        )
+    residuals = _compact_residuals(inst, r, d, s, d_inv, DecompositionError, f)
     return GCSVDTriple(r, d, s, d_inv, residuals)
-
-
-def _check_gcsvd(inst: DaggerInstance, t: GCSVDTriple) -> None:
-    mid, mid_cod = inst.source(t.d), inst.target(t.d)
-    ok = (
-        is_coisometry(inst, t.r)
-        and is_isometry(inst, t.s)
-        and inst.equals(inst.compose(t.d, t.d_inv), inst.identity(mid))
-        and inst.equals(inst.compose(t.d_inv, t.d), inst.identity(mid_cod))
-    )
-    if not ok:
-        raise InputError("triple does not satisfy the compact-form invariants")
 
 
 def mp_from_gcsvd(inst: DaggerInstance, t: GCSVDTriple) -> Any:
     """Recover the M-P inverse from compact factors: s-dagger . d_inv . r-dagger."""
-    _check_gcsvd(inst, t)
+    _compact_residuals(inst, t.r, t.d, t.s, t.d_inv, InputError)
     f = inst.compose(t.r, t.d, t.s)
     candidate = inst.compose(inst.dagger(t.s), t.d_inv, inst.dagger(t.r))
-    report = verify_mp(inst, f, candidate)
-    if not report.all_hold:
-        raise DecompositionError(
-            f"reassembled inverse fails the axioms (residuals {report.residuals})"
-        )
-    return candidate
+    return require_mp(
+        inst, f, candidate, DecompositionError, "reassembled inverse fails the axioms"
+    )
+
+
+def _same_map(inst: DaggerInstance, f1: Any, f2: Any) -> None:
+    if inst.source(f1) != inst.source(f2) or inst.target(f1) != inst.target(f2):
+        raise InputError("triples factor maps of different types")
+    check(inst, f1, f2, InputError, "triples factor different maps")
 
 
 def gcsvd_intertwiners(
@@ -147,29 +135,16 @@ def gcsvd_intertwiners(
     exhibiting the factorization as unique up to unitary change of the
     middle objects.
     """
-    f1 = inst.compose(t1.r, t1.d, t1.s)
-    f2 = inst.compose(t2.r, t2.d, t2.s)
-    if inst.source(f1) != inst.source(f2) or inst.target(f1) != inst.target(f2):
-        raise InputError("triples factor maps of different types")
-    if not inst.equals(f1, f2):
-        raise InputError(
-            f"triples factor different maps (residual {inst.deviation(f1, f2):.3e})"
-        )
+    _same_map(inst, inst.compose(t1.r, t1.d, t1.s), inst.compose(t2.r, t2.d, t2.s))
     p = inst.compose(inst.dagger(t1.r), t2.r)
     q = inst.compose(t1.s, inst.dagger(t2.s))
-    if not (is_unitary(inst, p) and is_unitary(inst, q)):
-        raise DecompositionError("intertwiners are not unitary")
-    checks = (
-        ("source factors", inst.compose(t1.r, p), t2.r),
-        ("middle factors", inst.compose(t1.d, q), inst.compose(p, t2.d)),
-        ("target factors", inst.compose(q, t2.s), t1.s),
-    )
-    for name, lhs, rhs in checks:
-        if not inst.equals(lhs, rhs):
-            raise DecompositionError(
-                f"intertwiners fail to link the {name} "
-                f"(residual {inst.deviation(lhs, rhs):.3e})"
-            )
+    _check_unitary(inst, p, DecompositionError, "intertwiner p")
+    _check_unitary(inst, q, DecompositionError, "intertwiner q")
+    _residuals(inst, DecompositionError, "intertwiners", {
+        "source_link": (inst.compose(t1.r, p), t2.r),
+        "middle_link": (inst.compose(t1.d, q), inst.compose(p, t2.d)),
+        "target_link": (inst.compose(q, t2.s), t1.s),
+    })
     return p, q
 
 
@@ -189,8 +164,10 @@ class GSVDTriple:
     residuals: dict
 
 
-def _padded_middle(inst: DaggerInstance, d: Any, z: int, w: int) -> Any:
-    return inst.direct_sum(d, inst.zero(z, w))
+def _full_map(inst: DaggerInstance, u: Any, d: Any, v: Any, dims: tuple) -> Any:
+    """u . (d + 0) . v, the zero block sized by the kernel parts of dims."""
+    x, z, y, w = dims
+    return inst.compose(u, inst.direct_sum(d, inst.zero(z, w)), v)
 
 
 def gsvd_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> GSVDTriple:
@@ -199,32 +176,18 @@ def gsvd_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> GSVDTriple:
     Needs kernel, biproduct and zero capabilities on top of idempotent
     splitting; instances without them raise CapabilityError here.
     """
-    _require_verified(inst, f, f_mp, "full factorization")
     compact = gcsvd_from_mp(inst, f, f_mp)
     k = inst.kernel(f)
     c = inst.kernel(inst.dagger(f))
-    e_src = inst.compose(f, f_mp)
-    e_tgt = inst.compose(f_mp, f)
-    src_obj, tgt_obj = inst.source(f), inst.target(f)
-    cover_src = inst.add(e_src, inst.compose(inst.dagger(k), k))
-    cover_tgt = inst.add(e_tgt, inst.compose(inst.dagger(c), c))
-    resid_src = inst.deviation(cover_src, inst.identity(src_obj))
-    resid_tgt = inst.deviation(cover_tgt, inst.identity(tgt_obj))
-    if not inst.equals(cover_src, inst.identity(src_obj)):
-        raise DecompositionError(
-            "range and kernel projections do not cover the source",
-            residual=resid_src,
-        )
-    if not inst.equals(cover_tgt, inst.identity(tgt_obj)):
-        raise DecompositionError(
-            "range and kernel projections do not cover the target",
-            residual=resid_tgt,
-        )
-
-    x = inst.target(compact.r)
-    z = inst.source(k)
-    y = inst.source(compact.s)
-    w = inst.source(c)
+    cover_src = inst.add(inst.compose(f, f_mp), inst.compose(inst.dagger(k), k))
+    cover_tgt = inst.add(inst.compose(f_mp, f), inst.compose(inst.dagger(c), c))
+    residuals = _residuals(inst, DecompositionError, "range and kernel projections", {
+        "kernel_source": (cover_src, inst.identity(inst.source(f))),
+        "kernel_target": (cover_tgt, inst.identity(inst.target(f))),
+    })
+    dims = x, z, y, w = (
+        inst.target(compact.r), inst.source(k), inst.source(compact.s), inst.source(c)
+    )
     u = inst.add(
         inst.compose(compact.r, inst.injection((x, z), 0)),
         inst.compose(inst.dagger(k), inst.injection((x, z), 1)),
@@ -233,82 +196,48 @@ def gsvd_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> GSVDTriple:
         inst.compose(inst.projection((y, w), 0), compact.s),
         inst.compose(inst.projection((y, w), 1), c),
     )
-    middle = _padded_middle(inst, compact.d, z, w)
-    recon = inst.compose(u, middle, v)
-    residuals = {
-        "kernel_source": resid_src,
-        "kernel_target": resid_tgt,
-        "reconstruction": inst.deviation(recon, f),
-    }
-    if not (is_unitary(inst, u) and is_unitary(inst, v)):
-        raise DecompositionError("outer factors are not unitary")
-    if not inst.equals(recon, f):
-        raise DecompositionError(
-            f"factors do not recompose the map (residual {residuals['reconstruction']:.3e})"
-        )
-    return GSVDTriple(u, compact.d, v, compact.d_inv, (x, z, y, w), residuals)
-
-
-def _check_gsvd(inst: DaggerInstance, t: GSVDTriple) -> None:
-    x, z, y, w = t.dims
-    ok = (
-        is_unitary(inst, t.u)
-        and is_unitary(inst, t.v)
-        and inst.equals(inst.compose(t.d, t.d_inv), inst.identity(x))
-        and inst.equals(inst.compose(t.d_inv, t.d), inst.identity(y))
+    _check_unitary(inst, u, DecompositionError, "outer factor u")
+    _check_unitary(inst, v, DecompositionError, "outer factor v")
+    residuals["reconstruction"] = check(
+        inst, _full_map(inst, u, compact.d, v, dims), f, DecompositionError,
+        "full form: reconstruction equation fails",
     )
-    if not ok:
-        raise InputError("triple does not satisfy the full-form invariants")
+    return GSVDTriple(u, compact.d, v, compact.d_inv, dims, residuals)
+
+
+def _check_outer_factors(inst: DaggerInstance, t: GSVDTriple) -> None:
+    _check_unitary(inst, t.u, InputError, "full-form triple: u")
+    _check_unitary(inst, t.v, InputError, "full-form triple: v")
 
 
 def mp_from_gsvd(inst: DaggerInstance, t: GSVDTriple) -> Any:
     """Recover the inverse by transposing the picture: v' . (d_inv + 0) . u'."""
-    _check_gsvd(inst, t)
+    _check_outer_factors(inst, t)
     x, z, y, w = t.dims
-    f = inst.compose(t.u, _padded_middle(inst, t.d, z, w), t.v)
+    _residuals(inst, InputError, "full-form triple", {
+        "invertible_left": (inst.compose(t.d, t.d_inv), inst.identity(x)),
+        "invertible_right": (inst.compose(t.d_inv, t.d), inst.identity(y)),
+    })
+    f = _full_map(inst, t.u, t.d, t.v, t.dims)
     candidate = inst.compose(
         inst.dagger(t.v),
         inst.direct_sum(t.d_inv, inst.zero(w, z)),
         inst.dagger(t.u),
     )
-    report = verify_mp(inst, f, candidate)
-    if not report.all_hold:
-        raise DecompositionError(
-            f"reassembled inverse fails the axioms (residuals {report.residuals})"
-        )
-    return candidate
+    return require_mp(
+        inst, f, candidate, DecompositionError, "reassembled inverse fails the axioms"
+    )
 
 
 def induced_gcsvd(inst: DaggerInstance, t: GSVDTriple) -> GCSVDTriple:
     """Restrict the full form back to rank blocks: a compact factorization."""
-    _check_gsvd(inst, t)
+    _check_outer_factors(inst, t)  # d's invertibility is a compact-form equation
     x, z, y, w = t.dims
     r = inst.compose(t.u, inst.projection((x, z), 0))
     s = inst.compose(inst.injection((y, w), 0), t.v)
-    f = inst.compose(t.u, _padded_middle(inst, t.d, z, w), t.v)
-    residuals = {
-        "coisometry": inst.deviation(
-            inst.compose(inst.dagger(r), r), inst.identity(x)
-        ),
-        "isometry": inst.deviation(
-            inst.compose(s, inst.dagger(s)), inst.identity(y)
-        ),
-        "invertible_left": inst.deviation(
-            inst.compose(t.d, t.d_inv), inst.identity(x)
-        ),
-        "invertible_right": inst.deviation(
-            inst.compose(t.d_inv, t.d), inst.identity(y)
-        ),
-        "reconstruction": inst.deviation(inst.compose(r, t.d, s), f),
-    }
-    triple = GCSVDTriple(r, t.d, s, t.d_inv, residuals)
-    _check_gcsvd(inst, triple)
-    if not inst.equals(inst.compose(r, t.d, s), f):
-        raise DecompositionError(
-            "restricted factors do not recompose the map "
-            f"(residual {residuals['reconstruction']:.3e})"
-        )
-    return triple
+    f = _full_map(inst, t.u, t.d, t.v, t.dims)
+    residuals = _compact_residuals(inst, r, t.d, s, t.d_inv, InputError, f)
+    return GCSVDTriple(r, t.d, s, t.d_inv, residuals)
 
 
 def gsvd_intertwiners(
@@ -322,31 +251,21 @@ def gsvd_intertwiners(
     """
     x1, z1, y1, w1 = t1.dims
     x2, z2, y2, w2 = t2.dims
-    f1 = inst.compose(t1.u, _padded_middle(inst, t1.d, z1, w1), t1.v)
-    f2 = inst.compose(t2.u, _padded_middle(inst, t2.d, z2, w2), t2.v)
-    if inst.source(f1) != inst.source(f2) or inst.target(f1) != inst.target(f2):
-        raise InputError("triples factor maps of different types")
-    if not inst.equals(f1, f2):
-        raise InputError(
-            f"triples factor different maps (residual {inst.deviation(f1, f2):.3e})"
-        )
+    _same_map(
+        inst, _full_map(inst, t1.u, t1.d, t1.v, t1.dims),
+        _full_map(inst, t2.u, t2.d, t2.v, t2.dims),
+    )
     link_u = inst.compose(inst.dagger(t1.u), t2.u)
     link_v = inst.compose(t1.v, inst.dagger(t2.v))
     p = inst.compose(inst.injection((x1, z1), 0), link_u, inst.projection((x2, z2), 0))
     kp = inst.compose(inst.injection((x1, z1), 1), link_u, inst.projection((x2, z2), 1))
     q = inst.compose(inst.injection((y1, w1), 0), link_v, inst.projection((y2, w2), 0))
     kq = inst.compose(inst.injection((y1, w1), 1), link_v, inst.projection((y2, w2), 1))
-    checks = (
-        ("source factors", inst.compose(t1.u, inst.direct_sum(p, kp)), t2.u),
-        ("middle factors", inst.compose(t1.d, q), inst.compose(p, t2.d)),
-        ("target factors", inst.compose(inst.direct_sum(q, kq), t2.v), t1.v),
-    )
-    for name, lhs, rhs in checks:
-        if not inst.equals(lhs, rhs):
-            raise DecompositionError(
-                f"intertwiners fail to link the {name} "
-                f"(residual {inst.deviation(lhs, rhs):.3e})"
-            )
+    _residuals(inst, DecompositionError, "intertwiners", {
+        "source_link": (inst.compose(t1.u, inst.direct_sum(p, kp)), t2.u),
+        "middle_link": (inst.compose(t1.d, q), inst.compose(p, t2.d)),
+        "target_link": (inst.compose(inst.direct_sum(q, kq), t2.v), t1.v),
+    })
     return p, q, kp, kq
 
 
@@ -372,65 +291,35 @@ def polar_from_mp(
     equal to the input and the pair verified; defaults to the instance
     capability, whose exceptions propagate.
     """
-    _require_verified(inst, f, f_mp, "polar factorization")
+    require_mp(inst, f, f_mp, PreconditionError, "polar form needs an M-P pair")
     provider = sqrt_provider if sqrt_provider is not None else inst.sqrt_positive
     gram = inst.compose(inst.dagger(f), f)
     h, h_mp = provider(gram)
-    if not is_self_adjoint(inst, h):
-        raise PreconditionError("square root provider returned a non-self-adjoint map")
-    if not inst.equals(inst.compose(h, h), gram):
-        raise PreconditionError(
-            "square root provider output does not square to f-dagger . f "
-            f"(residual {inst.deviation(inst.compose(h, h), gram):.3e})"
-        )
-    report = verify_mp(inst, h, h_mp)
-    if not report.all_hold:
-        raise PreconditionError(
-            f"square root inverse fails the axioms (residuals {report.residuals})"
-        )
+    root = _residuals(inst, PreconditionError, "square root provider output", {
+        "self_adjoint": (inst.dagger(h), h),
+        "square": (inst.compose(h, h), gram),
+    })
+    require_mp(inst, h, h_mp, PreconditionError, "square root inverse fails the axioms")
     u = inst.compose(f, h_mp)
-    residuals = {
-        "square": inst.deviation(inst.compose(h, h), gram),
-        "partial_isometry": inst.deviation(
-            inst.compose(u, inst.dagger(u), u), u
-        ),
-        "range_projector": inst.deviation(
-            inst.compose(inst.dagger(u), u), inst.compose(h, h_mp)
-        ),
-        "reconstruction": inst.deviation(inst.compose(u, h), f),
-    }
-    if not inst.equals(inst.compose(u, inst.dagger(u), u), u):
-        raise DecompositionError(
-            "isometric factor is not a partial isometry "
-            f"(residual {residuals['partial_isometry']:.3e})"
-        )
-    if not inst.equals(inst.compose(inst.dagger(u), u), inst.compose(h, h_mp)):
-        raise DecompositionError(
-            "isometric factor does not project onto the support of the positive part "
-            f"(residual {residuals['range_projector']:.3e})"
-        )
-    if not inst.equals(inst.compose(u, h), f):
-        raise DecompositionError(
-            f"factors do not recompose the map (residual {residuals['reconstruction']:.3e})"
-        )
+    ud = inst.dagger(u)
+    residuals = {"square": root["square"]}
+    residuals.update(_residuals(inst, DecompositionError, "polar form", {
+        "partial_isometry": (inst.compose(u, ud, u), u),
+        "range_projector": (inst.compose(ud, u), inst.compose(h, h_mp)),
+        "reconstruction": (inst.compose(u, h), f),
+    }))
     return PolarPair(u, h, h_mp, residuals)
 
 
 def mp_from_polar(inst: DaggerInstance, pair: PolarPair) -> Any:
     """Recover the inverse from polar factors: h° . u-dagger."""
-    if not (
-        is_self_adjoint(inst, pair.h)
-        and verify_mp(inst, pair.h, pair.h_mp).all_hold
-        and inst.equals(
-            inst.compose(pair.u, inst.dagger(pair.u), pair.u), pair.u
-        )
-    ):
-        raise InputError("pair does not satisfy the polar-form invariants")
-    f = inst.compose(pair.u, pair.h)
-    candidate = inst.compose(pair.h_mp, inst.dagger(pair.u))
-    report = verify_mp(inst, f, candidate)
-    if not report.all_hold:
-        raise DecompositionError(
-            f"reassembled inverse fails the axioms (residuals {report.residuals})"
-        )
-    return candidate
+    what = "pair does not satisfy the polar-form invariants"
+    u, h, ud = pair.u, pair.h, inst.dagger(pair.u)
+    check(inst, inst.dagger(h), h, InputError, what)
+    require_mp(inst, h, pair.h_mp, InputError, what)
+    check(inst, inst.compose(u, ud, u), u, InputError, what)
+    candidate = inst.compose(pair.h_mp, ud)
+    return require_mp(
+        inst, inst.compose(u, h), candidate, DecompositionError,
+        "reassembled inverse fails the axioms",
+    )

@@ -22,36 +22,35 @@ from .core import (
     InputError,
     NoMPInverseError,
     PreconditionError,
+    check,
     is_dagger_idempotent,
     is_partial_isometry,
     is_self_adjoint,
+    require_mp,
     verify_mp,
 )
 
 
-def _checked(inst: DaggerInstance, f: Any, g: Any, what: str) -> Any:
-    report = verify_mp(inst, f, g)
-    if not report.all_hold:
-        raise ConsistencyError(
-            f"{what} produced a candidate failing the axioms "
-            f"(residuals {report.residuals})"
-        )
-    return g
-
-
 def mp_of_partial_isometry(inst: DaggerInstance, f: Any) -> Any:
     """M-P inverse of a partial isometry: its dagger."""
-    if not is_partial_isometry(inst, f):
-        resid = inst.deviation(inst.compose(f, inst.dagger(f), f), f)
-        raise PreconditionError("not a partial isometry", residual=resid)
-    return _checked(inst, f, inst.dagger(f), "partial isometry constructor")
+    fd = inst.dagger(f)
+    check(inst, inst.compose(f, fd, f), f, PreconditionError, "not a partial isometry")
+    return require_mp(
+        inst, f, fd, ConsistencyError,
+        "partial isometry constructor produced a candidate failing the axioms",
+    )
 
 
 def mp_of_dagger_idempotent(inst: DaggerInstance, e: Any) -> Any:
     """M-P inverse of a dagger idempotent: itself."""
-    if not is_dagger_idempotent(inst, e):
-        raise PreconditionError("not a dagger idempotent")
-    return _checked(inst, e, e, "dagger idempotent constructor")
+    if inst.source(e) != inst.target(e):
+        raise InputError("dagger idempotency requires an endomorphism")
+    check(inst, inst.dagger(e), e, PreconditionError, "not a dagger idempotent")
+    check(inst, inst.compose(e, e), e, PreconditionError, "not a dagger idempotent")
+    return require_mp(
+        inst, e, e, ConsistencyError,
+        "dagger idempotent constructor produced a candidate failing the axioms",
+    )
 
 
 def mp_via_gram(
@@ -65,22 +64,19 @@ def mp_via_gram(
     M-P inverse reachable this way, reported as
     :class:`NoMPInverseError`.
     """
-    gram = inst.compose(inst.dagger(f), f)
-    gram_mp = gram_solver(gram)
-    report = verify_mp(inst, gram, gram_mp)
-    if not report.all_hold:
-        raise PreconditionError(
-            "gram_solver did not return a verified inverse of f†f "
-            f"(residuals {report.residuals})"
-        )
-    absorbed = inst.compose(f, gram_mp, gram)
-    if not inst.equals(absorbed, f):
-        raise NoMPInverseError(
-            "gram route fails: f (f†f)° (f†f) differs from f",
-            residual=inst.deviation(absorbed, f),
-        )
-    return _checked(
-        inst, f, inst.compose(gram_mp, inst.dagger(f)), "gram route"
+    fd = inst.dagger(f)
+    gram = inst.compose(fd, f)
+    gram_mp = require_mp(
+        inst, gram, gram_solver(gram), PreconditionError,
+        "gram_solver did not return a verified inverse of f†f",
+    )
+    check(
+        inst, inst.compose(f, gram_mp, gram), f, NoMPInverseError,
+        "gram route fails: f (f†f)° (f†f) differs from f",
+    )
+    return require_mp(
+        inst, f, inst.compose(gram_mp, fd), ConsistencyError,
+        "gram route produced a candidate failing the axioms",
     )
 
 
@@ -127,8 +123,9 @@ def derived_identities_check(
     inst: DaggerInstance, f: Any, f_mp: Any
 ) -> DerivedIdentitiesReport:
     """Evaluate the ten consequences of the axioms for a verified pair."""
-    if not verify_mp(inst, f, f_mp).all_hold:
-        raise PreconditionError("derived identities need a verified M-P pair")
+    require_mp(
+        inst, f, f_mp, PreconditionError, "derived identities need a verified M-P pair"
+    )
     dg = inst.dagger
     comp = inst.compose
     eq = inst.equals
@@ -211,10 +208,11 @@ def composition_criteria(
     """Check whether the M-P inverse of f then g is g° then f°."""
     if inst.target(f) != inst.source(g):
         raise InputError("f and g are not composable")
-    if not verify_mp(inst, f, f_mp).all_hold:
-        raise PreconditionError("composition criteria need a verified pair for f")
-    if not verify_mp(inst, g, g_mp).all_hold:
-        raise PreconditionError("composition criteria need a verified pair for g")
+    for m, m_mp, name in ((f, f_mp, "f"), (g, g_mp, "g")):
+        require_mp(
+            inst, m, m_mp, PreconditionError,
+            f"composition criteria need a verified pair for {name}",
+        )
     dg = inst.dagger
     comp = inst.compose
     eq = inst.equals

@@ -22,8 +22,8 @@ from .core import (
     DaggerInstance,
     InputError,
     PreconditionError,
-    is_dagger_idempotent,
-    verify_mp,
+    check,
+    require_mp,
 )
 
 
@@ -51,17 +51,21 @@ def split_object(inst: DaggerInstance, e: Any) -> SplitObject:
     """Wrap a dagger idempotent as a formal object."""
     if inst.source(e) != inst.target(e):
         raise InputError("only endomorphisms can be split")
-    if not is_dagger_idempotent(inst, e):
-        resid = max(
-            inst.deviation(inst.compose(e, e), e),
-            inst.deviation(inst.dagger(e), e),
-        )
-        raise PreconditionError("not a dagger idempotent", residual=resid)
+    check(inst, inst.dagger(e), e, PreconditionError, "not a dagger idempotent")
+    check(inst, inst.compose(e, e), e, PreconditionError, "not a dagger idempotent")
     return SplitObject(inst.source(e), e)
 
 
 def same_object(inst: DaggerInstance, a: SplitObject, b: SplitObject) -> bool:
     return a.base == b.base and inst.equals(a.idempotent, b.idempotent)
+
+
+def _require_same_object(
+    inst: DaggerInstance, a: SplitObject, b: SplitObject, what: str
+) -> None:
+    if a.base != b.base:
+        raise InputError(what)
+    check(inst, a.idempotent, b.idempotent, InputError, what)
 
 
 def split_morphism(
@@ -73,12 +77,10 @@ def split_morphism(
             f"map has type {inst.source(f)} -> {inst.target(f)}, expected "
             f"{dom.base} -> {cod.base}"
         )
-    absorbed = inst.compose(dom.idempotent, f, cod.idempotent)
-    if not inst.equals(absorbed, f):
-        raise InputError(
-            "map is not fixed by the chosen idempotents "
-            f"(residual {inst.deviation(absorbed, f):.3e})"
-        )
+    check(
+        inst, inst.compose(dom.idempotent, f, cod.idempotent), f, InputError,
+        "map is not fixed by the chosen idempotents",
+    )
     return SplitMorphism(dom, cod, f)
 
 
@@ -97,8 +99,10 @@ def embed(inst: DaggerInstance, f: Any) -> SplitMorphism:
 def compose_split(
     inst: DaggerInstance, f: SplitMorphism, g: SplitMorphism
 ) -> SplitMorphism:
-    if not same_object(inst, f.cod, g.dom):
-        raise InputError("codomain of the first map differs from domain of the second")
+    _require_same_object(
+        inst, f.cod, g.dom,
+        "codomain of the first map differs from domain of the second",
+    )
     return SplitMorphism(f.dom, g.cod, inst.compose(f.f, g.f))
 
 
@@ -119,18 +123,13 @@ def mp_in_karoubi(
     whatever it raises propagates.
     """
     solver = base_mp if base_mp is not None else inst.mp
-    g = solver(f.f)
-    report = verify_mp(inst, f.f, g)
-    if not report.all_hold:
-        raise PreconditionError(
-            f"base solver output fails the axioms (residuals {report.residuals})"
-        )
-    absorbed = inst.compose(f.cod.idempotent, g, f.dom.idempotent)
-    if not inst.equals(absorbed, g):
-        raise ConsistencyError(
-            "verified inverse escapes the splitting "
-            f"(residual {inst.deviation(absorbed, g):.3e})"
-        )
+    g = require_mp(
+        inst, f.f, solver(f.f), PreconditionError, "base solver output fails the axioms"
+    )
+    check(
+        inst, inst.compose(f.cod.idempotent, g, f.dom.idempotent), g, ConsistencyError,
+        "verified inverse escapes the splitting",
+    )
     return SplitMorphism(f.cod, f.dom, g)
 
 
@@ -143,26 +142,17 @@ def iso_from_mp(
     (target, f° f), and f° the other way, composing to the two split
     identities.
     """
-    if not verify_mp(inst, f, f_mp).all_hold:
-        raise PreconditionError("needs a verified M-P pair")
+    require_mp(inst, f, f_mp, PreconditionError, "needs a verified M-P pair")
     e_dom = inst.compose(f, f_mp)
     e_cod = inst.compose(f_mp, f)
     dom = SplitObject(inst.source(f), e_dom)
     cod = SplitObject(inst.target(f), e_cod)
     for name, left, right, m in (("map", dom, cod, f), ("inverse", cod, dom, f_mp)):
-        absorbed = inst.compose(left.idempotent, m, right.idempotent)
-        if not inst.equals(absorbed, m):
-            raise ConsistencyError(
-                f"{name} is not fixed by its own projections "
-                f"(residual {inst.deviation(absorbed, m):.3e})"
-            )
-    forward = SplitMorphism(dom, cod, f)
-    backward = SplitMorphism(cod, dom, f_mp)
-    if not inst.equals(inst.compose(f, f_mp), e_dom):
-        raise ConsistencyError("forward-backward composite differs from the identity")
-    if not inst.equals(inst.compose(f_mp, f), e_cod):
-        raise ConsistencyError("backward-forward composite differs from the identity")
-    return forward, backward
+        check(
+            inst, inst.compose(left.idempotent, m, right.idempotent), m,
+            ConsistencyError, f"{name} is not fixed by its own projections",
+        )
+    return SplitMorphism(dom, cod, f), SplitMorphism(cod, dom, f_mp)
 
 
 def mp_from_iso(
@@ -174,26 +164,17 @@ def mp_from_iso(
     split identities; then the underlying base maps already satisfy all
     four axioms, which is re-verified before returning them.
     """
-    if not (
-        same_object(inst, forward.dom, backward.cod)
-        and same_object(inst, forward.cod, backward.dom)
-    ):
-        raise InputError("maps do not go between the same two pairs")
-    round_dom = inst.compose(forward.f, backward.f)
-    round_cod = inst.compose(backward.f, forward.f)
-    if not inst.equals(round_dom, forward.dom.idempotent):
-        raise InputError(
-            "composite onto the domain is not its identity "
-            f"(residual {inst.deviation(round_dom, forward.dom.idempotent):.3e})"
-        )
-    if not inst.equals(round_cod, forward.cod.idempotent):
-        raise InputError(
-            "composite onto the codomain is not its identity "
-            f"(residual {inst.deviation(round_cod, forward.cod.idempotent):.3e})"
-        )
-    report = verify_mp(inst, forward.f, backward.f)
-    if not report.all_hold:
-        raise ConsistencyError(
-            f"inverse pair fails the axioms (residuals {report.residuals})"
-        )
+    for a, b in ((forward.dom, backward.cod), (forward.cod, backward.dom)):
+        _require_same_object(inst, a, b, "maps do not go between the same two pairs")
+    check(
+        inst, inst.compose(forward.f, backward.f), forward.dom.idempotent,
+        InputError, "composite onto the domain is not its identity",
+    )
+    check(
+        inst, inst.compose(backward.f, forward.f), forward.cod.idempotent,
+        InputError, "composite onto the codomain is not its identity",
+    )
+    require_mp(
+        inst, forward.f, backward.f, ConsistencyError, "inverse pair fails the axioms"
+    )
     return forward.f, backward.f

@@ -31,8 +31,10 @@ from .core import (
     ConsistencyError,
     DaggerInstance,
     InputError,
+    NumericError,
     PreconditionError,
     Tolerance,
+    is_plain_int,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -85,18 +87,35 @@ class ComplexMatrix:
             raise InputError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        return ComplexMatrix(self.array @ other.array)
+        try:
+            return ComplexMatrix(self.array @ other.array)
+        except InputError:
+            raise NumericError(
+                f"product of {self.rows}x{self.cols} and {other.rows}x{other.cols} "
+                "overflowed"
+            ) from None
 
     def __repr__(self):
         return f"ComplexMatrix({self.rows}x{self.cols})"
 
 
-def frobenius(a: ComplexMatrix) -> float:
-    return a.norm()
-
-
 def _default_rank_tol(rows: int, cols: int, sigma_max: float) -> float:
     return max(rows, cols) * _EPS * sigma_max
+
+
+def _eig_cutoff(p: ComplexMatrix, lam: np.ndarray, rank_tol: Optional[float]) -> float:
+    """rank_tol, or the default cutoff for p scaled by the largest |eigenvalue|."""
+    if rank_tol is not None:
+        return rank_tol
+    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
+    return _default_rank_tol(p.rows, p.cols, lam_max)
+
+
+def _hermitian_excess(p: ComplexMatrix, eq_tol: float) -> Optional[float]:
+    """|p - p†| when it exceeds eq_tol * max(1, |p|^2), else None."""
+    arr = p.array
+    dev = float(np.linalg.norm(arr - arr.conj().T))
+    return dev if dev > eq_tol * max(1.0, p.norm() ** 2) else None
 
 
 @dataclass(frozen=True)
@@ -199,6 +218,18 @@ def numeric_rank(a: ComplexMatrix, rank_tol: Optional[float] = None) -> int:
     return svd(a, rank_tol=rank_tol).rank
 
 
+def _transpose_ranks(
+    a: ComplexMatrix, rank_tol: Optional[float] = None
+) -> tuple[int, int, int]:
+    """rank(a), rank(a aᵀ) and rank(aᵀ a), with the unconjugated transpose."""
+    at = ComplexMatrix(a.array.T)
+    return (
+        numeric_rank(a, rank_tol),
+        numeric_rank(a @ at, rank_tol),
+        numeric_rank(at @ a, rank_tol),
+    )
+
+
 def has_mp_wrt_transpose(a: ComplexMatrix, rank_tol: Optional[float] = None) -> bool:
     """Existence test for the plain-transpose dagger.
 
@@ -207,10 +238,7 @@ def has_mp_wrt_transpose(a: ComplexMatrix, rank_tol: Optional[float] = None) -> 
     collapse the products' rank ([i, 1] is the classic failure); real
     matrices always pass.
     """
-    at = a.array.T
-    r = numeric_rank(a, rank_tol)
-    r_left = numeric_rank(ComplexMatrix(a.array @ at), rank_tol)
-    r_right = numeric_rank(ComplexMatrix(at @ a.array), rank_tol)
+    r, r_left, r_right = _transpose_ranks(a, rank_tol)
     return r_left == r == r_right
 
 
@@ -227,17 +255,16 @@ def herm_eig(
     """
     if p.rows != p.cols:
         raise InputError("eigendecomposition requires a square matrix")
-    arr = p.array
-    herm_dev = float(np.linalg.norm(arr - arr.conj().T))
-    if herm_dev > eq_tol * max(1.0, p.norm() ** 2):
+    herm_dev = _hermitian_excess(p, eq_tol)
+    if herm_dev is not None:
         raise InputError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
     if p.rows == 0:
         return HermEigResult(ComplexMatrix.identity(0), ())
+    arr = p.array
     sym = (arr + arr.conj().T) / 2.0
     q, lam = _jacobi.hermitian_jacobi(sym, max_sweeps)
     q = np.array(q)
-    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    tol = _default_rank_tol(p.rows, p.cols, lam_max)
+    tol = _eig_cutoff(p, lam, None)
     for j in range(q.shape[1]):
         q[:, j] *= _phase_factor(q[:, j], tol)
     return HermEigResult(ComplexMatrix(q), tuple(float(x) for x in lam))
@@ -256,10 +283,7 @@ def herm_mp(
     """
     eig = herm_eig(p, eq_tol=eq_tol)
     lam = np.asarray(eig.eigenvalues)
-    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    tol = rank_tol if rank_tol is not None else _default_rank_tol(
-        p.rows, p.cols, lam_max
-    )
+    tol = _eig_cutoff(p, lam, rank_tol)
     inv = np.where(np.abs(lam) > tol, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
     qa = eig.q.array
     return ComplexMatrix((qa * inv) @ qa.conj().T)
@@ -359,10 +383,7 @@ def _sqrt_with_mp(
     """
     eig = herm_eig(p, eq_tol=eq_tol)  # InputError when not Hermitian
     lam = np.asarray(eig.eigenvalues)
-    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    tol = rank_tol if rank_tol is not None else _default_rank_tol(
-        p.rows, p.cols, lam_max
-    )
+    tol = _eig_cutoff(p, lam, rank_tol)
     if lam.size and float(np.min(lam)) < -tol:
         raise InputError(
             f"matrix is not positive (eigenvalue {float(np.min(lam)):.3e})"
@@ -450,20 +471,15 @@ class MatrixInstance(DaggerInstance):
         return max(1.0, f.norm() * g.norm())
 
     def positivity_witness(self, p: ComplexMatrix) -> bool:
-        arr = p.array
-        herm_dev = float(np.linalg.norm(arr - arr.conj().T))
-        if herm_dev > self.tolerance.eq_tol * max(1.0, p.norm() ** 2):
+        if _hermitian_excess(p, self.tolerance.eq_tol) is not None:
             return False
+        arr = p.array
         sym = ComplexMatrix((arr + arr.conj().T) / 2.0)
         eig = herm_eig(sym, eq_tol=self.tolerance.eq_tol)
         lam = np.asarray(eig.eigenvalues)
         if not lam.size:
             return True
-        lam_max = float(np.max(np.abs(lam)))
-        tol = self.tolerance.rank_tol
-        if tol is None:
-            tol = _default_rank_tol(p.rows, p.cols, lam_max)
-        return float(np.min(lam)) >= -tol
+        return float(np.min(lam)) >= -_eig_cutoff(p, lam, self.tolerance.rank_tol)
 
     def split_idempotent(self, e: ComplexMatrix) -> ComplexMatrix:
         return split_dagger_idempotent(e, eq_tol=self.tolerance.eq_tol)
@@ -514,7 +530,7 @@ def matrix_from_obj(obj: dict) -> ComplexMatrix:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     except KeyError as exc:
         raise InputError(f"matrix JSON missing key {exc}") from None
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 0 or cols < 0:
+    if not (is_plain_int(rows) and is_plain_int(cols)) or rows < 0 or cols < 0:
         raise InputError("rows and cols must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise InputError("data must list rows*cols entries in row-major order")
@@ -523,7 +539,7 @@ def matrix_from_obj(obj: dict) -> ComplexMatrix:
         if (
             not isinstance(entry, (list, tuple))
             or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)
+            or not all(isinstance(x, float) or is_plain_int(x) for x in entry)
         ):
             raise InputError(f"entry {i} must be a [re, im] pair")
         flat[i] = complex(entry[0], entry[1])

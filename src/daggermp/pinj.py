@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import DaggerInstance, InputError, Tolerance
+from .core import DaggerInstance, InputError, Tolerance, is_plain_int
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,6 @@ class PartialInjection:
 
     def __repr__(self) -> str:
         return f"PartialInjection({self.src}, {self.tgt}, pairs={self.pairs})"
-
-
-def compose_pinj(f: PartialInjection, g: PartialInjection) -> PartialInjection:
-    return f.compose(g)
-
-
-def dagger_pinj(f: PartialInjection) -> PartialInjection:
-    return f.dagger()
 
 
 def verify_inverse_category_laws(
@@ -165,7 +157,7 @@ def pinj_from_obj(obj: Any) -> PartialInjection:
         src, tgt, entries = obj["src"], obj["tgt"], obj["map"]
     except KeyError as exc:
         raise InputError(f"missing key {exc.args[0]!r}") from None
-    if not isinstance(src, int) or not isinstance(tgt, int):
+    if not is_plain_int(src) or not is_plain_int(tgt):
         raise InputError("src and tgt must be integers")
     if not isinstance(entries, list):
         raise InputError("map must be a list of [i, j] pairs")
@@ -174,7 +166,7 @@ def pinj_from_obj(obj: Any) -> PartialInjection:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, int) for x in entry)
+            or not all(is_plain_int(x) for x in entry)
         ):
             raise InputError(f"bad map entry: {entry!r}")
         pairs.append((entry[0], entry[1]))

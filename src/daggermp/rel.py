@@ -29,6 +29,7 @@ from .core import (
     NoMPInverseError,
     PreconditionError,
     Tolerance,
+    is_plain_int,
 )
 
 BRUTE_FORCE_LIMIT = 16  # max src*tgt for the exhaustive candidate scan
@@ -316,7 +317,7 @@ def rel_from_obj(obj: Any) -> FiniteRelation:
         src, tgt, pairs = obj["src"], obj["tgt"], obj["pairs"]
     except KeyError as exc:
         raise InputError(f"relation JSON missing key {exc.args[0]!r}") from None
-    if not isinstance(src, int) or not isinstance(tgt, int):
+    if not is_plain_int(src) or not is_plain_int(tgt):
         raise InputError("src and tgt must be integers")
     if not isinstance(pairs, list):
         raise InputError("pairs must be a list of [i, j] pairs")
@@ -325,7 +326,7 @@ def rel_from_obj(obj: Any) -> FiniteRelation:
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, int) for x in entry)
+            or not all(is_plain_int(x) for x in entry)
         ):
             raise InputError(f"bad relation pair: {entry!r}")
         cleaned.append((entry[0], entry[1]))

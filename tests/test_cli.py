@@ -317,6 +317,25 @@ def test_mistyped_payload_exits_2(tmp_path):
     assert code == 2 and err.startswith("error:")
 
 
+def test_json_booleans_exit_2(tmp_path):
+    cases = (
+        ("pinv", {"rows": True, "cols": 1, "data": [[1.0, 0.0]]}),
+        ("pinv", {"rows": 1, "cols": 2, "data": [[True, False], [0.0, 0.0]]}),
+        ("rel mp", {"src": 1, "tgt": True, "pairs": [[0, 0]]}),
+        ("pinj verify", {"src": 1, "tgt": 1, "map": [[0, False]]}),
+    )
+    for i, (command, obj) in enumerate(cases):
+        path = write_json(tmp_path, f"bool{i}.json", obj)
+        code, out, err = run_cli(*command.split(), "--in", path)
+        assert code == 2 and out == "" and err.startswith("error:"), command
+
+
+def test_overflow_is_a_numeric_refusal_exit_1(tmp_path):
+    f = matrix_file(tmp_path, "f.json", [[1e200]])
+    code, out, err = run_cli("verify-mp", "--in", f, "--in", f)
+    assert code == 1 and out == "" and err.startswith("refused:")
+
+
 def test_output_is_deterministic(tmp_path):
     path = matrix_file(tmp_path, "a.json", [[0.31, -2.7], [1.25, 4.0]])
     _, first, _ = run_cli("pinv", "--in", path)

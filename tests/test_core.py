@@ -7,10 +7,13 @@ from conftest import random_partial_injection, random_relation, uniform_complex
 from daggermp import (
     CapabilityError,
     ComplexMatrix,
+    ConsistencyError,
     DaggerError,
+    DecompositionError,
     FiniteRelation,
     InputError,
     MatrixInstance,
+    NoMPInverseError,
     NumericError,
     PartialInjection,
     PInjInstance,
@@ -28,6 +31,7 @@ from daggermp import (
     mp_via_gram,
     verify_mp,
 )
+from daggermp.core import check, require_mp
 
 M = ComplexMatrix.from_rows
 
@@ -246,3 +250,43 @@ def test_verified_inverses_are_unique(minst):
         assert verify_mp(minst, f, g1).all_hold
         assert verify_mp(minst, f, g2).all_hold
         assert minst.equals(g1, g2)
+
+
+def test_every_error_can_carry_a_residual():
+    for cls in (
+        DaggerError, InputError, CapabilityError, PreconditionError, NumericError,
+        NoMPInverseError, ConsistencyError, DecompositionError,
+    ):
+        err = cls("broken", residual=0.25)
+        assert err.residual == 0.25 and "2.500e-01" in str(err)
+        assert cls("plain").residual is None
+
+
+def test_compare_is_the_equality_rule(minst):
+    a, b = M([[1.0, 0.0]]), M([[1.0, 1e-20]])
+    dev, ok = minst.compare(a, b)
+    assert dev == 1e-20 and ok and minst.equals(a, b)
+    dev, ok = minst.compare(a, M([[1.0, 1e-3]]))
+    assert dev == 1e-3 and not ok and not minst.equals(a, M([[1.0, 1e-3]]))
+
+
+def test_check_returns_the_residual_or_raises_with_it(minst):
+    assert check(minst, M([[2.0]]), M([[2.0]]), DecompositionError, "same") == 0.0
+    with pytest.raises(DecompositionError) as exc:
+        check(minst, M([[2.0]]), M([[3.0]]), DecompositionError, "differ")
+    assert exc.value.residual == 1.0 and str(exc.value).startswith("differ")
+
+
+def test_require_mp_names_the_first_failing_identity(minst):
+    p = M([[1, 0], [0, 0]])
+    assert require_mp(minst, p, p, ConsistencyError, "projector") is p
+    with pytest.raises(ConsistencyError) as exc:
+        require_mp(minst, p, ComplexMatrix.identity(2), ConsistencyError, "identity")
+    assert "MP2" in str(exc.value) and exc.value.residual == 1.0
+
+
+def test_non_finite_residual_never_passes():
+    # |f g f - f| overflows to inf; so does the bound eq_tol |fgf| |f|.
+    report = verify_mp(MatrixInstance(), M([[1e200]]), M([[-1e-200]]))
+    assert report.residuals[0] == float("inf")
+    assert not report.mp1 and not report.all_hold

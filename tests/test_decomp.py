@@ -432,3 +432,23 @@ def test_rel_compact_form_through_generic_constructor(rel_inst):
     t = gcsvd_from_mp(rel_inst, r, r.converse())
     assert t.r.compose(t.d).compose(t.s) == r
     assert t.residuals["reconstruction"] == 0.0
+
+
+def test_each_defining_equation_is_measured_once(minst, monkeypatch):
+    rng = np.random.default_rng(61)
+    f = ComplexMatrix(uniform_complex(rng, 6, 3) @ uniform_complex(rng, 3, 5))
+    f_mp = pinv(f)
+    calls = []
+    measure = MatrixInstance.deviation
+
+    def counted(self, a, b):
+        calls.append(1)
+        return measure(self, a, b)
+
+    monkeypatch.setattr(MatrixInstance, "deviation", counted)
+    # 4 MP identities + 5 compact equations; + 2 kernel covers, 4 unitarity
+    # and 1 reconstruction; polar: 4 + self-adjoint + square + 4 + 3.
+    for route, expected in ((gcsvd_from_mp, 9), (gsvd_from_mp, 16), (polar_from_mp, 13)):
+        calls.clear()
+        route(minst, f, f_mp)
+        assert len(calls) == expected, route.__name__

@@ -377,6 +377,9 @@ def test_json_rejects_malformed_objects():
         lambda o: o.update(data=[[1.0], [0], [0], [1]]),  # wrong arity
         lambda o: o.update(extra=1),
         lambda o: o.update(data="nope"),
+        lambda o: o.update(rows=True),
+        lambda o: o.update(cols=False),
+        lambda o: o.update(data=[[True, False], [0, 0], [0, 0], [1, 0]]),
     ):
         obj = json.loads(json.dumps(good))
         breakage(obj)
@@ -384,3 +387,9 @@ def test_json_rejects_malformed_objects():
             matrix_from_obj(obj)
     with pytest.raises(InputError):
         matrix_from_obj([1, 2, 3])
+
+
+def test_overflowing_product_is_a_numeric_error():
+    with pytest.raises(NumericError) as exc:
+        M([[1e200]]) @ M([[1e200]])
+    assert not isinstance(exc.value, InputError)

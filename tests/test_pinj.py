@@ -11,8 +11,6 @@ from daggermp import (
     CapabilityError,
     InputError,
     PartialInjection,
-    compose_pinj,
-    dagger_pinj,
     pinj_from_obj,
     pinj_to_obj,
     verify_inverse_category_laws,
@@ -38,7 +36,7 @@ def test_compose_and_dagger_frozen():
     assert f.dagger() == PartialInjection(2, 1, (None, 0))
     assert f.dagger().dagger() == f
     # f then its reversal is the identity on the defined part
-    assert compose_pinj(f, dagger_pinj(f)) == PartialInjection.identity(1)
+    assert f.compose(f.dagger()) == PartialInjection.identity(1)
 
     g = PartialInjection(2, 1, (0, None))
     assert f.compose(g) == PartialInjection(1, 1, (None,))  # lands off-domain
@@ -132,3 +130,7 @@ def test_json_rejects_malformed_objects():
         pinj_from_obj({"src": 2, "tgt": 2, "map": [[0, 0, 0]]})
     with pytest.raises(InputError):
         pinj_from_obj({"src": 2, "tgt": 2, "map": [[0, 0], [1, 0]]})
+    with pytest.raises(InputError):
+        pinj_from_obj({"src": True, "tgt": 2, "map": []})
+    with pytest.raises(InputError):
+        pinj_from_obj({"src": 2, "tgt": 2, "map": [[False, True]]})

@@ -290,3 +290,7 @@ def test_json_rejects_malformed_objects():
         rel_from_obj({"src": 2, "tgt": 2, "pairs": [[0]]})
     with pytest.raises(InputError):
         rel_from_obj({"src": 2, "tgt": 2, "pairs": [[0, 9]]})
+    with pytest.raises(InputError):
+        rel_from_obj({"src": 2, "tgt": True, "pairs": []})
+    with pytest.raises(InputError):
+        rel_from_obj({"src": 2, "tgt": 2, "pairs": [[True, 0]]})
