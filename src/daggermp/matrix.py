@@ -19,6 +19,7 @@ real and nonnegative, with the phase compensated in the right factor.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -80,15 +81,17 @@ class ComplexMatrix:
         return ComplexMatrix(self.array.conj().T)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.array))
+        return _frobenius(self.array)
 
     def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
         if self.cols != other.rows:
             raise InputError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = self.array @ other.array
         try:
-            return ComplexMatrix(self.array @ other.array)
+            return ComplexMatrix(product)
         except InputError:
             raise NumericError(
                 f"product of {self.rows}x{self.cols} and {other.rows}x{other.cols} "
@@ -97,6 +100,22 @@ class ComplexMatrix:
 
     def __repr__(self):
         return f"ComplexMatrix({self.rows}x{self.cols})"
+
+
+def _frobenius(arr: np.ndarray) -> float:
+    """Frobenius norm that neither overflows nor underflows to zero.
+
+    ``np.linalg.norm`` sums the squared entries, so it reads inf once an
+    entry passes about 1e154, and 0 when every entry is below about
+    1e-162.  Only then is arr first rescaled by a power of two (Blue,
+    ACM TOMS 4(1), 1978); every other value is numpy's own.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = float(np.linalg.norm(arr))
+        if 0.0 < plain < math.inf or not arr.any():
+            return plain
+        e = _jacobi._pow2_exponent(arr)
+        return float(np.linalg.norm(arr * 2.0**e)) * 2.0**-e
 
 
 def _default_rank_tol(rows: int, cols: int, sigma_max: float) -> float:
@@ -114,8 +133,9 @@ def _eig_cutoff(p: ComplexMatrix, lam: np.ndarray, rank_tol: Optional[float]) ->
 def _hermitian_excess(p: ComplexMatrix, eq_tol: float) -> Optional[float]:
     """|p - p†| when it exceeds eq_tol * max(1, |p|^2), else None."""
     arr = p.array
-    dev = float(np.linalg.norm(arr - arr.conj().T))
-    return dev if dev > eq_tol * max(1.0, p.norm() ** 2) else None
+    dev = _frobenius(arr - arr.conj().T)
+    norm = p.norm()
+    return dev if dev > eq_tol * max(1.0, norm * norm) else None
 
 
 @dataclass(frozen=True)
@@ -247,7 +267,7 @@ def herm_eig(
     eq_tol: float = EQ_TOL_DEFAULT,
     max_sweeps: int = _jacobi.MAX_SWEEPS,
 ) -> HermEigResult:
-    """Eigendecomposition of a Hermitian matrix via cyclic Jacobi.
+    """Eigendecomposition of a Hermitian matrix via two-sided Jacobi.
 
     Input must be Hermitian within eq_tol scale; it is symmetrized
     exactly before iterating, so the factorization reproduces the
@@ -465,7 +485,11 @@ class MatrixInstance(DaggerInstance):
             raise InputError(
                 f"cannot compare {f.rows}x{f.cols} with {g.rows}x{g.cols}"
             )
-        return float(np.linalg.norm(f.array - g.array))
+        # numpy's norm, inf once the squares overflow: while scale() is
+        # of degree 2 its bound overflows first, and an exact residual
+        # would then pass against an infinite bound.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.linalg.norm(f.array - g.array))
 
     def scale(self, f: ComplexMatrix, g: ComplexMatrix) -> float:
         return max(1.0, f.norm() * g.norm())

@@ -7,10 +7,14 @@ runs with capture disabled so the acceptance summary stays visible).
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import daggermp
 from daggermp import ComplexMatrix, matrix_from_obj, matrix_to_obj
 from daggermp.cli import main
 
@@ -334,6 +338,17 @@ def test_overflow_is_a_numeric_refusal_exit_1(tmp_path):
     f = matrix_file(tmp_path, "f.json", [[1e200]])
     code, out, err = run_cli("verify-mp", "--in", f, "--in", f)
     assert code == 1 and out == "" and err.startswith("refused:")
+
+
+def test_overflow_refusal_is_the_first_line_of_stderr(tmp_path):
+    f = matrix_file(tmp_path, "f.json", [[1e200]])
+    src = os.path.dirname(os.path.dirname(os.path.abspath(daggermp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "daggermp.cli", "verify-mp", "--in", f, "--in", f],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stderr.startswith("refused:")
 
 
 def test_output_is_deterministic(tmp_path):

@@ -23,10 +23,12 @@ from daggermp import (
     load_matrix,
     matrix_from_obj,
     matrix_to_obj,
+    MatrixInstance,
     numeric_rank,
     pinv,
     save_matrix,
     svd,
+    verify_mp,
 )
 from daggermp.matrix import (
     biproduct_injection,
@@ -393,3 +395,24 @@ def test_overflowing_product_is_a_numeric_error():
     with pytest.raises(NumericError) as exc:
         M([[1e200]]) @ M([[1e200]])
     assert not isinstance(exc.value, InputError)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-100, 1e100, 1e160])
+def test_kernels_are_scale_safe(scale):
+    rng = np.random.default_rng(21)
+    base = uniform_complex(rng, 5, 3) @ uniform_complex(rng, 3, 4)
+    a = ComplexMatrix(base * scale)
+    assert numeric_rank(a) == 3
+    assert verify_mp(MatrixInstance(), a, pinv(a)).all_hold
+
+
+def test_pinv_of_a_huge_triangle_is_verified():
+    a = M([[1e100, 1e100], [0, 1e100]])
+    assert verify_mp(MatrixInstance(), a, pinv(a)).all_hold
+
+
+def test_norm_does_not_overflow():
+    got = ComplexMatrix(np.full((2, 2), 1e160)).norm()
+    assert abs(got - 2e160) <= 1e-15 * 2e160
+    assert ComplexMatrix(np.full((2, 2), 1e-170)).norm() > 0.0
+    assert ComplexMatrix.zeros(2, 2).norm() == 0.0
