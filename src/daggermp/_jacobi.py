@@ -93,28 +93,26 @@ def _schedule(m: int) -> tuple:
 
 
 def _rotation(app: float, aqq: float, g: complex):
-    """Parameters (c, s, phase, t) of the unitary zeroing g.
+    """The unitary zeroing g, as (block, t).
 
-    For the Hermitian 2x2 block [[app, g], [conj(g), aqq]] with g != 0,
-    the returned values define J = [[c, s], [-s*phase, c*phase]] with
-    J† B J diagonal; t is tan of the underlying real rotation angle.
+    For the Hermitian 2x2 block B = [[app, g], [conj(g), aqq]] with g != 0,
+    J = [[c, s], [-s*phase, c*phase]] makes J† B J diagonal, and block is
+    Jᵀ = [[c, -s*phase], [s, c*phase]]: the new columns p, q are
+    block[0] and block[1] applied to the old ones.  t is tan of the
+    underlying real rotation angle.
     """
     mag = abs(g)
     phase = g.conjugate() / mag
     tau = (aqq - app) / (2.0 * mag)
     t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
     c = 1.0 / math.sqrt(1.0 + t * t)
-    return c, t * c, phase, t
+    s = t * c
+    return ((c, -s * phase), (s, c * phase)), t
 
 
-# The 2x2 block of a pair that does not rotate: applying it leaves both
-# rows' values unchanged.
+# The block of a pair that does not rotate: it leaves both rows' values
+# unchanged.
 _KEEP = ((1.0, 0.0), (0.0, 1.0))
-
-
-def _block(c: float, s: float, phase: complex):
-    """Pair block [[c, -s·phase], [s, c·phase]]: new rows p, q from old ones."""
-    return (c, -s * phase), (s, c * phase)
 
 
 def _rotated(blocks, y: np.ndarray) -> np.ndarray:
@@ -183,8 +181,7 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS):
                     mag = abs(g)
                     if mag <= _EPS * math.sqrt(norms[p]) * math.sqrt(norms[q]):
                         continue
-                    c, s, phase, t = _rotation(norms[p], norms[q], g)
-                    blocks[i] = _block(c, s, phase)
+                    blocks[i], t = _rotation(norms[p], norms[q], g)
                     norms[p] = max(norms[p] - t * mag, 0.0)
                     norms[q] = max(norms[q] + t * mag, 0.0)
                 if blocks.count(_KEEP) < k:
@@ -234,8 +231,7 @@ def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS):
                     mag = abs(g)
                     if mag <= _EPS * math.sqrt(abs(app)) * math.sqrt(abs(aqq)):
                         continue
-                    c, s, phase, t = _rotation(app, aqq, g)
-                    blocks[i] = _block(c, s, phase)
+                    blocks[i], t = _rotation(app, aqq, g)
                     diag[p] = app - t * mag
                     diag[q] = aqq + t * mag
                     hit_p.append(p)
