@@ -24,7 +24,9 @@ from .core import (
     CapabilityError,
     DaggerError,
     InputError,
+    NumericError,
     Tolerance,
+    require_mp,
     verify_mp,
 )
 from .decomp import gcsvd_from_mp, gsvd_from_mp, polar_from_mp
@@ -103,7 +105,9 @@ def _to_obj(kind: str, m: Any) -> dict:
 def cmd_pinv(args) -> tuple[dict, int]:
     (obj,) = _expect_inputs(args, 1)
     a = matrix_from_obj(obj)
-    return matrix_to_obj(pinv(a, rank_tol=args.rank_tol)), 0
+    inst = MatrixInstance(_tolerance(args))
+    g = require_mp(inst, a, pinv(a, rank_tol=args.rank_tol), NumericError, "pinv")
+    return matrix_to_obj(g), 0
 
 
 def cmd_svd(args) -> tuple[dict, int]:

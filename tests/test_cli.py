@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import daggermp
+from conftest import uniform_complex
 from daggermp import ComplexMatrix, matrix_from_obj, matrix_to_obj
 from daggermp.cli import main
 
@@ -52,6 +53,18 @@ def test_pinv_rank_one(tmp_path):
     assert code == 0
     got = matrix_from_obj(json.loads(out))
     assert np.allclose(got.array, np.array([[1, 2], [2, 4]]) / 25, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_pinv_refuses_an_inverse_that_fails_verification(tmp_path, scale):
+    # At these scales MP1 or MP2 overflows against the default tolerance's
+    # bound, so the computed inverse is not verified and is not printed.
+    rng = np.random.default_rng(21)
+    base = uniform_complex(rng, 5, 3) @ uniform_complex(rng, 3, 4)
+    path = write_json(tmp_path, "a.json", matrix_to_obj(ComplexMatrix(base * scale)))
+    code, out, err = run_cli("pinv", "--in", path)
+    assert code == 1 and out == ""
+    assert err.startswith("refused:")
 
 
 def test_svd_output_shape(tmp_path):

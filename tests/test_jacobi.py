@@ -1,5 +1,7 @@
 """The Jacobi kernels: round-robin schedule, determinism, sweep budget,
-basis completion, and agreement with numpy.linalg as an oracle.
+basis completion, the pivoted QR ahead of both kernels, convergence at
+the rank boundary, relative accuracy on graded input, and agreement
+with numpy.linalg as an oracle.
 """
 
 import itertools
@@ -11,6 +13,7 @@ from conftest import uniform_complex
 from daggermp import NumericError
 from daggermp._jacobi import (
     _complete_columns,
+    _qrcp,
     _schedule,
     hermitian_jacobi,
     one_sided_svd,
@@ -109,3 +112,100 @@ def test_values_agree_with_numpy(n):
     scale = np.abs(ref).max()
     assert np.allclose(lam, ref, rtol=0.0, atol=1e-13 * scale)
     assert np.linalg.norm((q * lam) @ q.conj().T - h) <= 1e-13 * scale
+
+
+def _qrcp_inputs():
+    rng = np.random.default_rng(31)
+    yield uniform_complex(rng, 7, 4)
+    yield uniform_complex(rng, 4, 7)
+    yield uniform_complex(rng, 6, 6)
+    yield uniform_complex(rng, 9, 3) @ uniform_complex(rng, 3, 6)
+    yield np.zeros((3, 4), dtype=np.complex128)
+    yield uniform_complex(rng, 1, 3)
+    yield np.diag([1.0, 3.0, -2.0, 3.0j]).astype(np.complex128)
+
+
+@pytest.mark.parametrize(
+    "a", list(_qrcp_inputs()), ids=lambda a: "x".join(map(str, a.shape))
+)
+def test_qrcp_factors_with_pivoting(a):
+    q, r, perm = _qrcp(a)
+    rows, cols = a.shape
+    assert sorted(perm.tolist()) == list(range(cols))
+    assert np.linalg.norm(a[:, perm] - q @ r) <= 1e-14 * max(np.linalg.norm(a), 1.0)
+    assert _unitarity_error(q) <= 1e-14 * rows
+    assert not np.tril(r, -1).any()
+    d = np.abs(np.diagonal(r))
+    assert np.all(d[1:] <= d[:-1])
+
+
+def test_qrcp_ties_go_to_the_lowest_index():
+    _, _, perm = _qrcp(np.diag([1.0, 2.0, 2.0]).astype(np.complex128))
+    assert perm.tolist() == [1, 2, 0]
+    _, _, perm = _qrcp(np.ones((3, 3), dtype=np.complex128))
+    assert perm.tolist() == [0, 1, 2]
+
+
+def test_qrcp_keeps_a_diagonal_exact():
+    a = np.array([[3.0, 0.0], [0.0, 4.0]], dtype=np.complex128)
+    q, r, perm = _qrcp(a)
+    assert perm.tolist() == [1, 0]
+    assert np.array_equal(q @ r, a[:, perm])
+    assert np.diagonal(r).tolist() == [4.0, 3.0]
+
+
+def test_qrcp_reflects_columns_whose_squares_underflow():
+    # The squares of 1e-170 underflow to 0; the reflector still needs ‖x‖.
+    a = np.array([[1.0, 0.0], [0.0, 1e-170], [0.0, 1e-170]], dtype=np.complex128)
+    q, r, perm = _qrcp(a)
+    assert perm.tolist() == [0, 1]
+    assert abs(abs(r[1, 1]) - np.sqrt(2.0) * 1e-170) <= 1e-15 * 1e-170
+    assert np.abs(q @ r - a).max() <= 1e-15 * 1e-170
+
+
+def _rank_boundary_cases():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        yield uniform_complex(rng, 48, 24) @ uniform_complex(rng, 24, 48)
+
+
+def test_preconditioned_kernels_converge_at_the_rank_boundary():
+    # Without the QR these inputs take 14-21 sweeps.
+    for a in _rank_boundary_cases():
+        _, sigma, _ = one_sided_svd(a, max_sweeps=12)
+        assert int(np.count_nonzero(sigma > 1e-12 * sigma[0])) == 24
+        gram = a.conj().T @ a
+        hermitian_jacobi((gram + gram.conj().T) / 2, max_sweeps=12)
+    b = uniform_complex(np.random.default_rng(64), 8, 64)
+    gram = b.conj().T @ b
+    _, lam = hermitian_jacobi((gram + gram.conj().T) / 2, max_sweeps=12)
+    assert int(np.count_nonzero(lam > 1e-12 * lam[0])) == 8
+
+
+def _reference_values(a, hermitian):
+    """Singular values or eigenvalues of a from mpmath at 50 digits, descending."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        m = mpmath.matrix(a.tolist())
+        vals = mpmath.eighe(m, eigvals_only=True) if hermitian else mpmath.svd_c(
+            m, compute_uv=False
+        )
+        return np.sort([float(x) for x in vals])[::-1]
+
+
+def test_graded_values_keep_relative_accuracy():
+    rng = np.random.default_rng(41)
+    a = uniform_complex(rng, 12, 10) * np.logspace(0, -12, 10)
+    _, sigma, _ = one_sided_svd(a)
+    ref = _reference_values(a, hermitian=False)
+    assert np.all(np.abs(sigma - ref) <= 1e-13 * ref)
+
+    g = uniform_complex(rng, 10, 10)
+    c = g.conj().T @ g + 10.0 * np.eye(10)
+    d = rng.permutation(np.logspace(0, -12, 10))
+    h = d[:, None] * c * d
+    h = (h + h.conj().T) / 2
+    _, lam = hermitian_jacobi(h)
+    ref = _reference_values(h, hermitian=True)
+    assert ref[-1] < 1e-22
+    assert np.all(np.abs(lam - ref) <= 1e-13 * ref)
