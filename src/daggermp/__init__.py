@@ -7,194 +7,79 @@ Three instances implement it: dense complex matrices
 partial injections (:mod:`daggermp.pinj`).  Formal idempotent splitting
 is in :mod:`daggermp.karoubi` and the three factorizations of an
 invertible map in :mod:`daggermp.decomp`.
+
+The package exports resolve on first use (PEP 562): ``import daggermp``
+loads no submodule, and ``daggermp.pinv`` imports :mod:`daggermp.matrix`
+(and numpy) the first time it is read, then caches the value here.  The
+exact instances, relations and partial injections, never load numpy
+unless the relation oracle :func:`brute_force_mp` runs.
 """
 
-from .core import (
-    CapabilityError,
-    ConsistencyError,
-    DaggerError,
-    DaggerInstance,
-    DecompositionError,
-    InputError,
-    MPReport,
-    NoMPInverseError,
-    NumericError,
-    PreconditionError,
-    Tolerance,
-    is_coisometry,
-    is_dagger_idempotent,
-    is_isometry,
-    is_partial_isometry,
-    is_positive,
-    is_self_adjoint,
-    is_unitary,
-    verify_mp,
-)
-from .decomp import (
-    GCSVDTriple,
-    GSVDTriple,
-    PolarPair,
-    gcsvd_from_mp,
-    gcsvd_intertwiners,
-    gsvd_from_mp,
-    gsvd_intertwiners,
-    induced_gcsvd,
-    mp_from_gcsvd,
-    mp_from_gsvd,
-    mp_from_polar,
-    polar_from_mp,
-)
-from .engine import (
-    CompositionReport,
-    DerivedIdentitiesReport,
-    composition_criteria,
-    derived_identities_check,
-    mp_of_dagger_idempotent,
-    mp_of_partial_isometry,
-    mp_via_gram,
-)
-from .karoubi import (
-    SplitMorphism,
-    SplitObject,
-    compose_split,
-    dagger_split,
-    embed,
-    iso_from_mp,
-    mp_from_iso,
-    mp_in_karoubi,
-    same_object,
-    split_identity,
-    split_morphism,
-    split_object,
-)
-from .matrix import (
-    ComplexMatrix,
-    HermEigResult,
-    MatrixInstance,
-    SVDResult,
-    biproduct_injection,
-    biproduct_projection,
-    dagger_kernel,
-    direct_sum,
-    has_mp_wrt_transpose,
-    herm_eig,
-    herm_mp,
-    hermitian_sqrt,
-    kernel_universality_holds,
-    load_matrix,
-    matrix_from_obj,
-    matrix_to_obj,
-    numeric_rank,
-    pinv,
-    save_matrix,
-    split_dagger_idempotent,
-    svd,
-)
-from .pinj import (
-    PartialInjection,
-    PInjInstance,
-    pinj_from_obj,
-    pinj_to_obj,
-    verify_inverse_category_laws,
-)
-from .rel import (
-    FiniteRelation,
-    RelInstance,
-    brute_force_mp,
-    gcsvd_rel,
-    is_difunctional,
-    mp_inverse_rel,
-    rel_from_obj,
-    rel_to_obj,
-    split_per,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapabilityError",
-    "ComplexMatrix",
-    "CompositionReport",
-    "ConsistencyError",
-    "DaggerError",
-    "DaggerInstance",
-    "DecompositionError",
-    "DerivedIdentitiesReport",
-    "FiniteRelation",
-    "GCSVDTriple",
-    "GSVDTriple",
-    "HermEigResult",
-    "InputError",
-    "MPReport",
-    "MatrixInstance",
-    "NoMPInverseError",
-    "NumericError",
-    "PInjInstance",
-    "PartialInjection",
-    "PolarPair",
-    "PreconditionError",
-    "RelInstance",
-    "SVDResult",
-    "SplitMorphism",
-    "SplitObject",
-    "Tolerance",
-    "biproduct_injection",
-    "biproduct_projection",
-    "brute_force_mp",
-    "compose_split",
-    "composition_criteria",
-    "dagger_kernel",
-    "dagger_split",
-    "derived_identities_check",
-    "direct_sum",
-    "embed",
-    "gcsvd_from_mp",
-    "gcsvd_intertwiners",
-    "gcsvd_rel",
-    "gsvd_from_mp",
-    "gsvd_intertwiners",
-    "has_mp_wrt_transpose",
-    "herm_eig",
-    "herm_mp",
-    "hermitian_sqrt",
-    "induced_gcsvd",
-    "is_coisometry",
-    "is_dagger_idempotent",
-    "is_difunctional",
-    "is_isometry",
-    "is_partial_isometry",
-    "is_positive",
-    "is_self_adjoint",
-    "is_unitary",
-    "iso_from_mp",
-    "kernel_universality_holds",
-    "load_matrix",
-    "matrix_from_obj",
-    "matrix_to_obj",
-    "mp_from_gcsvd",
-    "mp_from_gsvd",
-    "mp_from_iso",
-    "mp_from_polar",
-    "mp_in_karoubi",
-    "mp_inverse_rel",
-    "mp_of_dagger_idempotent",
-    "mp_of_partial_isometry",
-    "mp_via_gram",
-    "numeric_rank",
-    "pinj_from_obj",
-    "pinj_to_obj",
-    "pinv",
-    "polar_from_mp",
-    "rel_from_obj",
-    "rel_to_obj",
-    "same_object",
-    "save_matrix",
-    "split_dagger_idempotent",
-    "split_identity",
-    "split_morphism",
-    "split_object",
-    "split_per",
-    "svd",
-    "verify_inverse_category_laws",
-    "verify_mp",
-]
+# The home module of every exported name.
+_EXPORTS = {
+    "core": (
+        "CapabilityError", "ConsistencyError", "DaggerError", "DaggerInstance",
+        "DecompositionError", "InputError", "MPReport", "NoMPInverseError",
+        "NumericError", "PreconditionError", "Tolerance",
+        "is_coisometry", "is_dagger_idempotent", "is_isometry",
+        "is_partial_isometry", "is_positive", "is_self_adjoint", "is_unitary",
+        "verify_mp",
+    ),
+    "decomp": (
+        "GCSVDTriple", "GSVDTriple", "PolarPair",
+        "gcsvd_from_mp", "gcsvd_intertwiners", "gsvd_from_mp",
+        "gsvd_intertwiners", "induced_gcsvd", "mp_from_gcsvd", "mp_from_gsvd",
+        "mp_from_polar", "polar_from_mp",
+    ),
+    "engine": (
+        "CompositionReport", "DerivedIdentitiesReport",
+        "composition_criteria", "derived_identities_check",
+        "mp_of_dagger_idempotent", "mp_of_partial_isometry", "mp_via_gram",
+    ),
+    "karoubi": (
+        "SplitMorphism", "SplitObject",
+        "compose_split", "dagger_split", "embed", "iso_from_mp", "mp_from_iso",
+        "mp_in_karoubi", "same_object", "split_identity", "split_morphism",
+        "split_object",
+    ),
+    "matrix": (
+        "ComplexMatrix", "HermEigResult", "MatrixInstance", "SVDResult",
+        "biproduct_injection", "biproduct_projection", "dagger_kernel",
+        "direct_sum", "has_mp_wrt_transpose", "herm_eig", "herm_mp",
+        "hermitian_sqrt", "kernel_universality_holds", "load_matrix",
+        "matrix_from_obj", "matrix_to_obj", "numeric_rank", "pinv",
+        "save_matrix", "split_dagger_idempotent", "svd",
+    ),
+    "pinj": (
+        "PartialInjection", "PInjInstance",
+        "pinj_from_obj", "pinj_to_obj", "verify_inverse_category_laws",
+    ),
+    "rel": (
+        "FiniteRelation", "RelInstance",
+        "brute_force_mp", "gcsvd_rel", "is_difunctional", "mp_inverse_rel",
+        "rel_from_obj", "rel_to_obj", "split_per",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"_jacobi"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys() | _SUBMODULES)

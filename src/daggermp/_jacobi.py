@@ -52,6 +52,7 @@ import numpy as np
 from .core import NumericError
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 MAX_SWEEPS = 30
 
 
@@ -265,7 +266,12 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS):
             raise NumericError(
                 f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps"
             )
-    sigma = np.sqrt(np.einsum("ij,ij->i", wt.conj(), wt).real)
+    squares = np.einsum("ij,ij->i", wt.conj(), wt).real
+    sigma = np.sqrt(squares)
+    # A row whose sum of squares is 0 or subnormal can still be nonzero:
+    # take its norm by hypot, which does not underflow.
+    for i in np.flatnonzero(squares < _TINY):
+        sigma[i] = np.hypot.reduce(np.abs(wt[i]))
     order = (-sigma).argsort(kind="stable")
     sigma = sigma[order]
     zero_tol = max(n, m) * _EPS * float(sigma[0])

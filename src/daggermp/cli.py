@@ -29,28 +29,9 @@ from .core import (
     require_mp,
     verify_mp,
 )
-from .decomp import gcsvd_from_mp, gsvd_from_mp, polar_from_mp
-from .karoubi import embed, iso_from_mp, mp_from_iso, mp_in_karoubi
-from .matrix import (
-    MatrixInstance,
-    _transpose_ranks,
-    dagger_kernel,
-    matrix_from_obj,
-    matrix_to_obj,
-    pinv,
-    split_dagger_idempotent,
-    svd,
-)
-from .pinj import PInjInstance, pinj_from_obj, pinj_to_obj, verify_inverse_category_laws
-from .rel import (
-    RelInstance,
-    brute_force_mp,
-    gcsvd_rel,
-    is_difunctional,
-    mp_inverse_rel,
-    rel_from_obj,
-    rel_to_obj,
-)
+
+# Each handler imports the instance modules it uses, so a relation or
+# partial-injection command never loads the matrix stack or numpy.
 
 
 def _load_json(path: str) -> Any:
@@ -74,35 +55,41 @@ def _tolerance(args: argparse.Namespace) -> Tolerance:
 
 
 def _detect(obj: Any):
-    """Build (instance, morphism) from a JSON object by its keys."""
+    """Build (kind, morphism) from a JSON object by its keys."""
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
     if "data" in obj:
+        from .matrix import matrix_from_obj
+
         return "matrix", matrix_from_obj(obj)
     if "pairs" in obj:
+        from .rel import rel_from_obj
+
         return "rel", rel_from_obj(obj)
     if "map" in obj:
+        from .pinj import pinj_from_obj
+
         return "pinj", pinj_from_obj(obj)
     raise InputError("cannot tell matrix / relation / partial injection apart")
 
 
 def _instance_for(kind: str, args: argparse.Namespace):
     if kind == "matrix":
+        from .matrix import MatrixInstance
+
         return MatrixInstance(_tolerance(args))
     if kind == "rel":
+        from .rel import RelInstance
+
         return RelInstance()
+    from .pinj import PInjInstance
+
     return PInjInstance()
 
 
-def _to_obj(kind: str, m: Any) -> dict:
-    if kind == "matrix":
-        return matrix_to_obj(m)
-    if kind == "rel":
-        return rel_to_obj(m)
-    return pinj_to_obj(m)
-
-
 def cmd_pinv(args) -> tuple[dict, int]:
+    from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj, pinv
+
     (obj,) = _expect_inputs(args, 1)
     a = matrix_from_obj(obj)
     inst = MatrixInstance(_tolerance(args))
@@ -111,6 +98,8 @@ def cmd_pinv(args) -> tuple[dict, int]:
 
 
 def cmd_svd(args) -> tuple[dict, int]:
+    from .matrix import matrix_from_obj, matrix_to_obj, svd
+
     (obj,) = _expect_inputs(args, 1)
     res = svd(matrix_from_obj(obj), rank_tol=args.rank_tol)
     out = {
@@ -123,12 +112,16 @@ def cmd_svd(args) -> tuple[dict, int]:
 
 
 def cmd_kernel(args) -> tuple[dict, int]:
+    from .matrix import dagger_kernel, matrix_from_obj, matrix_to_obj
+
     (obj,) = _expect_inputs(args, 1)
     k = dagger_kernel(matrix_from_obj(obj), rank_tol=args.rank_tol)
     return matrix_to_obj(k), 0
 
 
 def cmd_split_idem(args) -> tuple[dict, int]:
+    from .matrix import matrix_from_obj, matrix_to_obj, split_dagger_idempotent
+
     (obj,) = _expect_inputs(args, 1)
     eq = args.eq_tol if args.eq_tol is not None else EQ_TOL_DEFAULT
     r = split_dagger_idempotent(matrix_from_obj(obj), eq_tol=eq)
@@ -136,6 +129,8 @@ def cmd_split_idem(args) -> tuple[dict, int]:
 
 
 def cmd_rank_transpose(args) -> tuple[dict, int]:
+    from .matrix import _transpose_ranks, matrix_from_obj
+
     (obj,) = _expect_inputs(args, 1)
     r, r_left, r_right = _transpose_ranks(matrix_from_obj(obj), args.rank_tol)
     has = r_left == r == r_right
@@ -157,6 +152,9 @@ def cmd_verify_mp(args) -> tuple[dict, int]:
 
 
 def cmd_gcsvd(args) -> tuple[dict, int]:
+    from .decomp import gcsvd_from_mp
+    from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj
+
     (obj,) = _expect_inputs(args, 1)
     inst = MatrixInstance(_tolerance(args))
     f = matrix_from_obj(obj)
@@ -171,6 +169,9 @@ def cmd_gcsvd(args) -> tuple[dict, int]:
 
 
 def cmd_gsvd(args) -> tuple[dict, int]:
+    from .decomp import gsvd_from_mp
+    from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj
+
     (obj,) = _expect_inputs(args, 1)
     inst = MatrixInstance(_tolerance(args))
     f = matrix_from_obj(obj)
@@ -187,6 +188,9 @@ def cmd_gsvd(args) -> tuple[dict, int]:
 
 
 def cmd_polar(args) -> tuple[dict, int]:
+    from .decomp import polar_from_mp
+    from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj
+
     (obj,) = _expect_inputs(args, 1)
     inst = MatrixInstance(_tolerance(args))
     f = matrix_from_obj(obj)
@@ -200,12 +204,16 @@ def cmd_polar(args) -> tuple[dict, int]:
 
 
 def cmd_rel_difunctional(args) -> tuple[dict, int]:
+    from .rel import is_difunctional, rel_from_obj
+
     (obj,) = _expect_inputs(args, 1)
     ok = is_difunctional(rel_from_obj(obj))
     return {"difunctional": ok}, 0 if ok else 1
 
 
 def cmd_rel_mp(args) -> tuple[dict, int]:
+    from .rel import mp_inverse_rel, rel_from_obj, rel_to_obj
+
     (obj,) = _expect_inputs(args, 1)
     g = mp_inverse_rel(rel_from_obj(obj))
     if g is None:
@@ -214,6 +222,8 @@ def cmd_rel_mp(args) -> tuple[dict, int]:
 
 
 def cmd_rel_oracle(args) -> tuple[dict, int]:
+    from .rel import brute_force_mp, rel_from_obj, rel_to_obj
+
     (obj,) = _expect_inputs(args, 1)
     g = brute_force_mp(rel_from_obj(obj))
     if g is None:
@@ -222,6 +232,8 @@ def cmd_rel_oracle(args) -> tuple[dict, int]:
 
 
 def cmd_rel_split_per(args) -> tuple[dict, int]:
+    from .rel import RelInstance, rel_from_obj, rel_to_obj
+
     (obj,) = _expect_inputs(args, 1)
     inst = RelInstance()
     mem = inst.split_idempotent(rel_from_obj(obj))
@@ -229,12 +241,16 @@ def cmd_rel_split_per(args) -> tuple[dict, int]:
 
 
 def cmd_rel_gcsvd(args) -> tuple[dict, int]:
+    from .rel import gcsvd_rel, rel_from_obj, rel_to_obj
+
     (obj,) = _expect_inputs(args, 1)
     r, d, s = gcsvd_rel(rel_from_obj(obj))
     return {"r": rel_to_obj(r), "d": rel_to_obj(d), "s": rel_to_obj(s)}, 0
 
 
 def cmd_pinj_verify(args) -> tuple[dict, int]:
+    from .pinj import PInjInstance, pinj_from_obj, verify_inverse_category_laws
+
     paths = args.inputs or []
     if len(paths) not in (1, 2):
         raise InputError(f"expected 1 or 2 --in file(s), got {len(paths)}")
@@ -254,6 +270,8 @@ def cmd_pinj_verify(args) -> tuple[dict, int]:
 
 
 def cmd_karoubi_check(args) -> tuple[dict, int]:
+    from .karoubi import embed, iso_from_mp, mp_from_iso, mp_in_karoubi
+
     (obj,) = _expect_inputs(args, 1)
     kind, f = _detect(obj)
     inst = _instance_for(kind, args)

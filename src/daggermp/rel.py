@@ -6,7 +6,9 @@ every comparison is exact.  The dagger is the converse.  A relation has
 a Moore-Penrose inverse precisely when it is difunctional (zig-zag
 closed), and then the inverse is the converse; :func:`brute_force_mp`
 checks that equivalence from the other side by scanning every candidate
-relation at small sizes.
+relation at small sizes.  The oracle and its two helpers are the only
+code here that uses numpy, and they import it themselves, so the rest of
+the module runs without loading it.
 
 Symmetric idempotents here are partial equivalence relations; they split
 through their set of equivalence classes (:func:`split_per`), which is
@@ -19,8 +21,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
-
-import numpy as np
 
 from .core import (
     ConsistencyError,
@@ -136,8 +136,10 @@ def mp_inverse_rel(r: FiniteRelation) -> Optional[FiniteRelation]:
 
 
 @functools.lru_cache(maxsize=8)
-def _candidate_grid(rows: int, cols: int) -> np.ndarray:
-    """All 2^(rows*cols) boolean matrices, stacked, as float32."""
+def _candidate_grid(rows: int, cols: int):
+    """All 2^(rows*cols) boolean matrices, stacked, as a float32 array."""
+    import numpy as np
+
     bits = rows * cols
     idx = np.arange(1 << bits, dtype=np.int64)
     shifts = np.arange(bits, dtype=np.int64)
@@ -145,7 +147,10 @@ def _candidate_grid(rows: int, cols: int) -> np.ndarray:
     return grid.reshape(len(idx), rows, cols)
 
 
-def _bool_matrix(r: FiniteRelation) -> np.ndarray:
+def _bool_matrix(r: FiniteRelation):
+    """r as a src x tgt float32 0/1 array."""
+    import numpy as np
+
     out = np.zeros((r.src, r.tgt), dtype=np.float32)
     for i, j in r.pairs:
         out[i, j] = 1.0
@@ -160,6 +165,8 @@ def brute_force_mp(r: FiniteRelation) -> Optional[FiniteRelation]:
     src*tgt <= 16 (65536 candidates).  Raises ConsistencyError if two
     distinct candidates pass, since verified inverses are unique.
     """
+    import numpy as np
+
     if r.src * r.tgt > BRUTE_FORCE_LIMIT:
         raise InputError(
             f"brute force capped at src*tgt <= {BRUTE_FORCE_LIMIT}, "

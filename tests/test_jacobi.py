@@ -1,13 +1,15 @@
 """The Jacobi kernels: round-robin schedule, determinism, sweep budget,
 basis completion, the pivoted QR ahead of both kernels, convergence at
-the rank boundary, relative accuracy on graded input, and agreement
-with numpy.linalg as an oracle.
+the rank boundary, relative accuracy on graded input, invariance under
+power-of-two scaling, and agreement with numpy.linalg as an oracle.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import uniform_complex
 from daggermp import NumericError
@@ -163,6 +165,16 @@ def test_qrcp_reflects_columns_whose_squares_underflow():
     assert np.abs(q @ r - a).max() <= 1e-15 * 1e-170
 
 
+@pytest.mark.parametrize("tiny", [1e-170, 1e-160])
+def test_svd_keeps_singular_values_whose_squares_underflow(tiny):
+    # tiny² underflows to 0 (1e-170) or to a subnormal (1e-160): σ₂ is
+    # still √2·tiny, not 0 or a value off in the sixth digit.
+    a = np.array([[1.0, 0.0], [0.0, tiny], [0.0, tiny]], dtype=np.complex128)
+    _, sigma, _ = one_sided_svd(a)
+    assert sigma[0] == 1.0
+    assert abs(sigma[1] - np.sqrt(2.0) * tiny) <= 1e-15 * tiny
+
+
 def _rank_boundary_cases():
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -209,3 +221,37 @@ def test_graded_values_keep_relative_accuracy():
     ref = _reference_values(h, hermitian=True)
     assert ref[-1] < 1e-22
     assert np.all(np.abs(lam - ref) <= 1e-13 * ref)
+
+
+# Seeded products b c with b rows x inner and c inner x cols: inner >= cols
+# gives full rank, inner < cols a rank-deficient product (inner 0: zero).
+@st.composite
+def _products(draw, tall):
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, rows if tall else 12))
+    inner = draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return uniform_complex(rng, rows, inner) @ uniform_complex(rng, inner, cols)
+
+
+_SCALING = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@_SCALING
+@given(a=_products(tall=True), k=st.integers(-300, 300))
+def test_svd_commutes_with_power_of_two_scaling(a, k):
+    u, sigma, v = one_sided_svd(a)
+    u_k, sigma_k, v_k = one_sided_svd(a * 2.0**k)
+    assert u_k.tobytes() == u.tobytes() and v_k.tobytes() == v.tobytes()
+    assert np.array_equal(sigma_k, sigma * 2.0**k)
+
+
+@_SCALING
+@given(b=_products(tall=False), k=st.integers(-300, 300))
+def test_eigensolver_commutes_with_power_of_two_scaling(b, k):
+    p = b.conj().T @ b
+    p = (p + p.conj().T) / 2
+    q, lam = hermitian_jacobi(p)
+    q_k, lam_k = hermitian_jacobi(p * 2.0**k)
+    assert q_k.tobytes() == q.tobytes()
+    assert np.array_equal(lam_k, lam * 2.0**k)
