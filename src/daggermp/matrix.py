@@ -12,8 +12,12 @@ The SVD and the Hermitian eigendecomposition are computed in-repo with
 Jacobi rotations (see ``_jacobi``); numpy supplies array storage and
 elementwise arithmetic only.  Both factorizations are deterministic:
 singular values sort descending and each left singular vector's phase
-is fixed so its first component of modulus above the rank cutoff is
-real and nonnegative, with the phase compensated in the right factor.
+is fixed so its first component of modulus above max(rows, cols) times
+machine epsilon is real and nonnegative, with the phase compensated in
+the right factor; eigenvectors follow the same rule with rows times
+machine epsilon.  The cutoffs sit on the unit scale of the vectors, so
+scaling the input by a power of two scales the values and leaves the
+vectors' bytes unchanged.
 """
 
 from __future__ import annotations
@@ -172,14 +176,23 @@ class HermEigResult:
         return ComplexMatrix((qa * np.asarray(self.eigenvalues)) @ qa.conj().T)
 
 
-def _phase_factor(col: np.ndarray, tol: float) -> complex:
-    """Unit scalar making the first above-tol component real nonnegative."""
-    mods = np.abs(col)
-    above = np.nonzero(mods > tol)[0]
-    i = int(above[0]) if above.size else int(np.argmax(mods))
-    z = col[i]
-    mag = abs(z)
-    return z.conjugate() / mag if mag > 0.0 else 1.0
+def _phases(cols: np.ndarray, cutoff: float) -> np.ndarray:
+    """Per column of unit vectors, the unit scalar making its first entry
+    of modulus above cutoff real and nonnegative.
+
+    A column with no such entry uses its largest entry; a zero column
+    gets 1.  The parts are divided by the modulus one by one, so a real
+    positive entry gets exactly 1.
+    """
+    mods = np.abs(cols)
+    above = mods > cutoff
+    first = np.where(above.any(axis=0), above.argmax(axis=0), mods.argmax(axis=0))
+    z = cols[first, np.arange(cols.shape[1])].conj()
+    z[z == 0.0] = 1.0
+    mag = np.abs(z)
+    z.real /= mag
+    z.imag /= mag
+    return z
 
 
 def svd(
@@ -189,9 +202,12 @@ def svd(
 ) -> SVDResult:
     """One-sided Jacobi SVD, run on the taller orientation.
 
-    ``rank_tol`` overrides the cutoff used for the rank count and the
-    phase normalization threshold; the default is
-    ``max(rows, cols) * machine_eps * sigma_max``.
+    ``rank_tol`` overrides the cutoff used for the rank count; the
+    default is ``max(rows, cols) * machine_eps * sigma_max``.  The phase
+    of each column of u (and of the matching column of v) is fixed on
+    the unit scale: its first entry of modulus above
+    ``max(rows, cols) * machine_eps`` is real and nonnegative, so the
+    factors do not depend on the scale of ``a`` or on ``rank_tol``.
     """
     n, m = a.rows, a.cols
     if min(n, m) == 0:
@@ -208,14 +224,12 @@ def svd(
     k = len(s)
     smax = float(s[0]) if k else 0.0
     tol = rank_tol if rank_tol is not None else _default_rank_tol(n, m, smax)
-    for j in range(k):
-        ph = _phase_factor(u[:, j], tol)
-        u[:, j] *= ph
-        v[:, j] *= ph
-    for j in range(k, n):
-        u[:, j] *= _phase_factor(u[:, j], tol)
-    for j in range(k, m):
-        v[:, j] *= _phase_factor(v[:, j], tol)
+    unit_tol = max(n, m) * _EPS
+    phases = _phases(u, unit_tol)
+    u *= phases
+    v[:, :k] *= phases[:k]
+    if m > k:
+        v[:, k:] *= _phases(v[:, k:], unit_tol)
     rank = int(np.count_nonzero(s > tol))
     return SVDResult(
         ComplexMatrix(u), tuple(float(x) for x in s), ComplexMatrix(v), rank
@@ -284,9 +298,7 @@ def herm_eig(
     sym = (arr + arr.conj().T) / 2.0
     q, lam = _jacobi.hermitian_jacobi(sym, max_sweeps)
     q = np.array(q)
-    tol = _eig_cutoff(p, lam, None)
-    for j in range(q.shape[1]):
-        q[:, j] *= _phase_factor(q[:, j], tol)
+    q *= _phases(q, p.rows * _EPS)
     return HermEigResult(ComplexMatrix(q), tuple(float(x) for x in lam))
 
 

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from daggermp import (
     ComplexMatrix,
@@ -25,6 +27,30 @@ CORPUS_SEED = 20260816
 
 def uniform_complex(rng, n, m):
     return rng.uniform(-1.0, 1.0, (n, m)) + 1j * rng.uniform(-1.0, 1.0, (n, m))
+
+
+def seeded_product(seed, rows, cols, inner):
+    """b c with b rows x inner and c inner x cols, from default_rng(seed).
+
+    inner >= min(rows, cols) gives full rank, a smaller inner a
+    rank-deficient product (inner 0: the zero matrix).
+    """
+    rng = np.random.default_rng(seed)
+    return uniform_complex(rng, rows, inner) @ uniform_complex(rng, inner, cols)
+
+
+@st.composite
+def products(draw, tall, max_dim=12):
+    """Seeded products of order up to max_dim (rows >= cols when tall)."""
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, rows if tall else max_dim))
+    inner = draw(st.integers(0, max_dim))
+    return seeded_product(draw(st.integers(0, 2**32 - 1)), rows, cols, inner)
+
+
+# Power-of-two scaling properties: a fixed example set, so that tier-1
+# runs the same cases every time.
+SCALING = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
 
 def make_matrix_corpus(seed=CORPUS_SEED, count=1000, max_dim=8):

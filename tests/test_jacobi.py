@@ -1,25 +1,35 @@
-"""The Jacobi kernels: round-robin schedule, determinism, sweep budget,
-basis completion, the pivoted QR ahead of both kernels, convergence at
-the rank boundary, relative accuracy on graded input, invariance under
-power-of-two scaling, and agreement with numpy.linalg as an oracle.
+"""The Jacobi kernels: round-robin schedule, the rotation rule of a step
+(Python floats below the gate, arrays from it), determinism, sweep
+budget, basis completion, the pivoted QR ahead of both kernels,
+convergence at the rank boundary and at order 128, relative accuracy on
+graded input, invariance under power-of-two scaling, and agreement with
+numpy.linalg as an oracle.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import uniform_complex
+from conftest import SCALING, products, seeded_product, uniform_complex
 from daggermp import NumericError
 from daggermp._jacobi import (
+    _ARRAY_PAIRS,
+    _EPS,
+    _array_step,
     _complete_columns,
     _qrcp,
+    _scalar_step,
     _schedule,
     hermitian_jacobi,
     one_sided_svd,
 )
+
+# The lowest order whose steps compute their rotations as arrays.
+GATE = 2 * _ARRAY_PAIRS
 
 
 def _unitarity_error(u):
@@ -37,6 +47,53 @@ def test_schedule_meets_each_pair_once_in_disjoint_steps(m):
         assert pq.tolist() == list(ps + qs)
         seen.extend(step)
     assert sorted(seen) == list(itertools.combinations(range(m), 2))
+
+
+def _step_inputs():
+    """One step of order 8 and its inputs: couplings far above, just above
+    and below the threshold, and a zero one between equal diagonal
+    entries; the diagonal has both signs."""
+    step = _schedule(8)[0]
+    ps, qs = step[0], step[1]
+    vals = np.random.default_rng(9).uniform(-2.0, 2.0, 8)
+    vals[qs[3]] = vals[ps[3]]
+    bound = [_EPS * math.sqrt(abs(vals[p])) * math.sqrt(abs(vals[q])) for p, q in zip(ps, qs)]
+    g = np.array([0.3 - 0.4j, 3.0 * bound[1] * 1j, 0.5 * bound[2], 0.0])
+    return step, vals, g
+
+
+def test_scalar_and_array_steps_follow_one_rule():
+    step, vals, g = _step_inputs()
+    ps, qs = step[0], step[1]
+    scalar_vals, array_vals = vals.tolist(), vals.copy()
+    scalar_blocks, scalar_entries = _scalar_step(scalar_vals, step, g, True)
+    array_blocks, array_entries = _array_step(array_vals, step, g, True)
+    rotated = [ps[0], ps[1], qs[0], qs[1]]
+    assert scalar_entries[0] == array_entries[0].tolist() == rotated
+    assert scalar_entries[1] == array_entries[1].tolist() == rotated[2:] + rotated[:2]
+    assert _array_step(vals.copy(), step, g, False)[1] is None
+    assert np.allclose(array_blocks, scalar_blocks, rtol=0.0, atol=4 * _EPS)
+    assert np.allclose(array_vals, scalar_vals, rtol=4 * _EPS, atol=0.0)
+    for i in (2, 3):
+        assert np.array_equal(array_blocks[i], np.eye(2))
+        assert np.array_equal(scalar_blocks[i], np.eye(2))
+    for i in (0, 1):
+        p, q = ps[i], qs[i]
+        b = np.array([[vals[p], g[i]], [np.conj(g[i]), vals[q]]])
+        j = array_blocks[i].T
+        assert np.abs(j.conj().T @ j - np.eye(2)).max() <= 4 * _EPS
+        d = j.conj().T @ b @ j
+        assert abs(d[0, 1]) <= 8 * _EPS * np.abs(b).max()
+        assert np.allclose(d.diagonal().real, array_vals[[p, q]], rtol=0.0, atol=8 * _EPS)
+
+
+def test_a_step_below_threshold_rotates_nothing():
+    step, vals, g = _step_inputs()
+    g[:2] = 0.0
+    assert _scalar_step(vals.tolist(), step, g, True) is None
+    kept = vals.copy()
+    assert _array_step(kept, step, g, True) is None
+    assert np.array_equal(kept, vals)
 
 
 def test_kernels_are_byte_deterministic():
@@ -101,7 +158,7 @@ def test_completion_follows_the_projector_rule():
     assert np.allclose(got, ref, rtol=0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("n", [2, 3, 17, 48])
+@pytest.mark.parametrize("n", [2, 3, 17, GATE - 1, GATE, 40, 48])
 def test_values_agree_with_numpy(n):
     rng = np.random.default_rng(100 + n)
     a = uniform_complex(rng, n + 3, n)
@@ -194,6 +251,16 @@ def test_preconditioned_kernels_converge_at_the_rank_boundary():
     assert int(np.count_nonzero(lam > 1e-12 * lam[0])) == 8
 
 
+def test_both_kernels_converge_at_order_128():
+    # Sweeps after the QR: 12 for the SVD and 9 for the eigensolver on
+    # this input; over default_rng(0..23), 11-12 and 9.
+    a = uniform_complex(np.random.default_rng(0), 128, 128)
+    _, sigma, _ = one_sided_svd(a, max_sweeps=12)
+    assert np.allclose(sigma, np.linalg.svd(a, compute_uv=False), rtol=0.0, atol=1e-13 * sigma[0])
+    gram = a.conj().T @ a
+    hermitian_jacobi((gram + gram.conj().T) / 2, max_sweeps=12)
+
+
 def _reference_values(a, hermitian):
     """Singular values or eigenvalues of a from mpmath at 50 digits, descending."""
     mpmath = pytest.importorskip("mpmath")
@@ -223,22 +290,12 @@ def test_graded_values_keep_relative_accuracy():
     assert np.all(np.abs(lam - ref) <= 1e-13 * ref)
 
 
-# Seeded products b c with b rows x inner and c inner x cols: inner >= cols
-# gives full rank, inner < cols a rank-deficient product (inner 0: zero).
-@st.composite
-def _products(draw, tall):
-    rows = draw(st.integers(1, 12))
-    cols = draw(st.integers(1, rows if tall else 12))
-    inner = draw(st.integers(0, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return uniform_complex(rng, rows, inner) @ uniform_complex(rng, inner, cols)
-
-
-_SCALING = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-
-
-@_SCALING
-@given(a=_products(tall=True), k=st.integers(-300, 300))
+@SCALING
+@given(a=products(tall=True), k=st.integers(-300, 300))
+# Drawn orders stay at or below 12; these reach both sides of the gate.
+@example(a=seeded_product(1, GATE + 2, GATE - 1, GATE - 1), k=-300)
+@example(a=seeded_product(2, GATE, GATE, GATE // 2), k=300)
+@example(a=seeded_product(3, 40, 40, 40), k=-77)
 def test_svd_commutes_with_power_of_two_scaling(a, k):
     u, sigma, v = one_sided_svd(a)
     u_k, sigma_k, v_k = one_sided_svd(a * 2.0**k)
@@ -246,8 +303,11 @@ def test_svd_commutes_with_power_of_two_scaling(a, k):
     assert np.array_equal(sigma_k, sigma * 2.0**k)
 
 
-@_SCALING
-@given(b=_products(tall=False), k=st.integers(-300, 300))
+@SCALING
+@given(b=products(tall=False), k=st.integers(-300, 300))
+@example(b=seeded_product(4, GATE + 3, GATE - 1, GATE - 1), k=300)
+@example(b=seeded_product(5, 8, GATE, 8), k=-300)
+@example(b=seeded_product(6, 40, 40, 40), k=77)
 def test_eigensolver_commutes_with_power_of_two_scaling(b, k):
     p = b.conj().T @ b
     p = (p + p.conj().T) / 2

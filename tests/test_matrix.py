@@ -8,8 +8,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import uniform_complex
+from conftest import SCALING, products, uniform_complex
 from daggermp import (
     ComplexMatrix,
     InputError,
@@ -31,6 +33,7 @@ from daggermp import (
     verify_mp,
 )
 from daggermp.matrix import (
+    _phases,
     biproduct_injection,
     biproduct_projection,
     direct_sum,
@@ -404,6 +407,42 @@ def test_kernels_are_scale_safe(scale):
     a = ComplexMatrix(base * scale)
     assert numeric_rank(a) == 3
     assert verify_mp(MatrixInstance(), a, pinv(a)).all_hold
+
+
+def _phase_by_loop(col, cutoff):
+    """The phase rule one column at a time, in Python complex arithmetic."""
+    above = [z for z in col.tolist() if abs(z) > cutoff]
+    z = above[0] if above else complex(col[int(np.argmax(np.abs(col)))])
+    return z.conjugate() / abs(z) if z else 1.0
+
+
+def test_phases_follow_the_column_loop():
+    rng = np.random.default_rng(12)
+    cols = np.zeros((3, 5), dtype=np.complex128)
+    cols[:, 0] = [1e-20, 3.0, 1 - 1j]  # first entry above the cutoff is real
+    cols[:, 1] = [1e-20j, -2e-20j, 0.0]  # none above: the largest decides
+    cols[:, 3:] = uniform_complex(rng, 3, 2)  # column 2 stays zero
+    got = _phases(cols, 1e-15)
+    ref = [_phase_by_loop(cols[:, j], 1e-15) for j in range(5)]
+    assert np.allclose(got, ref, rtol=0.0, atol=2 * np.finfo(float).eps)
+    assert got[:3].tolist() == [1.0, 1j, 1.0]
+
+
+@SCALING
+@given(a=products(tall=False, max_dim=8), k=st.integers(-300, 300))
+def test_factorizations_commute_with_power_of_two_scaling(a, k):
+    f, f_k = ComplexMatrix(a), ComplexMatrix(a * 2.0**k)
+    res, res_k = svd(f), svd(f_k)
+    assert res_k.u.array.tobytes() == res.u.array.tobytes()
+    assert res_k.v.array.tobytes() == res.v.array.tobytes()
+    assert res_k.sigma == tuple(s * 2.0**k for s in res.sigma)
+    assert res_k.rank == res.rank
+    assert np.array_equal(pinv(f_k).array, pinv(f).array * 2.0**-k)
+    p = a.conj().T @ a
+    eig = herm_eig(ComplexMatrix(p))
+    eig_k = herm_eig(ComplexMatrix(p * 2.0**k))
+    assert eig_k.q.array.tobytes() == eig.q.array.tobytes()
+    assert eig_k.eigenvalues == tuple(x * 2.0**k for x in eig.eigenvalues)
 
 
 def test_pinv_of_a_huge_triangle_is_verified():
