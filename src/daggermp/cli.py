@@ -50,8 +50,7 @@ def _expect_inputs(args: argparse.Namespace, n: int) -> list:
 
 
 def _tolerance(args: argparse.Namespace) -> Tolerance:
-    eq = args.eq_tol if args.eq_tol is not None else EQ_TOL_DEFAULT
-    return Tolerance(rank_tol=args.rank_tol, eq_tol=eq)
+    return Tolerance(rank_tol=args.rank_tol, eq_tol=args.eq_tol)
 
 
 def _detect(obj: Any):
@@ -88,12 +87,12 @@ def _instance_for(kind: str, args: argparse.Namespace):
 
 
 def cmd_pinv(args) -> tuple[dict, int]:
-    from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj, pinv
+    from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj
 
     (obj,) = _expect_inputs(args, 1)
     a = matrix_from_obj(obj)
     inst = MatrixInstance(_tolerance(args))
-    g = require_mp(inst, a, pinv(a, rank_tol=args.rank_tol), NumericError, "pinv")
+    g = require_mp(inst, a, inst.mp(a), NumericError, "pinv")
     return matrix_to_obj(g), 0
 
 
@@ -101,7 +100,7 @@ def cmd_svd(args) -> tuple[dict, int]:
     from .matrix import matrix_from_obj, matrix_to_obj, svd
 
     (obj,) = _expect_inputs(args, 1)
-    res = svd(matrix_from_obj(obj), rank_tol=args.rank_tol)
+    res = svd(matrix_from_obj(obj), rank_tol=_tolerance(args).rank_tol)
     out = {
         "u": matrix_to_obj(res.u),
         "sigma": list(res.sigma),
@@ -115,7 +114,7 @@ def cmd_kernel(args) -> tuple[dict, int]:
     from .matrix import dagger_kernel, matrix_from_obj, matrix_to_obj
 
     (obj,) = _expect_inputs(args, 1)
-    k = dagger_kernel(matrix_from_obj(obj), rank_tol=args.rank_tol)
+    k = dagger_kernel(matrix_from_obj(obj), rank_tol=_tolerance(args).rank_tol)
     return matrix_to_obj(k), 0
 
 
@@ -123,8 +122,7 @@ def cmd_split_idem(args) -> tuple[dict, int]:
     from .matrix import matrix_from_obj, matrix_to_obj, split_dagger_idempotent
 
     (obj,) = _expect_inputs(args, 1)
-    eq = args.eq_tol if args.eq_tol is not None else EQ_TOL_DEFAULT
-    r = split_dagger_idempotent(matrix_from_obj(obj), eq_tol=eq)
+    r = split_dagger_idempotent(matrix_from_obj(obj), eq_tol=_tolerance(args).eq_tol)
     return matrix_to_obj(r), 0
 
 
@@ -132,7 +130,8 @@ def cmd_rank_transpose(args) -> tuple[dict, int]:
     from .matrix import _transpose_ranks, matrix_from_obj
 
     (obj,) = _expect_inputs(args, 1)
-    r, r_left, r_right = _transpose_ranks(matrix_from_obj(obj), args.rank_tol)
+    a = matrix_from_obj(obj)
+    r, r_left, r_right = _transpose_ranks(a, _tolerance(args).rank_tol)
     has = r_left == r == r_right
     out = {"has_mp": has, "rank": r, "rank_a_at": r_left, "rank_at_a": r_right}
     return out, 0 if has else 1
@@ -311,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--eq-tol",
         type=float,
-        default=None,
+        default=EQ_TOL_DEFAULT,
         help="equality tolerance (matrix commands)",
     )
     common.add_argument(

@@ -78,14 +78,24 @@ def is_plain_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def within(dev: float, scale: float, eq_tol: float) -> bool:
+    """The equality rule: dev and scale are finite and dev <= eq_tol * scale.
+
+    ``scale`` is of degree 1 in the entries and has no floor, so scaling
+    both compared sides by one factor never changes a verdict.
+    """
+    return math.isfinite(dev) and math.isfinite(scale) and dev <= eq_tol * scale
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numeric slack for an instance.
 
     ``rank_tol`` is the singular-value cutoff.  ``None`` lets the
     instance derive a per-morphism default (the matrix instance uses
-    ``max(rows, cols) * machine_eps * sigma_max``).  ``eq_tol`` scales
-    equality comparisons.  Exact instances run with both at zero.
+    ``max(rows, cols) * machine_eps * sigma_max``).  Equality is a
+    deviation of at most ``eq_tol`` times a scale of degree 1, with no
+    floor (:func:`within`).  Exact instances run with both at zero.
     """
 
     rank_tol: Optional[float] = None
@@ -173,19 +183,21 @@ class DaggerInstance(ABC):
     def deviation(self, f: Any, g: Any) -> float:
         """Nonnegative distance between parallel morphisms."""
 
-    def scale(self, f: Any, g: Any) -> float:
-        """Size factor multiplying eq_tol in equality checks."""
+    def norm(self, f: Any) -> float:
+        """Size of f, of degree 1 in its entries, that equality bounds scale with."""
         return 1.0
 
-    def compare(self, f: Any, g: Any) -> tuple[float, bool]:
-        """Deviation of f from g, and whether it is within the equality bound.
+    def compare(
+        self, f: Any, g: Any, scale: Optional[float] = None
+    ) -> tuple[float, bool]:
+        """Deviation of f from g, and whether it is at most eq_tol * scale.
 
-        The bound is ``eq_tol * scale(f, g)``; a deviation that is not
-        finite never passes, whatever the bound.
+        The rule is :func:`within`.  ``scale`` defaults to
+        ``max(norm(f), norm(g))``; callers may pass factor-norm products.
         """
         dev = self.deviation(f, g)
-        bound = self.tolerance.eq_tol * self.scale(f, g)
-        return dev, math.isfinite(dev) and dev <= bound
+        scale = max(self.norm(f), self.norm(g)) if scale is None else scale
+        return dev, within(dev, scale, self.tolerance.eq_tol)
 
     def equals(self, f: Any, g: Any) -> bool:
         return self.compare(f, g)[1]
@@ -282,22 +294,28 @@ def verify_mp(inst: DaggerInstance, f: Any, g: Any) -> MPReport:
         raise InputError("candidate inverse must have the dual type of f")
     fg = inst.compose(f, g)
     gf = inst.compose(g, f)
+    # Factor-norm bounds, as |fl(AB) - AB| <= c|A||B|; |f||g| first, to overflow late.
+    nf, ng = inst.norm(f), inst.norm(g)
+    nfg = nf * ng
     (r1, ok1), (r2, ok2), (r3, ok3), (r4, ok4) = (
-        inst.compare(inst.compose(fg, f), f),
-        inst.compare(inst.compose(gf, g), g),
-        inst.compare(inst.dagger(fg), fg),
-        inst.compare(inst.dagger(gf), gf),
+        inst.compare(inst.compose(fg, f), f, nf * nfg),
+        inst.compare(inst.compose(gf, g), g, ng * nfg),
+        inst.compare(inst.dagger(fg), fg, nfg),
+        inst.compare(inst.dagger(gf), gf, nfg),
     )
     return MPReport(ok1, ok2, ok3, ok4, (r1, r2, r3, r4))
 
 
-def check(inst: DaggerInstance, lhs: Any, rhs: Any, error: type, what: str) -> float:
+def check(
+    inst: DaggerInstance, lhs: Any, rhs: Any, error: type, what: str,
+    scale: Optional[float] = None,
+) -> float:
     """Return the deviation of lhs from rhs, raising ``error`` if they differ.
 
-    The raised ``error(what, residual=deviation)`` carries the residual;
-    the returned deviation is what factorizations record as residuals.
+    ``scale`` is as in :meth:`DaggerInstance.compare`.  The returned
+    deviation is what factorizations record, and ``error`` carries it.
     """
-    dev, ok = inst.compare(lhs, rhs)
+    dev, ok = inst.compare(lhs, rhs, scale)
     if not ok:
         raise error(what, residual=dev)
     return dev

@@ -39,7 +39,9 @@ from .core import (
     NumericError,
     PreconditionError,
     Tolerance,
+    check,
     is_plain_int,
+    within,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -111,12 +113,13 @@ def _frobenius(arr: np.ndarray) -> float:
 
     ``np.linalg.norm`` sums the squared entries, so it reads inf once an
     entry passes about 1e154, and 0 when every entry is below about
-    1e-162.  Only then is arr first rescaled by a power of two (Blue,
-    ACM TOMS 4(1), 1978); every other value is numpy's own.
+    1e-162.  Only then, if every entry is finite, is arr first rescaled
+    by a power of two (Blue, ACM TOMS 4(1), 1978); every other value is
+    numpy's own, so an array holding an overflowed inf reads inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         plain = float(np.linalg.norm(arr))
-        if 0.0 < plain < math.inf or not arr.any():
+        if 0.0 < plain < math.inf or not arr.any() or not np.isfinite(arr).all():
             return plain
         e = _jacobi._pow2_exponent(arr)
         return float(np.linalg.norm(arr * 2.0**e)) * 2.0**-e
@@ -132,14 +135,6 @@ def _eig_cutoff(p: ComplexMatrix, lam: np.ndarray, rank_tol: Optional[float]) ->
         return rank_tol
     lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
     return _default_rank_tol(p.rows, p.cols, lam_max)
-
-
-def _hermitian_excess(p: ComplexMatrix, eq_tol: float) -> Optional[float]:
-    """|p - p†| when it exceeds eq_tol * max(1, |p|^2), else None."""
-    arr = p.array
-    dev = _frobenius(arr - arr.conj().T)
-    norm = p.norm()
-    return dev if dev > eq_tol * max(1.0, norm * norm) else None
 
 
 @dataclass(frozen=True)
@@ -283,18 +278,19 @@ def herm_eig(
 ) -> HermEigResult:
     """Eigendecomposition of a Hermitian matrix via two-sided Jacobi.
 
-    Input must be Hermitian within eq_tol scale; it is symmetrized
-    exactly before iterating, so the factorization reproduces the
-    symmetrized matrix.
+    p must equal p† by :func:`~daggermp.core.within` at eq_tol, with
+    scale |p|; it is symmetrized exactly before iterating, so the
+    factorization reproduces the symmetrized matrix.
     """
     if p.rows != p.cols:
         raise InputError("eigendecomposition requires a square matrix")
-    herm_dev = _hermitian_excess(p, eq_tol)
-    if herm_dev is not None:
+    arr = p.array
+    with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow
+        herm_dev = _frobenius(arr - arr.conj().T)
+    if not within(herm_dev, p.norm(), eq_tol):
         raise InputError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
     if p.rows == 0:
         return HermEigResult(ComplexMatrix.identity(0), ())
-    arr = p.array
     sym = (arr + arr.conj().T) / 2.0
     q, lam = _jacobi.hermitian_jacobi(sym, max_sweeps)
     q = np.array(q)
@@ -375,17 +371,15 @@ def kernel_universality_holds(
 ) -> bool:
     """Check that g factors through the kernel: g = (g k†) k.
 
-    ``g`` should satisfy g a = 0 within tolerance; the return value
-    reports whether the mediating factorization holds.
+    ``g`` must satisfy g a = 0 with scale |g| |a|, or InputError is
+    raised; the return value reports whether the mediation holds.
     """
     if g.cols != a.rows or k.cols != a.rows:
         raise InputError("kernel universality arguments must map into source(a)")
-    ga = float(np.linalg.norm(g.array @ a.array))
-    if ga > eq_tol * max(1.0, g.norm() * a.norm()):
-        raise InputError(f"g does not annihilate a (residual {ga:.3e})")
-    mediated = (g.array @ k.array.conj().T) @ k.array
-    dev = float(np.linalg.norm(mediated - g.array))
-    return dev <= eq_tol * max(1.0, g.norm())
+    inst = MatrixInstance(Tolerance(eq_tol=eq_tol))
+    zero = inst.zero(g.rows, a.cols)
+    check(inst, g @ a, zero, InputError, "g does not annihilate a", g.norm() * a.norm())
+    return inst.equals((g @ k.dagger()) @ k, g)
 
 
 def hermitian_sqrt(
@@ -467,9 +461,9 @@ class MatrixInstance(DaggerInstance):
 
     Objects are nonnegative integers (dimensions); morphisms are
     :class:`ComplexMatrix`.  Equality is Frobenius deviation at most
-    ``eq_tol * max(1, |f| |g|)``.  All optional capabilities are
-    provided: positivity, idempotent splitting, kernels, square roots,
-    and biproducts.
+    ``eq_tol * max(|f|, |g|)``, or eq_tol times the factor-norm products
+    of the inverse identities.  All optional capabilities are provided:
+    positivity, idempotent splitting, kernels, square roots, biproducts.
     """
 
     name = "matrix"
@@ -497,25 +491,18 @@ class MatrixInstance(DaggerInstance):
             raise InputError(
                 f"cannot compare {f.rows}x{f.cols} with {g.rows}x{g.cols}"
             )
-        # numpy's norm, inf once the squares overflow: while scale() is
-        # of degree 2 its bound overflows first, and an exact residual
-        # would then pass against an infinite bound.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.linalg.norm(f.array - g.array))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow
+            return _frobenius(f.array - g.array)
 
-    def scale(self, f: ComplexMatrix, g: ComplexMatrix) -> float:
-        return max(1.0, f.norm() * g.norm())
+    def norm(self, f: ComplexMatrix) -> float:
+        return f.norm()
 
     def positivity_witness(self, p: ComplexMatrix) -> bool:
-        if _hermitian_excess(p, self.tolerance.eq_tol) is not None:
+        try:  # a square root h = h† witnesses p = h h†
+            self.sqrt_positive(p)
+        except InputError:  # not Hermitian, or an eigenvalue below -cutoff
             return False
-        arr = p.array
-        sym = ComplexMatrix((arr + arr.conj().T) / 2.0)
-        eig = herm_eig(sym, eq_tol=self.tolerance.eq_tol)
-        lam = np.asarray(eig.eigenvalues)
-        if not lam.size:
-            return True
-        return float(np.min(lam)) >= -_eig_cutoff(p, lam, self.tolerance.rank_tol)
+        return True
 
     def split_idempotent(self, e: ComplexMatrix) -> ComplexMatrix:
         return split_dagger_idempotent(e, eq_tol=self.tolerance.eq_tol)

@@ -211,7 +211,7 @@ def split_per(e: FiniteRelation) -> FiniteRelation:
     if e.src != e.tgt:
         raise InputError("only endo-relations can be split")
     if e.converse() != e or e.compose(e) != e:
-        raise InputError("relation is not symmetric idempotent")
+        raise PreconditionError("relation is not a symmetric idempotent")
     classes: list[int] = []
     seen: set[int] = set()
     for row in e.rows:
@@ -303,10 +303,6 @@ class RelInstance(DaggerInstance):
         return g
 
     def split_idempotent(self, e: FiniteRelation) -> FiniteRelation:
-        if e.src != e.tgt:
-            raise InputError("only endo-relations can be split")
-        if e.converse() != e or e.compose(e) != e:
-            raise PreconditionError("relation is not a symmetric idempotent")
         return split_per(e)
 
 

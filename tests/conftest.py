@@ -74,15 +74,17 @@ class PinnedScaleInstance(MatrixInstance):
 
     The acceptance bounds are stated against the Frobenius norm of the
     matrix under test, not against the operands of each individual
-    comparison, so the scale is pinned once per case.
+    comparison, so the scale is pinned once per case.  It replaces the
+    scale of every comparison, the factor-norm products that
+    ``verify_mp`` passes for the four identities included.
     """
 
     def __init__(self, pinned, eq_tol):
         super().__init__(Tolerance(eq_tol=eq_tol))
         self._pinned = max(1.0, float(pinned))
 
-    def scale(self, f, g):
-        return self._pinned
+    def compare(self, f, g, scale=None):
+        return super().compare(f, g, self._pinned)
 
 
 def all_relations(src, tgt):

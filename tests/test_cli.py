@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import daggermp
-from conftest import uniform_complex
+from conftest import seeded_product
 from daggermp import ComplexMatrix, matrix_from_obj, matrix_to_obj
 from daggermp.cli import main
 
@@ -55,16 +55,27 @@ def test_pinv_rank_one(tmp_path):
     assert np.allclose(got.array, np.array([[1, 2], [2, 4]]) / 25, atol=1e-12)
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e-200])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
 def test_pinv_refuses_an_inverse_that_fails_verification(tmp_path, scale):
-    # At these scales MP1 or MP2 overflows against the default tolerance's
-    # bound, so the computed inverse is not verified and is not printed.
-    rng = np.random.default_rng(21)
-    base = uniform_complex(rng, 5, 3) @ uniform_complex(rng, 3, 4)
-    path = write_json(tmp_path, "a.json", matrix_to_obj(ComplexMatrix(base * scale)))
-    code, out, err = run_cli("pinv", "--in", path)
+    # A rank cutoff between the singular values 2 and 1 drops the 1, so
+    # f g f misses f by scale: MP1 fails at every scale.
+    a = ComplexMatrix(np.diag([4.0, 2.0, 1.0]) * scale)
+    path = write_json(tmp_path, "a.json", matrix_to_obj(a))
+    code, out, err = run_cli("pinv", "--in", path, "--rank-tol", str(1.5 * scale))
     assert code == 1 and out == ""
     assert err.startswith("refused:")
+    assert f"MP1 fails (residual {scale:.3e})" in err
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_pinv_prints_a_verified_inverse_at_extreme_scales(tmp_path, scale):
+    base = seeded_product(21, 5, 4, 3)  # rank 3
+    f = write_json(tmp_path, "a.json", matrix_to_obj(ComplexMatrix(base * scale)))
+    code, out, err = run_cli("pinv", "--in", f)
+    assert code == 0 and err == ""
+    g = write_json(tmp_path, "g.json", json.loads(out))
+    code, out, _ = run_cli("verify-mp", "--in", f, "--in", g)
+    assert code == 0 and json.loads(out)["all_hold"] is True
 
 
 def test_svd_output_shape(tmp_path):
@@ -305,6 +316,19 @@ def test_karoubi_check_refuses_relation_without_inverse(tmp_path):
     )
     code, out, err = run_cli("karoubi", "check", "--in", path)
     assert code == 1 and err.startswith("refused:")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("svd", "--rank-tol"), ("kernel", "--rank-tol"),
+     ("rank-transpose", "--rank-tol"), ("split-idem", "--eq-tol")],
+)
+def test_invalid_tolerance_exits_2(tmp_path, command, flag, value):
+    path = matrix_file(tmp_path, "d.json", [[3, 0], [0, 4]])
+    code, out, err = run_cli(command, "--in", path, f"{flag}={value}")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "must be finite and nonnegative" in err
 
 
 def test_malformed_json_exits_2(tmp_path):

@@ -187,7 +187,7 @@ def test_equality_is_relative_to_operand_norms():
     inst = MatrixInstance(Tolerance(eq_tol=1e-12))
     big = ComplexMatrix(np.eye(2) * 1e6)
     nudged = ComplexMatrix(big.array + 1e-8)
-    assert inst.equals(big, nudged)     # 1e-8 against a 1e12 scale factor
+    assert inst.equals(big, nudged)     # 2e-8 against 1e-12 * |big| = 1.4e-6
     small = ComplexMatrix.identity(2)
     assert not inst.equals(small, ComplexMatrix(small.array + 1e-8))
     with pytest.raises(InputError):
@@ -286,7 +286,23 @@ def test_require_mp_names_the_first_failing_identity(minst):
 
 
 def test_non_finite_residual_never_passes():
-    # |f g f - f| overflows to inf; so does the bound eq_tol |fgf| |f|.
-    report = verify_mp(MatrixInstance(), M([[1e200]]), M([[-1e-200]]))
+    # f g f - f = -3.4e308 overflows to inf against the finite bound |f|^2 |g|.
+    report = verify_mp(MatrixInstance(), M([[1.7e308]]), M([[-1 / 1.7e308]]))
     assert report.residuals[0] == float("inf")
     assert not report.mp1 and not report.all_hold
+
+
+def test_non_finite_bound_never_passes():
+    # |f| |g| overflows although f g = 0 is exact: no identity may pass on it.
+    f, g = M([[1e200, 0], [0, 0]]), M([[0, 0], [0, 1e200]])
+    report = verify_mp(MatrixInstance(), f, g)
+    assert not (report.mp1 or report.mp2 or report.mp3 or report.mp4)
+    assert report.residuals[2] == 0.0
+
+
+def test_equality_has_no_absolute_floor():
+    # Under a bound of eq_tol * max(1, |f| |g|) these passed: 2e150 <= 2.2e286.
+    inst = MatrixInstance()
+    assert not inst.equals(M([[1e150]]), M([[-1e150]]))
+    assert not inst.equals(M([[1e-150]]), M([[-1e-150]]))
+    assert inst.equals(M([[1e150]]), M([[1e150 * (1 + 2**-52)]]))

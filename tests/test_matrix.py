@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SCALING, products, uniform_complex
+from conftest import SCALING, products, seeded_product, uniform_complex
 from daggermp import (
     ComplexMatrix,
     InputError,
@@ -22,6 +22,7 @@ from daggermp import (
     herm_eig,
     herm_mp,
     hermitian_sqrt,
+    is_positive,
     load_matrix,
     matrix_from_obj,
     matrix_to_obj,
@@ -33,6 +34,7 @@ from daggermp import (
     verify_mp,
 )
 from daggermp.matrix import (
+    _frobenius,
     _phases,
     biproduct_injection,
     biproduct_projection,
@@ -305,6 +307,22 @@ def test_kernel_universality():
         kernel_universality_holds(a, k, M([[1, 0, 0]]))
 
 
+def test_kernel_universality_has_no_absolute_floor():
+    # |g a| = 1e-20 = |g| |a|: g annihilates nothing, at any scale.
+    a = M([[1, 0], [0, 0]])
+    k = dagger_kernel(a)
+    with pytest.raises(InputError, match="does not annihilate"):
+        kernel_universality_holds(a, k, M([[1e-20, 0]]))
+    assert kernel_universality_holds(a, k, M([[0, 1e-20]]))
+    # g a is rounding noise, not zero: bounded by |g| |a| at every scale.
+    a = ComplexMatrix(seeded_product(5, 4, 3, 2))
+    k = dagger_kernel(a)
+    g = seeded_product(6, 1, 2, 2) @ k.array
+    assert np.linalg.norm(g @ a.array) > 0.0
+    for scale in (1e-20, 1.0, 1e20):
+        assert kernel_universality_holds(a, k, ComplexMatrix(g * scale))
+
+
 def test_hermitian_sqrt_examples():
     assert np.allclose(
         hermitian_sqrt(M([[4, 0], [0, 9]])).array, [[2, 0], [0, 3]], atol=1e-13
@@ -455,3 +473,53 @@ def test_norm_does_not_overflow():
     assert abs(got - 2e160) <= 1e-15 * 2e160
     assert ComplexMatrix(np.full((2, 2), 1e-170)).norm() > 0.0
     assert ComplexMatrix.zeros(2, 2).norm() == 0.0
+
+
+@pytest.mark.parametrize("scale", [1e-15, 1e-200])
+def test_zero_is_not_the_inverse_of_a_small_matrix(scale):
+    f = ComplexMatrix(seeded_product(21, 5, 4, 3) * scale)
+    report = verify_mp(MatrixInstance(), f, ComplexMatrix.zeros(4, 5))
+    assert not report.mp1 and not report.all_hold
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_pinv_verifies_at_extreme_scales(scale):
+    f = ComplexMatrix(seeded_product(21, 5, 4, 3) * scale)
+    g = pinv(f)
+    assert verify_mp(MatrixInstance(), f, g).all_hold
+    ref = np.linalg.pinv(seeded_product(21, 5, 4, 3))
+    assert np.linalg.norm(g.array * scale - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_non_hermitian_matrix_is_refused_at_every_scale(scale):
+    p = M([[1, 1], [0, 1]]).array * scale
+    with pytest.raises(InputError, match="not Hermitian"):
+        herm_eig(ComplexMatrix(p))
+    assert not is_positive(MatrixInstance(), ComplexMatrix(p))
+    assert is_positive(MatrixInstance(), ComplexMatrix(np.eye(2) * scale))
+
+
+def test_frobenius_of_an_overflowed_entry_is_inf():
+    assert _frobenius(np.array([[-np.inf + 0j, 1.0]])) == np.inf
+    assert _frobenius(np.array([[1.0, complex(0.0, np.inf)]])) == np.inf
+
+
+@SCALING
+@given(
+    a=products(tall=False, max_dim=8),
+    k=st.integers(-300, 300),
+    candidate=st.sampled_from(["pinv", "noisy", "zero"]),
+)
+def test_verify_mp_verdicts_commute_with_power_of_two_scaling(a, k, candidate):
+    f = ComplexMatrix(a)
+    g = pinv(f).array
+    if candidate == "noisy":
+        g = g + 1e-9 * seeded_product(abs(k), a.shape[1], a.shape[0], 2)
+    elif candidate == "zero":
+        g = np.zeros_like(g)
+    inst = MatrixInstance()
+    report = verify_mp(inst, f, ComplexMatrix(g))
+    scaled = verify_mp(inst, ComplexMatrix(a * 2.0**k), ComplexMatrix(g * 2.0**-k))
+    verdicts = (report.mp1, report.mp2, report.mp3, report.mp4)
+    assert (scaled.mp1, scaled.mp2, scaled.mp3, scaled.mp4) == verdicts

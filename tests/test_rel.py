@@ -153,9 +153,9 @@ def test_split_per_orders_classes_by_first_member():
 def test_split_per_rejections():
     with pytest.raises(InputError):
         split_per(FiniteRelation.empty(2, 3))
-    with pytest.raises(InputError):
+    with pytest.raises(PreconditionError):
         split_per(R(2, 2, [(0, 1)]))  # not symmetric
-    with pytest.raises(InputError):
+    with pytest.raises(PreconditionError):
         split_per(R(2, 2, [(0, 1), (1, 0)]))  # symmetric but not idempotent
 
 
