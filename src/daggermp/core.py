@@ -78,13 +78,14 @@ def is_plain_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def within(dev: float, scale: float, eq_tol: float) -> bool:
-    """The equality rule: dev and scale are finite and dev <= eq_tol * scale.
+def within(dev: float, scale: float, eq_tol: float, cond: float = 1.0) -> bool:
+    """The equality rule: dev is 0, or dev <= eq_tol * cond * scale with the
+    slack eq_tol * cond below 1 (a larger one verifies nothing) and scale finite.
 
-    ``scale`` is of degree 1 in the entries and has no floor, so scaling
-    both compared sides by one factor never changes a verdict.
+    ``scale`` is of degree 1 with no floor, ``cond`` of degree 0.
     """
-    return math.isfinite(dev) and math.isfinite(scale) and dev <= eq_tol * scale
+    slack = eq_tol * cond
+    return dev == 0.0 or (slack < 1.0 and math.isfinite(scale) and dev <= slack * scale)
 
 
 @dataclass(frozen=True)
@@ -93,9 +94,8 @@ class Tolerance:
 
     ``rank_tol`` is the singular-value cutoff.  ``None`` lets the
     instance derive a per-morphism default (the matrix instance uses
-    ``max(rows, cols) * machine_eps * sigma_max``).  Equality is a
-    deviation of at most ``eq_tol`` times a scale of degree 1, with no
-    floor (:func:`within`).  Exact instances run with both at zero.
+    ``max(rows, cols) * machine_eps * sigma_max``).  ``eq_tol`` is the
+    slack of :func:`within`.  Exact instances run with both at zero.
     """
 
     rank_tol: Optional[float] = None
@@ -188,16 +188,16 @@ class DaggerInstance(ABC):
         return 1.0
 
     def compare(
-        self, f: Any, g: Any, scale: Optional[float] = None
+        self, f: Any, g: Any, scale: Optional[float] = None, cond: float = 1.0
     ) -> tuple[float, bool]:
-        """Deviation of f from g, and whether it is at most eq_tol * scale.
+        """Deviation of f from g, and whether it passes :func:`within`.
 
-        The rule is :func:`within`.  ``scale`` defaults to
-        ``max(norm(f), norm(g))``; callers may pass factor-norm products.
+        ``scale`` defaults to ``max(norm(f), norm(g))``; callers may pass
+        factor-norm products, split into ``scale`` and ``cond``.
         """
         dev = self.deviation(f, g)
         scale = max(self.norm(f), self.norm(g)) if scale is None else scale
-        return dev, within(dev, scale, self.tolerance.eq_tol)
+        return dev, within(dev, scale, self.tolerance.eq_tol, cond)
 
     def equals(self, f: Any, g: Any) -> bool:
         return self.compare(f, g)[1]
@@ -294,12 +294,12 @@ def verify_mp(inst: DaggerInstance, f: Any, g: Any) -> MPReport:
         raise InputError("candidate inverse must have the dual type of f")
     fg = inst.compose(f, g)
     gf = inst.compose(g, f)
-    # Factor-norm bounds, as |fl(AB) - AB| <= c|A||B|; |f||g| first, to overflow late.
+    # Factor-norm bounds, as |fl(AB) - AB| <= c|A||B|; |f||g| is MP1's and MP2's cond.
     nf, ng = inst.norm(f), inst.norm(g)
     nfg = nf * ng
     (r1, ok1), (r2, ok2), (r3, ok3), (r4, ok4) = (
-        inst.compare(inst.compose(fg, f), f, nf * nfg),
-        inst.compare(inst.compose(gf, g), g, ng * nfg),
+        inst.compare(inst.compose(fg, f), f, nf, nfg),
+        inst.compare(inst.compose(gf, g), g, ng, nfg),
         inst.compare(inst.dagger(fg), fg, nfg),
         inst.compare(inst.dagger(gf), gf, nfg),
     )

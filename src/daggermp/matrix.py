@@ -460,10 +460,10 @@ class MatrixInstance(DaggerInstance):
     """The dagger category of finite-dimensional complex matrices.
 
     Objects are nonnegative integers (dimensions); morphisms are
-    :class:`ComplexMatrix`.  Equality is Frobenius deviation at most
-    ``eq_tol * max(|f|, |g|)``, or eq_tol times the factor-norm products
-    of the inverse identities.  All optional capabilities are provided:
-    positivity, idempotent splitting, kernels, square roots, biproducts.
+    :class:`ComplexMatrix`.  Equality is :func:`~daggermp.core.within` on the
+    Frobenius deviation, at scale ``max(|f|, |g|)`` or at the factor-norm
+    bounds of the inverse identities.  All optional capabilities are
+    provided: positivity, idempotent splitting, kernels, square roots, biproducts.
     """
 
     name = "matrix"

@@ -83,7 +83,7 @@ class PinnedScaleInstance(MatrixInstance):
         super().__init__(Tolerance(eq_tol=eq_tol))
         self._pinned = max(1.0, float(pinned))
 
-    def compare(self, f, g, scale=None):
+    def compare(self, f, g, scale=None, cond=1.0):
         return super().compare(f, g, self._pinned)
 
 

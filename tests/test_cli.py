@@ -78,6 +78,22 @@ def test_pinv_prints_a_verified_inverse_at_extreme_scales(tmp_path, scale):
     assert code == 0 and json.loads(out)["all_hold"] is True
 
 
+def test_pinv_prints_an_exact_inverse_whose_factor_norm_bound_overflows(tmp_path):
+    f = matrix_file(tmp_path, "a.json", [[1e300, 0], [0, 1e290]])
+    code, out, err = run_cli("pinv", "--in", f)
+    assert code == 0 and err == ""
+    got = matrix_from_obj(json.loads(out)).array
+    assert np.allclose(got, np.diag([1e-300, 1e-290]), rtol=1e-15, atol=0.0)
+
+
+def test_verify_mp_refuses_a_candidate_that_widens_its_own_bound(tmp_path):
+    f = matrix_file(tmp_path, "f.json", [[1, 0], [0, 0]])
+    g = matrix_file(tmp_path, "g.json", [[1, 0], [0, 1e14]])
+    code, out, _ = run_cli("verify-mp", "--in", f, "--in", g)
+    doc = json.loads(out)
+    assert code == 1 and doc["all_hold"] is False and doc["mp2"] is False
+
+
 def test_svd_output_shape(tmp_path):
     path = matrix_file(tmp_path, "d.json", [[3, 0], [0, 4]])
     code, out, _ = run_cli("svd", "--in", path)

@@ -31,7 +31,7 @@ from daggermp import (
     mp_via_gram,
     verify_mp,
 )
-from daggermp.core import check, require_mp
+from daggermp.core import check, require_mp, within
 
 M = ComplexMatrix.from_rows
 
@@ -292,12 +292,33 @@ def test_non_finite_residual_never_passes():
     assert not report.mp1 and not report.all_hold
 
 
-def test_non_finite_bound_never_passes():
-    # |f| |g| overflows although f g = 0 is exact: no identity may pass on it.
+def test_overflowing_bound_passes_only_exact_identities():
+    # |f| |g| overflows: f g = g f = 0 exactly, so MP3 and MP4 hold, while
+    # f g f and g f g miss f and g by 1e200 and may not pass on that bound.
     f, g = M([[1e200, 0], [0, 0]]), M([[0, 0], [0, 1e200]])
     report = verify_mp(MatrixInstance(), f, g)
-    assert not (report.mp1 or report.mp2 or report.mp3 or report.mp4)
-    assert report.residuals[2] == 0.0
+    assert report.mp3 and report.mp4 and report.residuals[2:] == (0.0, 0.0)
+    assert not (report.mp1 or report.mp2)
+
+
+@pytest.mark.parametrize("t", [1e13, 1e14, 1e100])
+def test_a_large_candidate_cannot_widen_its_own_bound(t):
+    # Under the bound eq_tol |g| (|f| |g|), g = diag(1, t) passed MP2 for
+    # f = diag(1, 0) once t >= 1 / eq_tol, and f = diag(1, t) passed MP1
+    # against g = diag(1, 0): each miss is t, each bound eq_tol t^2.
+    inst = MatrixInstance()
+    report = verify_mp(inst, M([[1, 0], [0, 0]]), M([[1, 0], [0, t]]))
+    assert report.residuals[1] == t and not report.mp2 and not report.all_hold
+    report = verify_mp(inst, M([[1, 0], [0, t]]), M([[1, 0], [0, 0]]))
+    assert report.residuals[0] == t and not report.mp1 and not report.all_hold
+
+
+def test_within_is_the_one_rule():
+    assert within(0.0, float("inf"), 0.0) and within(0.0, float("nan"), 1.0, 2.0)
+    assert within(0.5, 1.0, 0.5) and within(0.5, 1.0, 0.25, 3.0)
+    assert not within(0.5, 1.0, 0.5, 2.0)  # a slack of 1 verifies nothing
+    assert not within(1.0, float("inf"), 0.5) and not within(float("nan"), 1.0, 0.5)
+    assert not within(1e-3, 1.0, 1e-2, float("inf"))
 
 
 def test_equality_has_no_absolute_floor():

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import SCALING, products, seeded_product, uniform_complex
@@ -33,6 +33,7 @@ from daggermp import (
     svd,
     verify_mp,
 )
+from daggermp.core import EQ_TOL_DEFAULT
 from daggermp.matrix import (
     _frobenius,
     _phases,
@@ -498,6 +499,45 @@ def test_non_hermitian_matrix_is_refused_at_every_scale(scale):
         herm_eig(ComplexMatrix(p))
     assert not is_positive(MatrixInstance(), ComplexMatrix(p))
     assert is_positive(MatrixInstance(), ComplexMatrix(np.eye(2) * scale))
+
+
+def test_exact_inverse_verifies_where_the_factor_norm_bound_overflows():
+    # |f| (|f| |g|) = 1e300 * 1e10 overflows; every residual is 0.
+    f = ComplexMatrix(np.diag([1e300, 1e290]).astype(complex))
+    g = pinv(f)
+    assert np.allclose(g.array, np.diag([1e-300, 1e-290]), rtol=1e-15, atol=0.0)
+    report = verify_mp(MatrixInstance(), f, g)
+    assert report.all_hold and report.residuals == (0.0, 0.0, 0.0, 0.0)
+
+
+def test_ill_conditioned_inverse_verifies_on_the_factor_norm_bound():
+    # |f| |g| = 1.6e9: f g f and g f g miss f and g by about 1e-9
+    # relative, far above eq_tol at cond 1 but within eq_tol |f| |g|.
+    rng = np.random.default_rng(3)
+    q = np.linalg.qr(uniform_complex(rng, 4, 4))[0]
+    f = ComplexMatrix(q @ np.diag([1, 1e-3, 1e-6, 1e-9]) @ q.conj().T)
+    g = pinv(f)
+    report = verify_mp(MatrixInstance(), f, g)
+    assert report.all_hold
+    assert report.residuals[0] > 1e3 * EQ_TOL_DEFAULT * f.norm()
+    assert report.residuals[1] > 1e3 * EQ_TOL_DEFAULT * g.norm()
+
+
+@SCALING
+@given(a=products(tall=False, max_dim=8), j=st.integers(0, 900))
+def test_a_candidate_cannot_widen_its_own_bound(a, j):
+    # f = a (+) 0 and g = pinv(a) (+) t: g f g misses g by t.  With
+    # t >= 1 / (eq_tol |f|) the slack eq_tol |f| |g| is at least 1, so
+    # MP2 must fail, however large t makes the factor-norm bound.
+    f = np.zeros((a.shape[0] + 1, a.shape[1] + 1), complex)
+    f[:-1, :-1] = a
+    norm = np.linalg.norm(a)
+    assume(norm > 0.0)
+    g = np.zeros_like(f.T)
+    g[:-1, :-1] = pinv(ComplexMatrix(a)).array
+    g[-1, -1] = 2.0**j / (EQ_TOL_DEFAULT * norm)
+    report = verify_mp(MatrixInstance(), ComplexMatrix(f), ComplexMatrix(g))
+    assert not report.mp2 and not report.all_hold
 
 
 def test_frobenius_of_an_overflowed_entry_is_inf():
