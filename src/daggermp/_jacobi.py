@@ -40,7 +40,8 @@ Before iterating, the input is scaled by an exact power of two taken
 from its largest entry (as in Drmač & Veselić, SIMAX 29(4), 2008), so
 entries near the overflow or underflow threshold neither overflow nor
 lose their squares; singular values and eigenvalues are unscaled on the
-way out.
+way out, and one that overflows there raises
+:class:`~daggermp.core.NumericError`.
 
 After the prescale, both solvers are preconditioned by a Householder QR
 with column pivoting, :func:`_qrcp`, written here in numpy (Drmač &
@@ -85,6 +86,15 @@ def _pow2_exponent(a: np.ndarray) -> int:
     parts = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
     big = float(np.abs(parts).max(initial=0.0))
     return min(max(-math.frexp(big)[1], -1022), 1023)
+
+
+def _unscale(values: np.ndarray, e: int) -> np.ndarray:
+    """values * 2**-e, undoing the prescale; NumericError if one overflows."""
+    with np.errstate(over="ignore"):
+        out = values * 2.0**-e
+    if not np.isfinite(out).all():
+        raise NumericError("a singular value or eigenvalue overflowed")
+    return out
 
 
 def _with_identity(w: np.ndarray) -> np.ndarray:
@@ -359,7 +369,7 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     v = np.empty((m, m), dtype=np.complex128)
     v[perm] = uw
     u[:, :m] = u[:, :m] @ x[order, m:].T
-    return u, sigma * 2.0**-e, v
+    return u, _unscale(sigma, e), v
 
 
 def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS):
@@ -414,4 +424,4 @@ def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         )
     lam = a.diagonal().real
     order = (-lam).argsort(kind="stable")
-    return qh @ x[order, n:].conj().T, lam[order] * 2.0**-e
+    return qh @ x[order, n:].conj().T, _unscale(lam[order], e)

@@ -4,7 +4,7 @@ One subcommand per library entry point, JSON in and JSON out.  Inputs
 are files passed with --in (repeatable, order matters for two-input
 commands); results go to stdout and, with --out, to a file as the same
 bytes.  Output is deterministic: the same inputs always produce the
-same bytes.
+same bytes.  It is strict JSON, with no NaN or Infinity.
 
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a property fails or a construction is refused (precondition,
@@ -394,7 +394,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DaggerError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
-    text = json.dumps(out, indent=2 if args.pretty else None) + "\n"
+    text = json.dumps(out, indent=2 if args.pretty else None, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if args.out:
         try:

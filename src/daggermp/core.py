@@ -120,6 +120,8 @@ class MPReport:
 
     ``residuals`` holds the instance's deviation measure for each
     identity in order (0.0 on exact instances when the identity holds).
+    :meth:`as_dict` writes a residual that is not finite as None, so the
+    dict is strict JSON.
     """
 
     mp1: bool
@@ -138,7 +140,7 @@ class MPReport:
             "mp2": self.mp2,
             "mp3": self.mp3,
             "mp4": self.mp4,
-            "residuals": list(self.residuals),
+            "residuals": [r if math.isfinite(r) else None for r in self.residuals],
             "all_hold": self.all_hold,
         }
 

@@ -45,12 +45,19 @@ from .core import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
-CLUSTER_TOL_DEFAULT = 1e-6
+CLUSTER_TOL = 1e-6  # how far an idempotent's eigenvalue may sit from {0, 1}
 
 
 @dataclass(frozen=True, eq=False)
 class ComplexMatrix:
-    """Immutable dense complex matrix; the morphism type of this instance."""
+    """Immutable dense complex matrix; the morphism type of this instance.
+
+    ``ComplexMatrix(array)`` validates outside input: it copies array to
+    complex128 and raises InputError unless it is 2-D with finite entries.
+    Every matrix the package computes is wrapped by :func:`_computed`
+    instead, uncopied and read-only; no writable alias of its array may
+    outlive the wrap.
+    """
 
     array: np.ndarray
 
@@ -77,14 +84,14 @@ class ComplexMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":
-        return cls(np.eye(n, dtype=np.complex128))
+        return _computed(np.eye(n, dtype=np.complex128))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ComplexMatrix":
-        return cls(np.zeros((rows, cols), dtype=np.complex128))
+        return _computed(np.zeros((rows, cols), dtype=np.complex128))
 
     def dagger(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.array.conj().T)
+        return _computed(self.array.conj().T)
 
     def norm(self) -> float:
         return _frobenius(self.array)
@@ -94,18 +101,22 @@ class ComplexMatrix:
             raise InputError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
-            product = self.array @ other.array
-        try:
-            return ComplexMatrix(product)
-        except InputError:
-            raise NumericError(
-                f"product of {self.rows}x{self.cols} and {other.rows}x{other.cols} "
-                "overflowed"
-            ) from None
+        with np.errstate(over="ignore", invalid="ignore"):  # NumericError on overflow
+            return _computed(self.array @ other.array)
 
     def __repr__(self):
         return f"ComplexMatrix({self.rows}x{self.cols})"
+
+
+def _computed(arr: np.ndarray) -> ComplexMatrix:
+    """Wrap a computed complex128 2-D array; as every input was finite, a
+    non-finite entry is an overflow and raises NumericError."""
+    if arr.size and not np.isfinite(arr).all():
+        raise NumericError("a computed %dx%d matrix overflowed" % arr.shape)
+    arr.setflags(write=False)
+    out = object.__new__(ComplexMatrix)
+    object.__setattr__(out, "array", arr)
+    return out
 
 
 def _frobenius(arr: np.ndarray) -> float:
@@ -151,12 +162,10 @@ class SVDResult:
         out = np.zeros((n, m), dtype=np.complex128)
         k = len(self.sigma)
         out[:k, :k] = np.diag(self.sigma)
-        return ComplexMatrix(out)
+        return _computed(out)
 
     def reconstruct(self) -> ComplexMatrix:
-        return ComplexMatrix(
-            self.u.array @ self.sigma_matrix().array @ self.v.array.conj().T
-        )
+        return self.u @ self.sigma_matrix() @ self.v.dagger()
 
 
 @dataclass(frozen=True)
@@ -167,8 +176,19 @@ class HermEigResult:
     eigenvalues: tuple[float, ...]
 
     def reconstruct(self) -> ComplexMatrix:
-        qa = self.q.array
-        return ComplexMatrix((qa * np.asarray(self.eigenvalues)) @ qa.conj().T)
+        return _computed(_congruence(self.q.array, np.asarray(self.eigenvalues)))
+
+
+def _congruence(q: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """q diag(w) q†; an entry of w that overflowed leaves inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (q * w) @ q.conj().T
+
+
+def _reciprocal(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """1/x where keep holds, else 0; a reciprocal that overflows reads inf."""
+    with np.errstate(over="ignore"):
+        return np.where(keep, 1.0 / np.where(keep, x, 1.0), 0.0)
 
 
 def _phases(cols: np.ndarray, cutoff: float) -> np.ndarray:
@@ -206,16 +226,12 @@ def svd(
     """
     n, m = a.rows, a.cols
     if min(n, m) == 0:
-        return SVDResult(
-            ComplexMatrix.identity(n), (), ComplexMatrix.identity(m), 0
-        )
+        return SVDResult(ComplexMatrix.identity(n), (), ComplexMatrix.identity(m), 0)
     if n >= m:
         u, s, v = _jacobi.one_sided_svd(a.array, max_sweeps)
     else:
         vb, s, ub = _jacobi.one_sided_svd(a.array.conj().T, max_sweeps)
         u, v = ub, vb
-    u = np.array(u)
-    v = np.array(v)
     k = len(s)
     smax = float(s[0]) if k else 0.0
     tol = rank_tol if rank_tol is not None else _default_rank_tol(n, m, smax)
@@ -226,9 +242,7 @@ def svd(
     if m > k:
         v[:, k:] *= _phases(v[:, k:], unit_tol)
     rank = int(np.count_nonzero(s > tol))
-    return SVDResult(
-        ComplexMatrix(u), tuple(float(x) for x in s), ComplexMatrix(v), rank
-    )
+    return SVDResult(_computed(u), tuple(float(x) for x in s), _computed(v), rank)
 
 
 def pinv(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
@@ -237,9 +251,9 @@ def pinv(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
     k = res.rank
     if k == 0:
         return ComplexMatrix.zeros(a.cols, a.rows)
-    vk = res.v.array[:, :k]
-    uk = res.u.array[:, :k]
-    return ComplexMatrix((vk / np.asarray(res.sigma[:k])) @ uk.conj().T)
+    vk, uk = res.v.array[:, :k], res.u.array[:, :k]
+    with np.errstate(over="ignore", invalid="ignore"):  # NumericError on overflow
+        return _computed((vk / np.asarray(res.sigma[:k])) @ uk.conj().T)
 
 
 def numeric_rank(a: ComplexMatrix, rank_tol: Optional[float] = None) -> int:
@@ -251,7 +265,7 @@ def _transpose_ranks(
     a: ComplexMatrix, rank_tol: Optional[float] = None
 ) -> tuple[int, int, int]:
     """rank(a), rank(a aᵀ) and rank(aᵀ a), with the unconjugated transpose."""
-    at = ComplexMatrix(a.array.T)
+    at = _computed(a.array.T)
     return (
         numeric_rank(a, rank_tol),
         numeric_rank(a @ at, rank_tol),
@@ -279,8 +293,9 @@ def herm_eig(
     """Eigendecomposition of a Hermitian matrix via two-sided Jacobi.
 
     p must equal p† by :func:`~daggermp.core.within` at eq_tol, with
-    scale |p|; it is symmetrized exactly before iterating, so the
-    factorization reproduces the symmetrized matrix.
+    scale |p|; it is symmetrized as p/2 + p†/2, which cannot overflow,
+    before iterating, so the factorization reproduces the symmetrized
+    matrix.
     """
     if p.rows != p.cols:
         raise InputError("eigendecomposition requires a square matrix")
@@ -291,11 +306,9 @@ def herm_eig(
         raise InputError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
     if p.rows == 0:
         return HermEigResult(ComplexMatrix.identity(0), ())
-    sym = (arr + arr.conj().T) / 2.0
-    q, lam = _jacobi.hermitian_jacobi(sym, max_sweeps)
-    q = np.array(q)
+    q, lam = _jacobi.hermitian_jacobi(arr / 2.0 + arr.conj().T / 2.0, max_sweeps)
     q *= _phases(q, p.rows * _EPS)
-    return HermEigResult(ComplexMatrix(q), tuple(float(x) for x in lam))
+    return HermEigResult(_computed(q), tuple(float(x) for x in lam))
 
 
 def herm_mp(
@@ -312,20 +325,16 @@ def herm_mp(
     eig = herm_eig(p, eq_tol=eq_tol)
     lam = np.asarray(eig.eigenvalues)
     tol = _eig_cutoff(p, lam, rank_tol)
-    inv = np.where(np.abs(lam) > tol, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
-    qa = eig.q.array
-    return ComplexMatrix((qa * inv) @ qa.conj().T)
+    return _computed(_congruence(eig.q.array, _reciprocal(lam, np.abs(lam) > tol)))
 
 
 def split_dagger_idempotent(
-    e: ComplexMatrix,
-    cluster_tol: float = CLUSTER_TOL_DEFAULT,
-    eq_tol: float = EQ_TOL_DEFAULT,
+    e: ComplexMatrix, eq_tol: float = EQ_TOL_DEFAULT
 ) -> ComplexMatrix:
     """Split a dagger idempotent: returns r (n x k) with r r† = e, r† r = I_k.
 
     The columns of r are the eigenvectors of e with eigenvalue near 1.
-    Every eigenvalue must sit within ``cluster_tol`` of {0, 1}; anything
+    Every eigenvalue must sit within ``CLUSTER_TOL`` of {0, 1}; anything
     else rejects the input as not an idempotent.
     """
     if e.rows != e.cols:
@@ -333,19 +342,16 @@ def split_dagger_idempotent(
     eig = herm_eig(e, eq_tol=eq_tol)  # raises InputError when not Hermitian
     lam = np.asarray(eig.eigenvalues)
     dist = np.minimum(np.abs(lam), np.abs(lam - 1.0))
-    if lam.size and float(np.max(dist)) > cluster_tol:
+    if lam.size and float(np.max(dist)) > CLUSTER_TOL:
         raise PreconditionError(
             "not an idempotent: eigenvalues stray from {0, 1}",
             residual=float(np.max(dist)),
         )
-    ones = np.abs(lam - 1.0) <= cluster_tol
-    r = ComplexMatrix(eig.q.array[:, ones])
-    k = r.cols
-    check_tol = max(eq_tol, cluster_tol * max(1.0, e.norm() + 1.0))
+    ones = np.abs(lam - 1.0) <= CLUSTER_TOL
+    r = _computed(eig.q.array[:, ones])
+    check_tol = max(eq_tol, CLUSTER_TOL * max(1.0, e.norm() + 1.0))
     left = float(np.linalg.norm(r.array @ r.array.conj().T - e.array))
-    right = float(
-        np.linalg.norm(r.array.conj().T @ r.array - np.eye(k, dtype=np.complex128))
-    )
+    right = float(np.linalg.norm(r.array.conj().T @ r.array - np.eye(r.cols)))
     if left > check_tol * max(1.0, e.norm()) or right > check_tol:
         raise ConsistencyError(
             f"idempotent split failed verification (residuals {left:.3e}, {right:.3e})"
@@ -360,7 +366,7 @@ def dagger_kernel(a: ComplexMatrix, rank_tol: Optional[float] = None) -> Complex
     from the final columns of the SVD's left factor; z = n - rank(a).
     """
     res = svd(a, rank_tol=rank_tol)
-    return ComplexMatrix(res.u.array[:, res.rank:].conj().T)
+    return _computed(res.u.array[:, res.rank:].conj().T)
 
 
 def kernel_universality_holds(
@@ -393,8 +399,7 @@ def hermitian_sqrt(
     singular positive matrix is again singular rather than polluted by
     noise-level negative eigenvalues.
     """
-    h, _ = _sqrt_with_mp(p, rank_tol=rank_tol, eq_tol=eq_tol)
-    return h
+    return _sqrt_with_mp(p, rank_tol=rank_tol, eq_tol=eq_tol)[0]
 
 
 def _sqrt_with_mp(
@@ -414,22 +419,18 @@ def _sqrt_with_mp(
         raise InputError(
             f"matrix is not positive (eigenvalue {float(np.min(lam)):.3e})"
         )
-    lam = np.where(lam < tol, 0.0, lam)
-    roots = np.sqrt(lam)
-    inv_roots = np.where(roots > 0.0, 1.0 / np.where(roots == 0.0, 1.0, roots), 0.0)
+    roots = np.sqrt(np.where(lam < tol, 0.0, lam))
     qa = eig.q.array
-    h = (qa * roots) @ qa.conj().T
-    h_mp = (qa * inv_roots) @ qa.conj().T
-    h = (h + h.conj().T) / 2.0
-    h_mp = (h_mp + h_mp.conj().T) / 2.0
-    return ComplexMatrix(h), ComplexMatrix(h_mp)
+    h = _congruence(qa, roots)
+    h_mp = _congruence(qa, _reciprocal(roots, roots > 0.0))
+    return _computed((h + h.conj().T) / 2.0), _computed((h_mp + h_mp.conj().T) / 2.0)
 
 
 def direct_sum(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
     out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=np.complex128)
     out[: a.rows, : a.cols] = a.array
     out[a.rows :, a.cols :] = b.array
-    return ComplexMatrix(out)
+    return _computed(out)
 
 
 def _block_offsets(dims: Sequence[int], j: int) -> tuple[int, int, int]:
@@ -445,15 +446,12 @@ def biproduct_injection(dims: Sequence[int], j: int) -> ComplexMatrix:
     total, off, d = _block_offsets(dims, j)
     out = np.zeros((d, total), dtype=np.complex128)
     out[:, off : off + d] = np.eye(d)
-    return ComplexMatrix(out)
+    return _computed(out)
 
 
 def biproduct_projection(dims: Sequence[int], j: int) -> ComplexMatrix:
     """Projection of the direct sum onto block j; the dagger of the injection."""
-    total, off, d = _block_offsets(dims, j)
-    out = np.zeros((total, d), dtype=np.complex128)
-    out[off : off + d, :] = np.eye(d)
-    return ComplexMatrix(out)
+    return biproduct_injection(dims, j).dagger()
 
 
 class MatrixInstance(DaggerInstance):
@@ -518,7 +516,8 @@ class MatrixInstance(DaggerInstance):
     def add(self, f: ComplexMatrix, g: ComplexMatrix) -> ComplexMatrix:
         if (f.rows, f.cols) != (g.rows, g.cols):
             raise InputError("can only add parallel morphisms")
-        return ComplexMatrix(f.array + g.array)
+        with np.errstate(over="ignore"):  # NumericError on overflow
+            return _computed(f.array + g.array)
 
     def direct_sum(self, f: ComplexMatrix, g: ComplexMatrix) -> ComplexMatrix:
         return direct_sum(f, g)

@@ -426,3 +426,50 @@ def test_pretty_flag_is_stable_and_equivalent(tmp_path):
     _, pretty2, _ = run_cli("pinv", "--in", path, "--pretty")
     assert pretty1 == pretty2 and pretty1 != plain
     assert json.loads(pretty1) == json.loads(plain)
+
+
+# Valid inputs whose results overflow: 1/1e-310 inside the route, and a
+# largest singular value of 2e308.
+TINY, BIG = [[1e-310]], [[1e308, 1e308], [1e308, 1e308]]
+
+
+@pytest.mark.parametrize(
+    "command, rows",
+    [("pinv", TINY), ("polar", TINY), ("gcsvd", TINY), ("karoubi check", TINY),
+     ("svd", BIG)],
+)
+def test_an_overflow_is_a_numeric_refusal(tmp_path, command, rows):
+    f = matrix_file(tmp_path, "f.json", rows)
+    code, out, err = run_cli(*command.split(), "--in", f)
+    assert code == 1 and out == "" and err.startswith("refused:")
+
+
+@pytest.mark.parametrize("command, rows", [("pinv", TINY), ("svd", BIG)])
+def test_an_overflow_refusal_is_all_of_stderr(tmp_path, command, rows):
+    # A fresh interpreter, where a numpy RuntimeWarning would reach stderr.
+    f = matrix_file(tmp_path, "f.json", rows)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(daggermp.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "daggermp.cli", command, "--in", f],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("refused:") and proc.stderr.count("\n") == 1
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_mp_writes_an_overflowed_residual_as_null(tmp_path):
+    # f g f - f = -3.4e308 overflows; the other three residuals are finite.
+    f = matrix_file(tmp_path, "f.json", [[1.7e308]])
+    g = matrix_file(tmp_path, "g.json", [[-1 / 1.7e308]])
+    code, out, err = run_cli("verify-mp", "--in", f, "--in", g)
+    assert code == 1 and err == ""
+    got = strict_json(out)
+    assert got["mp1"] is False and got["residuals"][0] is None
+    assert all(isinstance(r, float) for r in got["residuals"][1:])

@@ -1,5 +1,7 @@
 """Contract-level behavior: tolerances, predicates, the axiom checker."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from daggermp import (
     FiniteRelation,
     InputError,
     MatrixInstance,
+    MPReport,
     NoMPInverseError,
     NumericError,
     PartialInjection,
@@ -327,3 +330,9 @@ def test_equality_has_no_absolute_floor():
     assert not inst.equals(M([[1e150]]), M([[-1e150]]))
     assert not inst.equals(M([[1e-150]]), M([[-1e-150]]))
     assert inst.equals(M([[1e150]]), M([[1e150 * (1 + 2**-52)]]))
+
+
+def test_non_finite_residuals_are_written_as_null():
+    report = MPReport(False, True, True, True, (math.inf, math.nan, 0.0, 1e-300))
+    assert report.as_dict()["residuals"] == [None, None, 0.0, 1e-300]
+    assert report.residuals[0] == math.inf

@@ -563,3 +563,31 @@ def test_verify_mp_verdicts_commute_with_power_of_two_scaling(a, k, candidate):
     scaled = verify_mp(inst, ComplexMatrix(a * 2.0**k), ComplexMatrix(g * 2.0**-k))
     verdicts = (report.mp1, report.mp2, report.mp3, report.mp4)
     assert (scaled.mp1, scaled.mp2, scaled.mp3, scaled.mp4) == verdicts
+
+
+# Overflow of a computed value from finite input is a NumericError, never
+# the InputError that the public constructor raises on outside input.
+
+
+def test_a_reciprocal_that_overflows_is_a_numeric_error():
+    tiny = M([[1e-310]])  # 1/1e-310 overflows
+    for route in (pinv, herm_mp):
+        with pytest.raises(NumericError):
+            route(tiny)
+
+
+def test_a_sum_that_overflows_is_a_numeric_error():
+    with pytest.raises(NumericError):
+        MatrixInstance().add(M([[1e308]]), M([[1e308]]))
+
+
+@pytest.mark.parametrize("route", [svd, pinv, herm_eig])
+def test_a_singular_value_or_eigenvalue_that_overflows_is_a_numeric_error(route):
+    # Finite entries; the largest singular value and eigenvalue are 2e308.
+    with pytest.raises(NumericError):
+        route(M([[1e308, 1e308], [1e308, 1e308]]))
+
+
+def test_herm_eig_symmetrizes_without_overflow():
+    eig = herm_eig(ComplexMatrix(np.diag([1.7e308, 0.0])))
+    assert eig.eigenvalues == (1.7e308, 0.0)

@@ -134,3 +134,13 @@ def test_json_rejects_malformed_objects():
         pinj_from_obj({"src": True, "tgt": 2, "map": []})
     with pytest.raises(InputError):
         pinj_from_obj({"src": 2, "tgt": 2, "map": [[False, True]]})
+
+
+@pytest.mark.parametrize(
+    "args", [(2, 2, (True, None)), (True, 1, (None,)), (1, True, (None,))]
+)
+def test_bools_are_not_points(args):
+    # pinj_from_obj rejects JSON true, so a bool here would serialize to
+    # output that the parser refuses.
+    with pytest.raises(InputError):
+        PartialInjection(*args)

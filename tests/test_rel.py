@@ -294,3 +294,11 @@ def test_json_rejects_malformed_objects():
         rel_from_obj({"src": 2, "tgt": True, "pairs": []})
     with pytest.raises(InputError):
         rel_from_obj({"src": 2, "tgt": 2, "pairs": [[True, 0]]})
+
+
+@pytest.mark.parametrize("args", [(True, 1, (1,)), (1, True, (1,)), (1, 1, (True,))])
+def test_bools_are_not_endpoints_or_rows(args):
+    # rel_from_obj rejects JSON true, so a bool here would serialize to
+    # output that the parser refuses.
+    with pytest.raises(InputError):
+        FiniteRelation(*args)
