@@ -373,20 +373,23 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS):
 
 
 def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS):
-    """Diagonalize an exactly Hermitian matrix: returns (q, lam).
+    """Diagonalize a Hermitian matrix: returns (q, lam).
 
-    p = q diag(lam) q† with lam real and sorted descending.  The caller
-    is responsible for symmetrizing near-Hermitian input and for any
-    phase policy on the columns of q.
+    p = q diag(lam) q† with lam real and sorted descending, p taken as
+    its symmetrization (p + p†)/2 (the real diagonal when n is 1).  The
+    caller is responsible for any phase policy on the columns of q.
 
-    With p 2**e P = Q R, Jacobi runs on B = Q† p 2**e Q (which is
-    R Pᵀ Q), symmetrized exactly, and q is Q times the eigenvectors of B.
+    With s = (p 2**e + (p 2**e)†)/2, which the prescale keeps finite
+    (and exact where p 2**e is normal), and s P = Q R, Jacobi runs on
+    B = Q† s Q (which is R Pᵀ Q), symmetrized exactly, and q is Q times
+    the eigenvectors of B.
     """
     n = p.shape[0]
     if n == 1:
         return np.ones((1, 1), dtype=np.complex128), p.diagonal().real.copy()
     e = _pow2_exponent(p)
     scaled = p * 2.0**e
+    scaled = (scaled + scaled.conj().T) / 2.0
     qh = _qrcp(scaled)[0]
     b = qh.conj().T @ scaled @ qh
     # x = [A | q_B†] with A = B: a step applies J† to the rows of x, then

@@ -75,7 +75,7 @@ class DecompositionError(DaggerError):
 
 def is_plain_int(x: Any) -> bool:
     """True for an int that is not a bool (JSON ``true`` parses as one)."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int
 
 
 def within(dev: float, scale: float, eq_tol: float, cond: float = 1.0) -> bool:

@@ -45,7 +45,7 @@ from .core import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
-CLUSTER_TOL = 1e-6  # how far an idempotent's eigenvalue may sit from {0, 1}
+CLUSTER_TOL_DEFAULT = 1e-6  # how far an idempotent's eigenvalue may sit from {0, 1}
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,9 +293,9 @@ def herm_eig(
     """Eigendecomposition of a Hermitian matrix via two-sided Jacobi.
 
     p must equal p† by :func:`~daggermp.core.within` at eq_tol, with
-    scale |p|; it is symmetrized as p/2 + p†/2, which cannot overflow,
-    before iterating, so the factorization reproduces the symmetrized
-    matrix.
+    scale |p|; the kernel symmetrizes it after its power-of-two
+    prescale, so the factorization reproduces (p + p†)/2 without
+    overflow or underflow.
     """
     if p.rows != p.cols:
         raise InputError("eigendecomposition requires a square matrix")
@@ -306,7 +306,7 @@ def herm_eig(
         raise InputError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
     if p.rows == 0:
         return HermEigResult(ComplexMatrix.identity(0), ())
-    q, lam = _jacobi.hermitian_jacobi(arr / 2.0 + arr.conj().T / 2.0, max_sweeps)
+    q, lam = _jacobi.hermitian_jacobi(arr, max_sweeps)
     q *= _phases(q, p.rows * _EPS)
     return HermEigResult(_computed(q), tuple(float(x) for x in lam))
 
@@ -334,22 +334,22 @@ def split_dagger_idempotent(
     """Split a dagger idempotent: returns r (n x k) with r r† = e, r† r = I_k.
 
     The columns of r are the eigenvectors of e with eigenvalue near 1.
-    Every eigenvalue must sit within ``CLUSTER_TOL`` of {0, 1}; anything
-    else rejects the input as not an idempotent.
+    Every eigenvalue must sit within ``CLUSTER_TOL_DEFAULT`` of {0, 1};
+    anything else rejects the input as not an idempotent.
     """
     if e.rows != e.cols:
         raise InputError("only endomorphisms can be idempotents")
     eig = herm_eig(e, eq_tol=eq_tol)  # raises InputError when not Hermitian
     lam = np.asarray(eig.eigenvalues)
     dist = np.minimum(np.abs(lam), np.abs(lam - 1.0))
-    if lam.size and float(np.max(dist)) > CLUSTER_TOL:
+    if lam.size and float(np.max(dist)) > CLUSTER_TOL_DEFAULT:
         raise PreconditionError(
             "not an idempotent: eigenvalues stray from {0, 1}",
             residual=float(np.max(dist)),
         )
-    ones = np.abs(lam - 1.0) <= CLUSTER_TOL
+    ones = np.abs(lam - 1.0) <= CLUSTER_TOL_DEFAULT
     r = _computed(eig.q.array[:, ones])
-    check_tol = max(eq_tol, CLUSTER_TOL * max(1.0, e.norm() + 1.0))
+    check_tol = max(eq_tol, CLUSTER_TOL_DEFAULT * max(1.0, e.norm() + 1.0))
     left = float(np.linalg.norm(r.array @ r.array.conj().T - e.array))
     right = float(np.linalg.norm(r.array.conj().T @ r.array - np.eye(r.cols)))
     if left > check_tol * max(1.0, e.norm()) or right > check_tol:

@@ -25,9 +25,7 @@ class PartialInjection:
     mapping: tuple[Optional[int], ...]
 
     def __post_init__(self) -> None:
-        # Exact type tests first, as this runs on every composite.
-        ints = type(self.src) is type(self.tgt) is int
-        if not (ints or is_plain_int(self.src) and is_plain_int(self.tgt)):
+        if not is_plain_int(self.src) or not is_plain_int(self.tgt):
             raise InputError("endpoints must be ints")
         if self.src < 0 or self.tgt < 0:
             raise InputError("endpoints must be nonnegative")
@@ -37,8 +35,7 @@ class PartialInjection:
         for value in self.mapping:
             if value is None:
                 continue
-            plain = type(value) is int or is_plain_int(value)
-            if not plain or not (0 <= value < self.tgt):
+            if not is_plain_int(value) or not (0 <= value < self.tgt):
                 raise InputError(f"image {value!r} out of range for target {self.tgt}")
             if value in hit:
                 raise InputError(f"target {value} hit twice; map is not injective")

@@ -44,9 +44,7 @@ class FiniteRelation:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # Exact type tests first, as this runs on every composite.
-        ints = type(self.src) is type(self.tgt) is int
-        if not (ints or is_plain_int(self.src) and is_plain_int(self.tgt)):
+        if not is_plain_int(self.src) or not is_plain_int(self.tgt):
             raise InputError("relation endpoints must be ints")
         if self.src < 0 or self.tgt < 0:
             raise InputError("relation endpoints must be nonnegative")
@@ -54,8 +52,7 @@ class FiniteRelation:
             raise InputError("rows must be a tuple with one entry per source element")
         full = (1 << self.tgt) - 1
         for row in self.rows:
-            plain = type(row) is int or is_plain_int(row)
-            if not plain or row < 0 or row > full:
+            if not is_plain_int(row) or row < 0 or row > full:
                 raise InputError("row bitmask out of range for target size")
 
     @classmethod

@@ -588,6 +588,22 @@ def test_a_singular_value_or_eigenvalue_that_overflows_is_a_numeric_error(route)
         route(M([[1e308, 1e308], [1e308, 1e308]]))
 
 
-def test_herm_eig_symmetrizes_without_overflow():
-    eig = herm_eig(ComplexMatrix(np.diag([1.7e308, 0.0])))
-    assert eig.eigenvalues == (1.7e308, 0.0)
+@pytest.mark.parametrize(
+    "p, eigenvalues",
+    [
+        (np.diag([1.7e308, 0.0]), (1.7e308, 0.0)),  # p + p† overflows
+        ([[5e-324]], (5e-324,)),  # p/2 rounds to 0
+        ([[1.5e-323]], (1.5e-323,)),
+        ([[1.5e-323, 5e-324], [5e-324, 1.5e-323]], (2e-323, 1e-323)),
+    ],
+)
+def test_herm_eig_symmetrizes_without_overflow_or_underflow(p, eigenvalues):
+    assert herm_eig(M(p)).eigenvalues == eigenvalues
+
+
+def test_subnormal_hermitian_input_is_not_rounded_to_zero():
+    np.testing.assert_allclose(
+        hermitian_sqrt(M([[5e-324]])).array, [[np.sqrt(5e-324)]], rtol=1e-15
+    )
+    with pytest.raises(NumericError):  # 1/5e-324 overflows
+        herm_mp(M([[5e-324]]))
