@@ -264,12 +264,22 @@ def numeric_rank(a: ComplexMatrix, rank_tol: Optional[float] = None) -> int:
 def _transpose_ranks(
     a: ComplexMatrix, rank_tol: Optional[float] = None
 ) -> tuple[int, int, int]:
-    """rank(a), rank(a aᵀ) and rank(aᵀ a), with the unconjugated transpose."""
-    at = _computed(a.array.T)
+    """rank(a), rank(a aᵀ) and rank(aᵀ a), with the unconjugated transpose.
+
+    The products are formed from s = 2^e a, e from
+    :func:`~daggermp._jacobi._pow2_exponent`, so they neither underflow
+    nor overflow; the ranks do not change, and an explicit rank_tol is
+    scaled with them (by 2^e for s, 2^2e for the products).
+    """
+    scale = 2.0 ** _jacobi._pow2_exponent(a.array)
+    s = _computed(a.array * scale)
+    st = _computed(s.array.T)
+    tol = None if rank_tol is None else rank_tol * scale
+    tol2 = None if rank_tol is None else tol * scale
     return (
-        numeric_rank(a, rank_tol),
-        numeric_rank(a @ at, rank_tol),
-        numeric_rank(at @ a, rank_tol),
+        numeric_rank(s, tol),
+        numeric_rank(s @ st, tol2),
+        numeric_rank(st @ s, tol2),
     )
 
 

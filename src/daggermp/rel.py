@@ -6,9 +6,10 @@ every comparison is exact.  The dagger is the converse.  A relation has
 a Moore-Penrose inverse precisely when it is difunctional (zig-zag
 closed), and then the inverse is the converse; :func:`brute_force_mp`
 checks that equivalence from the other side by scanning every candidate
-relation at small sizes.  The oracle and its two helpers are the only
-code here that uses numpy, and they import it themselves, so the rest of
-the module runs without loading it.
+relation at small sizes, held as numpy arrays of row bitmasks.  The
+oracle and its cached candidate table are the only code here that uses
+numpy, and they import it themselves, so the rest of the module runs
+without loading it.
 
 Symmetric idempotents here are partial equivalence relations; they split
 through their set of equivalence classes (:func:`split_per`), which is
@@ -137,33 +138,35 @@ def mp_inverse_rel(r: FiniteRelation) -> Optional[FiniteRelation]:
 
 @functools.lru_cache(maxsize=8)
 def _candidate_grid(rows: int, cols: int):
-    """All 2^(rows*cols) boolean matrices, stacked, as a float32 array."""
+    """All 2^(rows*cols) relations rows -> cols, one uint16 array per row.
+
+    Entry c of array i is the bitmask of row i of the relation whose
+    code c has bit (i*cols + j) set iff (i, j) is related.  The arrays
+    are read-only, as the cache hands the same ones to every caller.
+    """
     import numpy as np
 
-    bits = rows * cols
-    idx = np.arange(1 << bits, dtype=np.int64)
-    shifts = np.arange(bits, dtype=np.int64)
-    grid = ((idx[:, None] >> shifts) & 1).astype(np.float32)
-    return grid.reshape(len(idx), rows, cols)
-
-
-def _bool_matrix(r: FiniteRelation):
-    """r as a src x tgt float32 0/1 array."""
-    import numpy as np
-
-    out = np.zeros((r.src, r.tgt), dtype=np.float32)
-    for i, j in r.pairs:
-        out[i, j] = 1.0
-    return out
+    codes = np.arange(1 << (rows * cols), dtype=np.uint32)
+    mask = (1 << cols) - 1
+    grid = tuple(
+        ((codes >> (i * cols)) & mask).astype(np.uint16) for i in range(rows)
+    )
+    for row in grid:
+        row.setflags(write=False)
+    return grid
 
 
 def brute_force_mp(r: FiniteRelation) -> Optional[FiniteRelation]:
     """Scan every relation tgt -> src for one satisfying all four axioms.
 
-    Independent of the difunctionality theory: plain exhaustive search,
-    vectorized over the whole candidate stack.  Sizes are capped at
-    src*tgt <= 16 (65536 candidates).  Raises ConsistencyError if two
-    distinct candidates pass, since verified inverses are unique.
+    Independent of the difunctionality theory: plain exhaustive search
+    over the whole candidate stack, each candidate g held as tgt row
+    bitmasks.  f g ORs g's rows over each row of f; g f and f g f look
+    rows up in the table of unions of f's rows.  MP1 (f g f = f) runs on
+    every candidate, and the two symmetries and MP2 (g f g = g) on the
+    ones that pass it.  Sizes are capped at src*tgt <= 16 (65536
+    candidates).  Raises ConsistencyError if two distinct candidates
+    pass, since verified inverses are unique.
     """
     import numpy as np
 
@@ -172,17 +175,38 @@ def brute_force_mp(r: FiniteRelation) -> Optional[FiniteRelation]:
             f"brute force capped at src*tgt <= {BRUTE_FORCE_LIMIT}, "
             f"got {r.src}x{r.tgt}"
         )
-    a = _bool_matrix(r)
     grid = _candidate_grid(r.tgt, r.src)
-    fg = np.matmul(a, grid) > 0          # stack of f.g : src -> src
-    gf = np.matmul(grid, a) > 0          # stack of g.f : tgt -> tgt
-    sym_fg = (fg == fg.transpose(0, 2, 1)).all(axis=(1, 2))
-    sym_gf = (gf == gf.transpose(0, 2, 1)).all(axis=(1, 2))
-    fgf = np.matmul(fg.astype(np.float32), a) > 0
-    regular_f = (fgf == (a > 0)).all(axis=(1, 2))
-    gfg = np.matmul(gf.astype(np.float32), grid) > 0
-    regular_g = (gfg == (grid > 0)).all(axis=(1, 2))
-    hits = np.flatnonzero(regular_f & regular_g & sym_fg & sym_gf)
+    n = 1 << (r.src * r.tgt)
+    # unions[m] = union of the rows of f over the source points in mask m
+    unions = np.zeros(1, dtype=np.uint16)
+    for row in r.rows:
+        unions = np.concatenate((unions, unions | row))
+    fg = []                              # rows of f g : src -> src
+    for row in r.rows:
+        acc = np.zeros(n, dtype=np.uint16)
+        for j in range(r.tgt):
+            if (row >> j) & 1:
+                acc |= grid[j]
+        fg.append(acc)
+    regular_f = np.ones(n, dtype=bool)  # MP1 on every candidate
+    for acc, row in zip(fg, r.rows):
+        regular_f &= unions[acc] == row
+    keep = np.flatnonzero(regular_f)
+    g = [row[keep] for row in grid]
+    fg = [acc[keep] for acc in fg]
+    gf = [unions[row] for row in g]      # rows of g f : tgt -> tgt
+    # on MP1's survivors: f g and g f symmetric, and MP2
+    ok = np.ones(len(keep), dtype=bool)
+    for sq in (fg, gf):
+        for i in range(len(sq)):
+            for j in range(i):
+                ok &= ((sq[i] >> j) & 1) == ((sq[j] >> i) & 1)
+    for acc, row in zip(gf, g):
+        gfg = np.zeros(len(keep), dtype=np.uint16)
+        for j in range(r.tgt):
+            gfg |= g[j] * ((acc >> j) & 1)
+        ok &= gfg == row
+    hits = keep[ok]
     if len(hits) == 0:
         return None
     if len(hits) > 1:
@@ -191,13 +215,7 @@ def brute_force_mp(r: FiniteRelation) -> Optional[FiniteRelation]:
             "inverses must be unique"
         )
     code = int(hits[0])
-    pairs = [
-        (i, j)
-        for i in range(r.tgt)
-        for j in range(r.src)
-        if (code >> (i * r.src + j)) & 1
-    ]
-    return FiniteRelation.from_pairs(r.tgt, r.src, pairs)
+    return FiniteRelation(r.tgt, r.src, tuple(int(row[code]) for row in grid))
 
 
 def split_per(e: FiniteRelation) -> FiniteRelation:

@@ -150,6 +150,15 @@ def test_rank_transpose_positive_case(tmp_path):
     assert code == 0 and doc["has_mp"] is True
 
 
+@pytest.mark.parametrize("rows", [[[1e-310]], [[1e200, 1], [1, 1]]])
+def test_rank_transpose_at_extreme_scales(tmp_path, rows):
+    # a aᵀ underflows or overflows unless a is scaled before the products
+    path = matrix_file(tmp_path, "r.json", rows)
+    code, out, err = run_cli("rank-transpose", "--in", path)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"has_mp": True, "rank": 1, "rank_a_at": 1, "rank_at_a": 1}
+
+
 def test_verify_mp_accepts_true_pair(tmp_path):
     f = matrix_file(tmp_path, "f.json", [[1, 2], [2, 4]])
     g = write_json(

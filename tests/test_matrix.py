@@ -37,6 +37,7 @@ from daggermp.core import EQ_TOL_DEFAULT
 from daggermp.matrix import (
     _frobenius,
     _phases,
+    _transpose_ranks,
     biproduct_injection,
     biproduct_projection,
     direct_sum,
@@ -189,6 +190,29 @@ def test_transpose_dagger_existence():
         n, m = (int(x) for x in rng.integers(1, 6, 2))
         real = ComplexMatrix(rng.uniform(-1, 1, (n, m)))
         assert has_mp_wrt_transpose(real)
+
+
+def test_transpose_existence_does_not_depend_on_scale():
+    # a aᵀ of [[1e-310]] underflows and that of the second overflows
+    # unless a is scaled first; every real matrix has an inverse
+    assert _transpose_ranks(M([[1e-310]])) == (1, 1, 1)
+    assert has_mp_wrt_transpose(M([[1e-310]]))
+    assert has_mp_wrt_transpose(M([[1e200, 1], [1, 1]]))
+    assert has_mp_wrt_transpose(M([[5e-324, 0], [0, 5e-324]]))
+    rng = np.random.default_rng(38)
+    for _ in range(20):
+        n, m = (int(x) for x in rng.integers(1, 6, 2))
+        k = int(rng.integers(1, min(n, m) + 1))
+        arr = uniform_complex(rng, n, k) @ uniform_complex(rng, k, m)
+        ranks = _transpose_ranks(ComplexMatrix(arr))
+        for e in (-1000, -300, 300, 1000):
+            assert _transpose_ranks(ComplexMatrix(arr * 2.0**e)) == ranks
+    # an explicit cutoff is scaled with a, so it keeps its meaning
+    assert _transpose_ranks(M([[1e-310]]), 0.0) == (1, 1, 1)
+    assert _transpose_ranks(M([[1e-310]]), 1e-300) == (0, 0, 0)
+    assert _transpose_ranks(M([[1e300]]), 1e-300) == (1, 1, 1)
+    assert not has_mp_wrt_transpose(M([[1j * 2.0**-1000, 2.0**-1000]]))
+    assert not has_mp_wrt_transpose(M([[1j * 2.0**1000, 2.0**1000]]))
 
 
 def test_herm_eig_against_numpy_oracle():

@@ -27,6 +27,7 @@ from daggermp import (
     split_per,
     verify_mp,
 )
+from daggermp.rel import _candidate_grid
 
 R = FiniteRelation.from_pairs
 
@@ -125,6 +126,57 @@ def test_brute_force_size_cap():
         brute_force_mp(FiniteRelation.empty(5, 4))
     # 4x4 = 16 sits exactly on the cap
     assert brute_force_mp(FiniteRelation.identity(4)) == FiniteRelation.identity(4)
+
+
+def _reference_mp(f):
+    # literal scan of every candidate against the four axioms, with only
+    # compose and converse, as an independent reference for the oracle
+    hits = []
+    for g in all_relations(f.tgt, f.src):
+        fg, gf = f.compose(g), g.compose(f)
+        if (
+            fg.compose(f) == f
+            and gf.compose(g) == g
+            and fg.converse() == fg
+            and gf.converse() == gf
+        ):
+            hits.append(g)
+    assert len(hits) <= 1, f
+    return hits[0] if hits else None
+
+
+def test_brute_force_matches_literal_scan_on_every_small_shape():
+    shapes = [(s, t) for s in range(7) for t in range(7) if s * t <= 6]
+    for src, tgt in shapes:
+        for r in all_relations(src, tgt):
+            assert brute_force_mp(r) == _reference_mp(r), r
+
+
+@pytest.mark.parametrize("src, tgt", [(1, 16), (16, 1), (2, 8), (8, 2)])
+def test_brute_force_matches_theory_at_the_mask_width(src, tgt):
+    rng = np.random.default_rng(113 + src)
+    cases = [
+        FiniteRelation.empty(src, tgt),
+        FiniteRelation.full(src, tgt),
+        R(src, tgt, [(i, i) for i in range(min(src, tgt))]),
+        R(src, tgt, [(src - 1, tgt - 1)]),
+        R(src, tgt, [(0, tgt - 1), (src - 1, 0)]),
+    ]
+    cases += [random_relation(rng, src, tgt) for _ in range(6)]
+    for r in cases:
+        got = brute_force_mp(r)
+        if is_difunctional(r):
+            assert got == r.converse(), r
+        else:
+            assert got is None, r
+
+
+def test_candidate_tables_are_read_only():
+    grid = _candidate_grid(2, 2)
+    with pytest.raises(ValueError):
+        grid[0][:] = 0
+    assert all(not row.flags.writeable for row in grid)
+    assert brute_force_mp(FiniteRelation.identity(2)) == FiniteRelation.identity(2)
 
 
 def test_split_per_examples():
