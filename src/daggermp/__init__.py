@@ -50,9 +50,9 @@ _EXPORTS = {
         "ComplexMatrix", "HermEigResult", "MatrixInstance", "SVDResult",
         "biproduct_injection", "biproduct_projection", "dagger_kernel",
         "direct_sum", "has_mp_wrt_transpose", "herm_eig", "herm_mp",
-        "hermitian_sqrt", "kernel_universality_holds", "load_matrix",
+        "hermitian_sqrt", "kernel_universality_holds",
         "matrix_from_obj", "matrix_to_obj", "numeric_rank", "pinv",
-        "save_matrix", "split_dagger_idempotent", "svd",
+        "split_dagger_idempotent", "svd",
     ),
     "pinj": (
         "PartialInjection", "PInjInstance",

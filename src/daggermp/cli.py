@@ -6,10 +6,18 @@ commands); results go to stdout and, with --out, to a file as the same
 bytes.  Output is deterministic: the same inputs always produce the
 same bytes.  It is strict JSON, with no NaN or Infinity.
 
+Only the commands that can take a matrix (pinv, svd, kernel,
+split-idem, rank-transpose, verify-mp, gcsvd, gsvd, polar and karoubi
+check) accept --rank-tol and --eq-tol; verify-mp and karoubi check
+validate them before reading the input's kind.  The rel and pinj
+commands are exact and take neither.
+
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a property fails or a construction is refused (precondition,
 no inverse, decomposition refused, numeric failure), 2 for malformed
-input or a capability the chosen instance does not have.
+input or a capability the chosen instance does not have.  An input
+file that is not UTF-8, is not JSON, is nested too deeply to parse or
+repeats a key within an object is malformed.
 """
 
 from __future__ import annotations
@@ -34,12 +42,24 @@ from .core import (
 # partial-injection command never loads the matrix stack or numpy.
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
+    """The package's only file reader: UTF-8 JSON with no repeated key."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+    # ValueError covers text that is not UTF-8 or not JSON, and a repeated key.
+    except (ValueError, RecursionError) as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _expect_inputs(args: argparse.Namespace, n: int) -> list:
@@ -72,11 +92,11 @@ def _detect(obj: Any):
     raise InputError("cannot tell matrix / relation / partial injection apart")
 
 
-def _instance_for(kind: str, args: argparse.Namespace):
+def _instance_for(kind: str, tol: Tolerance):
     if kind == "matrix":
         from .matrix import MatrixInstance
 
-        return MatrixInstance(_tolerance(args))
+        return MatrixInstance(tol)
     if kind == "rel":
         from .rel import RelInstance
 
@@ -138,12 +158,13 @@ def cmd_rank_transpose(args) -> tuple[dict, int]:
 
 
 def cmd_verify_mp(args) -> tuple[dict, int]:
+    tol = _tolerance(args)
     obj_f, obj_g = _expect_inputs(args, 2)
     kind_f, f = _detect(obj_f)
     kind_g, g = _detect(obj_g)
     if kind_f != kind_g:
         raise InputError(f"inputs are different kinds: {kind_f} and {kind_g}")
-    inst = _instance_for(kind_f, args)
+    inst = _instance_for(kind_f, tol)
     report = verify_mp(inst, f, g)
     out = {"instance": kind_f}
     out.update(report.as_dict())
@@ -271,9 +292,10 @@ def cmd_pinj_verify(args) -> tuple[dict, int]:
 def cmd_karoubi_check(args) -> tuple[dict, int]:
     from .karoubi import embed, iso_from_mp, mp_from_iso, mp_in_karoubi
 
+    tol = _tolerance(args)
     (obj,) = _expect_inputs(args, 1)
     kind, f = _detect(obj)
-    inst = _instance_for(kind, args)
+    inst = _instance_for(kind, tol)
     f_mp = inst.mp(f)
     report = verify_mp(inst, f, f_mp)
     forward, backward = iso_from_mp(inst, f, f_mp)
@@ -291,6 +313,36 @@ def cmd_karoubi_check(args) -> tuple[dict, int]:
     return out, 0 if ok else 1
 
 
+# (command, handler, whether it can take a matrix, help).  A two-word
+# command is a subcommand of the group named by its first word.
+COMMANDS = (
+    ("pinv", cmd_pinv, True, "Moore-Penrose inverse of a matrix"),
+    ("svd", cmd_svd, True, "singular value decomposition of a matrix"),
+    ("kernel", cmd_kernel, True, "orthonormal basis of the left null space"),
+    ("split-idem", cmd_split_idem, True, "split a dagger idempotent matrix"),
+    ("rank-transpose", cmd_rank_transpose, True,
+     "existence of an inverse for the plain-transpose dagger"),
+    ("verify-mp", cmd_verify_mp, True, "check the four inverse identities (two inputs)"),
+    ("gcsvd", cmd_gcsvd, True, "compact factorization r . d . s"),
+    ("gsvd", cmd_gsvd, True, "full unitary factorization u . (d + 0) . v"),
+    ("polar", cmd_polar, True, "polar factorization u . h"),
+    ("rel difunctional", cmd_rel_difunctional, False, "test zig-zag closedness"),
+    ("rel mp", cmd_rel_mp, False, "inverse via the difunctionality criterion"),
+    ("rel oracle", cmd_rel_oracle, False, "inverse by exhaustive search (small sizes)"),
+    ("rel split-per", cmd_rel_split_per, False, "classes of a partial equivalence relation"),
+    ("rel gcsvd", cmd_rel_gcsvd, False, "exact compact factorization"),
+    ("pinj verify", cmd_pinj_verify, False,
+     "dagger-is-inverse identities (one map, optionally a second parallel one)"),
+    ("karoubi check", cmd_karoubi_check, True,
+     "round-trip a map through its splitting (matrix, relation or partial injection)"),
+)
+GROUPS = {
+    "rel": "finite relation commands",
+    "pinj": "partial injection commands",
+    "karoubi": "formal idempotent splitting commands",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -302,19 +354,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--out", metavar="PATH", help="also write the output here")
     common.add_argument(
+        "--pretty", action="store_true", help="indent the JSON output"
+    )
+    numeric = argparse.ArgumentParser(add_help=False, parents=[common])
+    numeric.add_argument(
         "--rank-tol",
         type=float,
         default=None,
-        help="singular value cutoff (matrix commands; default scales with the input)",
+        help="singular value cutoff (default scales with the input)",
     )
-    common.add_argument(
-        "--eq-tol",
-        type=float,
-        default=EQ_TOL_DEFAULT,
-        help="equality tolerance (matrix commands)",
-    )
-    common.add_argument(
-        "--pretty", action="store_true", help="indent the JSON output"
+    numeric.add_argument(
+        "--eq-tol", type=float, default=EQ_TOL_DEFAULT, help="equality tolerance"
     )
 
     parser = argparse.ArgumentParser(
@@ -323,60 +373,16 @@ def build_parser() -> argparse.ArgumentParser:
         "relations and partial injections",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_: str):
-        p = sub.add_parser(name, parents=[common], help=help_)
+    groups = {"": sub}
+    for name, handler, takes_matrix, help_ in COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:
+            g = sub.add_parser(group, help=GROUPS[group])
+            groups[group] = g.add_subparsers(dest=f"{group}_command", required=True)
+        p = groups[group].add_parser(
+            leaf, parents=[numeric if takes_matrix else common], help=help_
+        )
         p.set_defaults(handler=handler)
-        return p
-
-    add("pinv", cmd_pinv, "Moore-Penrose inverse of a matrix")
-    add("svd", cmd_svd, "singular value decomposition of a matrix")
-    add("kernel", cmd_kernel, "orthonormal basis of the left null space")
-    add("split-idem", cmd_split_idem, "split a dagger idempotent matrix")
-    add(
-        "rank-transpose",
-        cmd_rank_transpose,
-        "existence of an inverse for the plain-transpose dagger",
-    )
-    add("verify-mp", cmd_verify_mp, "check the four inverse identities (two inputs)")
-    add("gcsvd", cmd_gcsvd, "compact factorization r . d . s")
-    add("gsvd", cmd_gsvd, "full unitary factorization u . (d + 0) . v")
-    add("polar", cmd_polar, "polar factorization u . h")
-
-    rel = sub.add_parser("rel", help="finite relation commands")
-    rel_sub = rel.add_subparsers(dest="rel_command", required=True)
-
-    def add_rel(name: str, handler, help_: str):
-        p = rel_sub.add_parser(name, parents=[common], help=help_)
-        p.set_defaults(handler=handler)
-        return p
-
-    add_rel("difunctional", cmd_rel_difunctional, "test zig-zag closedness")
-    add_rel("mp", cmd_rel_mp, "inverse via the difunctionality criterion")
-    add_rel("oracle", cmd_rel_oracle, "inverse by exhaustive search (small sizes)")
-    add_rel("split-per", cmd_rel_split_per, "classes of a partial equivalence relation")
-    add_rel("gcsvd", cmd_rel_gcsvd, "exact compact factorization")
-
-    pinj = sub.add_parser("pinj", help="partial injection commands")
-    pinj_sub = pinj.add_subparsers(dest="pinj_command", required=True)
-    p_verify = pinj_sub.add_parser(
-        "verify",
-        parents=[common],
-        help="dagger-is-inverse identities (one map, optionally a second "
-        "parallel one)",
-    )
-    p_verify.set_defaults(handler=cmd_pinj_verify)
-
-    kar = sub.add_parser("karoubi", help="formal idempotent splitting commands")
-    kar_sub = kar.add_subparsers(dest="karoubi_command", required=True)
-    k_check = kar_sub.add_parser(
-        "check",
-        parents=[common],
-        help="round-trip a map through its splitting (matrix, relation or "
-        "partial injection)",
-    )
-    k_check.set_defaults(handler=cmd_karoubi_check)
-
     return parser
 
 
@@ -385,10 +391,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         out, code = args.handler(args)
-    except (InputError, CapabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, CapabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DaggerError as exc:

@@ -78,6 +78,32 @@ def is_plain_int(x: Any) -> bool:
     return type(x) is int
 
 
+def json_fields(obj: Any, what: str, keys: tuple[str, ...]) -> tuple:
+    """The values of keys, in order, of a decoded JSON object that has
+    exactly those keys; InputError for any other value."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} JSON must be an object")
+    if set(obj) != set(keys):
+        raise InputError(f"{what} JSON needs the keys {list(keys)}, got {list(obj)}")
+    return tuple(obj[k] for k in keys)
+
+
+def pairs_from_obj(obj: Any, what: str, key: str) -> tuple[int, int, list]:
+    """(src, tgt, pairs) of ``{"src": int, "tgt": int, key: [[i, j], ...]}``,
+    the JSON form of both exact instances."""
+    src, tgt, entries = json_fields(obj, what, ("src", "tgt", key))
+    if not is_plain_int(src) or not is_plain_int(tgt):
+        raise InputError("src and tgt must be integers")
+    if not isinstance(entries, list):
+        raise InputError(f"{key} must be a list of [i, j] pairs")
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 2 or not all(
+            map(is_plain_int, entry)
+        ):
+            raise InputError(f"bad {what} entry: {entry!r}")
+    return src, tgt, [(i, j) for i, j in entries]
+
+
 def within(dev: float, scale: float, eq_tol: float, cond: float = 1.0) -> bool:
     """The equality rule: dev is 0, or dev <= eq_tol * cond * scale with the
     slack eq_tol * cond below 1 (a larger one verifies nothing) and scale finite.

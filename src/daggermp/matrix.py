@@ -22,7 +22,6 @@ vectors' bytes unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -41,6 +40,7 @@ from .core import (
     Tolerance,
     check,
     is_plain_int,
+    json_fields,
     within,
 )
 
@@ -210,11 +210,7 @@ def _phases(cols: np.ndarray, cutoff: float) -> np.ndarray:
     return z
 
 
-def svd(
-    a: ComplexMatrix,
-    rank_tol: Optional[float] = None,
-    max_sweeps: int = _jacobi.MAX_SWEEPS,
-) -> SVDResult:
+def svd(a: ComplexMatrix, rank_tol: Optional[float] = None) -> SVDResult:
     """One-sided Jacobi SVD, run on the taller orientation.
 
     ``rank_tol`` overrides the cutoff used for the rank count; the
@@ -228,9 +224,9 @@ def svd(
     if min(n, m) == 0:
         return SVDResult(ComplexMatrix.identity(n), (), ComplexMatrix.identity(m), 0)
     if n >= m:
-        u, s, v = _jacobi.one_sided_svd(a.array, max_sweeps)
+        u, s, v = _jacobi.one_sided_svd(a.array)
     else:
-        vb, s, ub = _jacobi.one_sided_svd(a.array.conj().T, max_sweeps)
+        vb, s, ub = _jacobi.one_sided_svd(a.array.conj().T)
         u, v = ub, vb
     k = len(s)
     smax = float(s[0]) if k else 0.0
@@ -268,14 +264,15 @@ def _transpose_ranks(
 
     The products are formed from s = 2^e a, e from
     :func:`~daggermp._jacobi._pow2_exponent`, so they neither underflow
-    nor overflow; the ranks do not change, and an explicit rank_tol is
-    scaled with them (by 2^e for s, 2^2e for the products).
+    nor overflow; the ranks do not change.  An explicit rank_tol is
+    scaled with s to t = rank_tol 2^e, and the products are cut at t²,
+    since σ(s sᵀ) = σ(sᵀ s) = σ(s)² for real s.
     """
     scale = 2.0 ** _jacobi._pow2_exponent(a.array)
     s = _computed(a.array * scale)
     st = _computed(s.array.T)
     tol = None if rank_tol is None else rank_tol * scale
-    tol2 = None if rank_tol is None else tol * scale
+    tol2 = None if rank_tol is None else tol * tol
     return (
         numeric_rank(s, tol),
         numeric_rank(s @ st, tol2),
@@ -295,11 +292,7 @@ def has_mp_wrt_transpose(a: ComplexMatrix, rank_tol: Optional[float] = None) -> 
     return r_left == r == r_right
 
 
-def herm_eig(
-    p: ComplexMatrix,
-    eq_tol: float = EQ_TOL_DEFAULT,
-    max_sweeps: int = _jacobi.MAX_SWEEPS,
-) -> HermEigResult:
+def herm_eig(p: ComplexMatrix, eq_tol: float = EQ_TOL_DEFAULT) -> HermEigResult:
     """Eigendecomposition of a Hermitian matrix via two-sided Jacobi.
 
     p must equal p† by :func:`~daggermp.core.within` at eq_tol, with
@@ -316,7 +309,7 @@ def herm_eig(
         raise InputError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
     if p.rows == 0:
         return HermEigResult(ComplexMatrix.identity(0), ())
-    q, lam = _jacobi.hermitian_jacobi(arr, max_sweeps)
+    q, lam = _jacobi.hermitian_jacobi(arr)
     q *= _phases(q, p.rows * _EPS)
     return HermEigResult(_computed(q), tuple(float(x) for x in lam))
 
@@ -553,15 +546,7 @@ def matrix_to_obj(a: ComplexMatrix) -> dict:
 
 
 def matrix_from_obj(obj: dict) -> ComplexMatrix:
-    if not isinstance(obj, dict):
-        raise InputError("matrix JSON must be an object")
-    extra = set(obj) - {"rows", "cols", "data"}
-    if extra:
-        raise InputError(f"unexpected matrix keys: {sorted(extra)}")
-    try:
-        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    except KeyError as exc:
-        raise InputError(f"matrix JSON missing key {exc}") from None
+    rows, cols, data = json_fields(obj, "matrix", ("rows", "cols", "data"))
     if not (is_plain_int(rows) and is_plain_int(cols)) or rows < 0 or cols < 0:
         raise InputError("rows and cols must be nonnegative integers")
     if not isinstance(data, list) or len(data) != rows * cols:
@@ -577,17 +562,3 @@ def matrix_from_obj(obj: dict) -> ComplexMatrix:
         flat[i] = complex(entry[0], entry[1])
     return ComplexMatrix(flat.reshape(rows, cols))
 
-
-def load_matrix(path: str) -> ComplexMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON ({exc})") from None
-    return matrix_from_obj(obj)
-
-
-def save_matrix(a: ComplexMatrix, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_obj(a), fh)
-        fh.write("\n")

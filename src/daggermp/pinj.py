@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import DaggerInstance, InputError, Tolerance, is_plain_int
+from .core import DaggerInstance, InputError, Tolerance, is_plain_int, pairs_from_obj
 
 
 @dataclass(frozen=True)
@@ -148,26 +148,4 @@ def pinj_to_obj(f: PartialInjection) -> dict:
 
 
 def pinj_from_obj(obj: Any) -> PartialInjection:
-    if not isinstance(obj, dict):
-        raise InputError("partial injection JSON must be an object")
-    extra = set(obj) - {"src", "tgt", "map"}
-    if extra:
-        raise InputError(f"unexpected keys: {sorted(extra)}")
-    try:
-        src, tgt, entries = obj["src"], obj["tgt"], obj["map"]
-    except KeyError as exc:
-        raise InputError(f"missing key {exc.args[0]!r}") from None
-    if not is_plain_int(src) or not is_plain_int(tgt):
-        raise InputError("src and tgt must be integers")
-    if not isinstance(entries, list):
-        raise InputError("map must be a list of [i, j] pairs")
-    pairs = []
-    for entry in entries:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(is_plain_int(x) for x in entry)
-        ):
-            raise InputError(f"bad map entry: {entry!r}")
-        pairs.append((entry[0], entry[1]))
-    return PartialInjection.from_pairs(src, tgt, pairs)
+    return PartialInjection.from_pairs(*pairs_from_obj(obj, "partial injection", "map"))

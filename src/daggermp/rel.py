@@ -31,6 +31,7 @@ from .core import (
     PreconditionError,
     Tolerance,
     is_plain_int,
+    pairs_from_obj,
 )
 
 BRUTE_FORCE_LIMIT = 16  # max src*tgt for the exhaustive candidate scan
@@ -329,26 +330,4 @@ def rel_to_obj(r: FiniteRelation) -> dict:
 
 
 def rel_from_obj(obj: Any) -> FiniteRelation:
-    if not isinstance(obj, dict):
-        raise InputError("relation JSON must be an object")
-    extra = set(obj) - {"src", "tgt", "pairs"}
-    if extra:
-        raise InputError(f"unexpected relation keys: {sorted(extra)}")
-    try:
-        src, tgt, pairs = obj["src"], obj["tgt"], obj["pairs"]
-    except KeyError as exc:
-        raise InputError(f"relation JSON missing key {exc.args[0]!r}") from None
-    if not is_plain_int(src) or not is_plain_int(tgt):
-        raise InputError("src and tgt must be integers")
-    if not isinstance(pairs, list):
-        raise InputError("pairs must be a list of [i, j] pairs")
-    cleaned = []
-    for entry in pairs:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or not all(is_plain_int(x) for x in entry)
-        ):
-            raise InputError(f"bad relation pair: {entry!r}")
-        cleaned.append((entry[0], entry[1]))
-    return FiniteRelation.from_pairs(src, tgt, cleaned)
+    return FiniteRelation.from_pairs(*pairs_from_obj(obj, "relation", "pairs"))

@@ -343,23 +343,58 @@ def test_karoubi_check_refuses_relation_without_inverse(tmp_path):
     assert code == 1 and err.startswith("refused:")
 
 
+REL = {"src": 2, "tgt": 2, "pairs": [[0, 1]]}
+
+
 @pytest.mark.parametrize("value", ["nan", "-1"])
 @pytest.mark.parametrize(
     "command, flag",
     [("svd", "--rank-tol"), ("kernel", "--rank-tol"),
-     ("rank-transpose", "--rank-tol"), ("split-idem", "--eq-tol")],
+     ("rank-transpose", "--rank-tol"), ("split-idem", "--eq-tol"),
+     ("verify-mp", "--eq-tol"), ("karoubi check", "--rank-tol")],
 )
 def test_invalid_tolerance_exits_2(tmp_path, command, flag, value):
-    path = matrix_file(tmp_path, "d.json", [[3, 0], [0, 4]])
-    code, out, err = run_cli(command, "--in", path, f"{flag}={value}")
+    # verify-mp and karoubi check read the flags before the input's kind,
+    # so they refuse them on relations, which ignore tolerances
+    if command in ("verify-mp", "karoubi check"):
+        path = write_json(tmp_path, "r.json", REL)
+    else:
+        path = matrix_file(tmp_path, "d.json", [[3, 0], [0, 4]])
+    inputs = ["--in", path] * (2 if command == "verify-mp" else 1)
+    code, out, err = run_cli(*command.split(), *inputs, f"{flag}={value}")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "must be finite and nonnegative" in err
 
 
-def test_malformed_json_exits_2(tmp_path):
+@pytest.mark.parametrize("flag", ["--eq-tol", "--rank-tol"])
+@pytest.mark.parametrize(
+    "command",
+    ["rel difunctional", "rel mp", "rel oracle", "rel split-per", "rel gcsvd",
+     "pinj verify"],
+)
+def test_exact_commands_take_no_tolerance(tmp_path, capsys, command, flag):
+    key = "map" if command.startswith("pinj") else "pairs"
+    path = write_json(tmp_path, "x.json", {"src": 2, "tgt": 2, key: [[0, 1]]})
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--in", path, flag, "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"{not json", b"\xff\xfe{}", DEEP,
+     b'{"src": 2, "tgt": 2, "pairs": [], "pairs": [[0, 0]]}'],
+    ids=["not-json", "not-utf8", "too-deep", "repeated-key"],
+)
+def test_malformed_json_exits_2(tmp_path, raw):
     p = tmp_path / "bad.json"
-    p.write_text("{not json", encoding="utf-8")
-    code, out, err = run_cli("pinv", "--in", str(p))
+    p.write_bytes(raw)
+    command = "rel mp" if b"pairs" in raw else "pinv"
+    code, out, err = run_cli(*command.split(), "--in", str(p))
     assert code == 2 and out == ""
     assert err.startswith("error:") and "invalid JSON" in err
 

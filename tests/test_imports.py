@@ -150,7 +150,7 @@ def test_a_matrix_command_loads_the_matrix_stack(tmp_path):
 
 
 def test_every_export_is_its_home_module_object():
-    assert len(daggermp.__all__) == len(set(daggermp.__all__)) == 85
+    assert len(daggermp.__all__) == len(set(daggermp.__all__)) == 83
     for name in daggermp.__all__:
         obj = getattr(daggermp, name)
         home = obj.__module__
