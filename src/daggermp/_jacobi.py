@@ -54,7 +54,9 @@ need about half the sweeps (a rank-24 48x48 product: 17-21 sweeps
 unpreconditioned, 9-10 here).  The QR sorts rows by decreasing largest
 entry first, as LAPACK's xGEJSV does with row pivoting, so that graded
 rows keep the relative accuracy of Jacobi (Demmel & Veselić, SIMAX
-13(4), 1992).
+13(4), 1992).  The same QR splits a dagger idempotent of rank k on its
+own: the first k columns of Q span its range (see
+:func:`~daggermp.matrix.split_dagger_idempotent`).
 
 Both solvers run until a full sweep after the QR triggers no rotation.
 The sweep budget is fixed; exceeding it raises

@@ -398,14 +398,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return 1
     text = json.dumps(out, indent=2 if args.pretty else None, allow_nan=False) + "\n"
-    sys.stdout.write(text)
-    if args.out:
+    if args.out:  # before stdout, so a failed write prints no result
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+    sys.stdout.write(text)
     return code
 
 

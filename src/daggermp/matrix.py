@@ -9,8 +9,9 @@ in mind:
 * a coisometry has orthonormal columns (``r.dagger() @ r == I`` on the target).
 
 The SVD and the Hermitian eigendecomposition are computed in-repo with
-Jacobi rotations (see ``_jacobi``); numpy supplies array storage and
-elementwise arithmetic only.  Both factorizations are deterministic:
+Jacobi rotations, and dagger idempotents are split by the pivoted QR
+that preconditions them (see ``_jacobi``); numpy supplies array storage
+and elementwise arithmetic only.  Both factorizations are deterministic:
 singular values sort descending and each left singular vector's phase
 is fixed so its first component of modulus above max(rows, cols) times
 machine epsilon is real and nonnegative, with the phase compensated in
@@ -32,7 +33,6 @@ from . import _jacobi
 from .core import (
     EQ_TOL_DEFAULT,
     CapabilityError,
-    ConsistencyError,
     DaggerInstance,
     InputError,
     NumericError,
@@ -45,7 +45,6 @@ from .core import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
-CLUSTER_TOL_DEFAULT = 1e-6  # how far an idempotent's eigenvalue may sit from {0, 1}
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,22 +261,17 @@ def _transpose_ranks(
 ) -> tuple[int, int, int]:
     """rank(a), rank(a aᵀ) and rank(aᵀ a), with the unconjugated transpose.
 
-    The products are formed from s = 2^e a, e from
-    :func:`~daggermp._jacobi._pow2_exponent`, so they neither underflow
-    nor overflow; the ranks do not change.  An explicit rank_tol is
-    scaled with s to t = rank_tol 2^e, and the products are cut at t²,
-    since σ(s sᵀ) = σ(sᵀ s) = σ(s)² for real s.
+    With a = U_k Σ_k V_k† from :func:`svd`, σ cut at rank_tol,
+    a aᵀ = U_k Σ_k (V_k† V̄_k) Σ_k U_kᵀ with Σ_k invertible and U_k of
+    full column rank, so rank(a aᵀ) = rank(V_kᵀ V_k); likewise
+    rank(aᵀ a) = rank(U_kᵀ U_k).  Both are k x k of unit scale and are
+    cut at the fixed max(rows, cols) * machine_eps: nothing is squared,
+    and neither the scale of a nor rank_tol reaches the two products.
     """
-    scale = 2.0 ** _jacobi._pow2_exponent(a.array)
-    s = _computed(a.array * scale)
-    st = _computed(s.array.T)
-    tol = None if rank_tol is None else rank_tol * scale
-    tol2 = None if rank_tol is None else tol * tol
-    return (
-        numeric_rank(s, tol),
-        numeric_rank(s @ st, tol2),
-        numeric_rank(st @ s, tol2),
-    )
+    res = svd(a, rank_tol=rank_tol)
+    u, v = res.u.array[:, : res.rank], res.v.array[:, : res.rank]
+    cut = max(a.rows, a.cols) * _EPS
+    return res.rank, *(numeric_rank(_computed(w.T @ w), cut) for w in (v, u))
 
 
 def has_mp_wrt_transpose(a: ComplexMatrix, rank_tol: Optional[float] = None) -> bool:
@@ -292,24 +286,33 @@ def has_mp_wrt_transpose(a: ComplexMatrix, rank_tol: Optional[float] = None) -> 
     return r_left == r == r_right
 
 
+def _require_equal(lhs: np.ndarray, rhs: np.ndarray, scale, eq_tol, what) -> None:
+    """PreconditionError carrying |lhs - rhs| unless :func:`within` passes it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow
+        dev = _frobenius(lhs - rhs)
+    if not within(dev, scale, eq_tol):
+        raise PreconditionError(what, residual=dev)
+
+
+def _require_hermitian(p: ComplexMatrix, eq_tol: float) -> None:
+    """p = p† at scale |p| (PreconditionError); InputError unless square."""
+    if p.rows != p.cols:
+        raise InputError("a Hermitian matrix must be square")
+    arr = p.array
+    _require_equal(arr, arr.conj().T, p.norm(), eq_tol, "matrix is not Hermitian")
+
+
 def herm_eig(p: ComplexMatrix, eq_tol: float = EQ_TOL_DEFAULT) -> HermEigResult:
     """Eigendecomposition of a Hermitian matrix via two-sided Jacobi.
 
-    p must equal p† by :func:`~daggermp.core.within` at eq_tol, with
-    scale |p|; the kernel symmetrizes it after its power-of-two
-    prescale, so the factorization reproduces (p + p†)/2 without
-    overflow or underflow.
+    p must pass :func:`_require_hermitian` at eq_tol; the kernel
+    symmetrizes it after its power-of-two prescale, so the factorization
+    reproduces (p + p†)/2 without overflow or underflow.
     """
-    if p.rows != p.cols:
-        raise InputError("eigendecomposition requires a square matrix")
-    arr = p.array
-    with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow
-        herm_dev = _frobenius(arr - arr.conj().T)
-    if not within(herm_dev, p.norm(), eq_tol):
-        raise InputError(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
+    _require_hermitian(p, eq_tol)
     if p.rows == 0:
         return HermEigResult(ComplexMatrix.identity(0), ())
-    q, lam = _jacobi.hermitian_jacobi(arr)
+    q, lam = _jacobi.hermitian_jacobi(p.array)
     q *= _phases(q, p.rows * _EPS)
     return HermEigResult(_computed(q), tuple(float(x) for x in lam))
 
@@ -336,30 +339,24 @@ def split_dagger_idempotent(
 ) -> ComplexMatrix:
     """Split a dagger idempotent: returns r (n x k) with r r† = e, r† r = I_k.
 
-    The columns of r are the eigenvectors of e with eigenvalue near 1.
-    Every eigenvalue must sit within ``CLUSTER_TOL_DEFAULT`` of {0, 1};
-    anything else rejects the input as not an idempotent.
+    The rank k of a dagger idempotent is its trace; r is the first k
+    columns of Q from a pivoted QR of e, phases fixed as for eigenvectors.
+    e = e† at scale |e|, r r† = e at scale |e| and r† r = I_k at scale
+    √k must pass :func:`~daggermp.core.within` at eq_tol, or
+    PreconditionError is raised.
     """
-    if e.rows != e.cols:
-        raise InputError("only endomorphisms can be idempotents")
-    eig = herm_eig(e, eq_tol=eq_tol)  # raises InputError when not Hermitian
-    lam = np.asarray(eig.eigenvalues)
-    dist = np.minimum(np.abs(lam), np.abs(lam - 1.0))
-    if lam.size and float(np.max(dist)) > CLUSTER_TOL_DEFAULT:
-        raise PreconditionError(
-            "not an idempotent: eigenvalues stray from {0, 1}",
-            residual=float(np.max(dist)),
-        )
-    ones = np.abs(lam - 1.0) <= CLUSTER_TOL_DEFAULT
-    r = _computed(eig.q.array[:, ones])
-    check_tol = max(eq_tol, CLUSTER_TOL_DEFAULT * max(1.0, e.norm() + 1.0))
-    left = float(np.linalg.norm(r.array @ r.array.conj().T - e.array))
-    right = float(np.linalg.norm(r.array.conj().T @ r.array - np.eye(r.cols)))
-    if left > check_tol * max(1.0, e.norm()) or right > check_tol:
-        raise ConsistencyError(
-            f"idempotent split failed verification (residuals {left:.3e}, {right:.3e})"
-        )
-    return r
+    _require_hermitian(e, eq_tol)
+    # The diagonal of a dagger idempotent lies in [0, 1]: clipping it
+    # changes nothing there and keeps k in [0, n] for any other input.
+    k = round(float(np.clip(e.array.diagonal().real, 0.0, 1.0).sum()))
+    r = np.zeros((e.rows, 0), dtype=np.complex128)
+    if k:
+        r = _jacobi._qrcp(e.array * 2.0 ** _jacobi._pow2_exponent(e.array))[0][:, :k]
+        r *= _phases(r, e.rows * _EPS)
+    rd = r.conj().T
+    _require_equal(r @ rd, e.array, e.norm(), eq_tol, "not an idempotent")
+    _require_equal(rd @ r, np.eye(k), math.sqrt(k), eq_tol, "split is not a coisometry")
+    return _computed(r)
 
 
 def dagger_kernel(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
@@ -415,11 +412,11 @@ def _sqrt_with_mp(
     Both come from one eigendecomposition, which keeps h and h_mp
     consistent to machine precision.
     """
-    eig = herm_eig(p, eq_tol=eq_tol)  # InputError when not Hermitian
+    eig = herm_eig(p, eq_tol=eq_tol)  # PreconditionError when not Hermitian
     lam = np.asarray(eig.eigenvalues)
     tol = _eig_cutoff(p, lam, rank_tol)
     if lam.size and float(np.min(lam)) < -tol:
-        raise InputError(
+        raise PreconditionError(
             f"matrix is not positive (eigenvalue {float(np.min(lam)):.3e})"
         )
     roots = np.sqrt(np.where(lam < tol, 0.0, lam))
@@ -501,7 +498,7 @@ class MatrixInstance(DaggerInstance):
     def positivity_witness(self, p: ComplexMatrix) -> bool:
         try:  # a square root h = h† witnesses p = h h†
             self.sqrt_positive(p)
-        except InputError:  # not Hermitian, or an eigenvalue below -cutoff
+        except PreconditionError:  # not Hermitian, or an eigenvalue below -cutoff
             return False
         return True
 

@@ -48,6 +48,34 @@ def products(draw, tall, max_dim=12):
     return seeded_product(draw(st.integers(0, 2**32 - 1)), rows, cols, inner)
 
 
+def hilbert(n):
+    """The real n x n Hilbert matrix 1 / (i + j + 1)."""
+    i = np.arange(n)
+    return 1.0 / (i[:, None] + i[None, :] + 1.0)
+
+
+def kahan(n, theta):
+    """Kahan's upper triangle diag(s^i) (I - c U), s = sin θ, c = cos θ and
+    U the strictly upper triangle of ones."""
+    s, c = np.sin(theta), np.cos(theta)
+    return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+
+
+def graded_columns():
+    """B diag(1e-120, 1e-60, 1, 1e60, 1e120), B 5 x 5 standard normal
+    from default_rng(2)."""
+    b = np.random.default_rng(2).standard_normal((5, 5))
+    return b * np.array([1e-120, 1e-60, 1.0, 1e60, 1e120])
+
+
+# Valid inputs that are hard on the numeric kernels.
+HARD_INPUTS = {
+    "hilbert8": hilbert(8),
+    "kahan20": kahan(20, 0.5),
+    "graded5": graded_columns(),
+}
+
+
 # Power-of-two scaling properties: a fixed example set, so that tier-1
 # runs the same cases every time.
 SCALING = settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -10,12 +10,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import daggermp
-from conftest import seeded_product
+from conftest import HARD_INPUTS, seeded_product
 from daggermp import ComplexMatrix, matrix_from_obj, matrix_to_obj
 from daggermp.cli import main
 
@@ -461,6 +462,44 @@ def test_out_file_mirrors_stdout(tmp_path):
     code, out, _ = run_cli("pinv", "--in", path, "--out", str(dest))
     assert code == 0
     assert dest.read_text(encoding="utf-8") == out
+
+
+def test_unwritable_out_file_prints_nothing_to_stdout(tmp_path):
+    path = matrix_file(tmp_path, "a.json", [[1, 2], [2, 4]])
+    dest = tmp_path / "missing" / "result.json"
+    code, out, err = run_cli("pinv", "--in", path, "--out", str(dest))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and not dest.exists()
+
+
+@pytest.mark.parametrize("command", ["gcsvd", "gsvd", "split-idem"])
+@pytest.mark.parametrize("name", sorted(HARD_INPUTS))
+def test_hard_valid_input_is_solved_or_refused(tmp_path, command, name):
+    path = write_json(tmp_path, "a.json", matrix_to_obj(ComplexMatrix(HARD_INPUTS[name])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(command, "--in", path)
+    assert code in (0, 1)
+    if code == 0:
+        assert err == "" and json.loads(out)
+    else:
+        assert out == "" and err.startswith("refused:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "a, has_mp",
+    [
+        (HARD_INPUTS["hilbert8"], True),
+        (HARD_INPUTS["kahan20"], True),
+        ((0.3 + 0.7j) * np.array([[1.0, 1j]]), False),
+    ],
+    ids=["hilbert8", "kahan20", "isotropic"],
+)
+def test_rank_transpose_on_ill_conditioned_and_isotropic_input(tmp_path, a, has_mp):
+    path = write_json(tmp_path, "a.json", matrix_to_obj(ComplexMatrix(a)))
+    code, out, err = run_cli("rank-transpose", "--in", path)
+    assert err == "" and code == (0 if has_mp else 1)
+    assert json.loads(out)["has_mp"] is has_mp
 
 
 def test_pretty_flag_is_stable_and_equivalent(tmp_path):

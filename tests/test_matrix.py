@@ -11,7 +11,13 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from conftest import SCALING, products, seeded_product, uniform_complex
+from conftest import (
+    HARD_INPUTS,
+    SCALING,
+    products,
+    seeded_product,
+    uniform_complex,
+)
 from daggermp import (
     _jacobi,
     ComplexMatrix,
@@ -32,7 +38,7 @@ from daggermp import (
     svd,
     verify_mp,
 )
-from daggermp.core import EQ_TOL_DEFAULT
+from daggermp.core import EQ_TOL_DEFAULT, within
 from daggermp.matrix import (
     _frobenius,
     _phases,
@@ -222,6 +228,75 @@ def test_transpose_existence_does_not_depend_on_scale():
     assert not has_mp_wrt_transpose(M([[1j * 2.0**1000, 2.0**1000]]))
 
 
+@pytest.mark.parametrize(
+    "a, ranks",
+    [
+        (HARD_INPUTS["hilbert8"], (8, 8, 8)),
+        (HARD_INPUTS["kahan20"], (20, 20, 20)),
+        # c [1, i] with c = 0.3 + 0.7i: a aᵀ = c² (1 + i²) = 0 exactly
+        ((0.3 + 0.7j) * np.array([[1.0, 1j]]), (1, 0, 1)),
+    ],
+    ids=["hilbert8", "kahan20", "isotropic"],
+)
+def test_transpose_ranks_come_from_the_singular_bases(a, ranks):
+    assert _transpose_ranks(ComplexMatrix(a)) == ranks
+    assert has_mp_wrt_transpose(ComplexMatrix(a)) is (ranks[0] == ranks[1] == ranks[2])
+
+
+def real_orthogonal(seed, n):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    return q
+
+
+def signed_permutation(seed, n):
+    rng = np.random.default_rng(seed)
+    return np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], n)
+
+
+@SCALING
+@given(
+    a=products(tall=False, max_dim=6),
+    k=st.integers(-600, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transpose_verdict_survives_scaling_and_real_rotations(a, k, seed):
+    # The transpose dagger is not unitarily invariant: only real
+    # orthogonal o1, o2 keep (o1 a o2)ᵀ = o2ᵀ aᵀ o1ᵀ.
+    n, m = a.shape
+    verdict = has_mp_wrt_transpose(ComplexMatrix(a))
+    rotated = real_orthogonal(seed, n) @ a @ real_orthogonal(seed + 1, m)
+    assert has_mp_wrt_transpose(ComplexMatrix(a * 2.0**k)) is verdict
+    assert has_mp_wrt_transpose(ComplexMatrix(rotated)) is verdict
+
+
+@SCALING
+@given(
+    case=st.integers(0, 2**32 - 1),
+    m=st.integers(2, 6),
+    k=st.integers(-600, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_isotropic_rows_have_no_transpose_inverse(case, m, k, seed):
+    # a = x yᵀ with yᵀ y = 0 exactly.  A rounded rotation would move a
+    # off that variety, where the verdict is ill-posed, so the real
+    # orthogonal maps here are signed permutations, which are exact.
+    rng = np.random.default_rng(case)
+    n = int(rng.integers(1, 5))
+    y = np.zeros(m, dtype=complex)
+    y[:2] = (1.0, 1j)
+    a = np.outer(uniform_complex(rng, n, 1), y)
+    for b in (a * 2.0**k, signed_permutation(seed, n) @ a @ signed_permutation(seed, m)):
+        assert _transpose_ranks(ComplexMatrix(b)) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("name", ["hilbert8", "kahan20", "graded5"])
+def test_real_inputs_keep_their_transpose_inverse(name):
+    a = HARD_INPUTS[name]
+    o1, o2 = real_orthogonal(3, a.shape[0]), real_orthogonal(4, a.shape[1])
+    for b in (a, a * 2.0**-600, a * 2.0**600, o1 @ a @ o2):
+        assert has_mp_wrt_transpose(ComplexMatrix(b))
+
+
 def test_herm_eig_against_numpy_oracle():
     rng = np.random.default_rng(41)
     for _ in range(60):
@@ -240,7 +315,7 @@ def test_herm_eig_against_numpy_oracle():
 def test_herm_eig_input_checks():
     with pytest.raises(InputError):
         herm_eig(ComplexMatrix.zeros(2, 3))
-    with pytest.raises(InputError):
+    with pytest.raises(PreconditionError):
         herm_eig(M([[0, 1], [0, 0]]))
     assert herm_eig(ComplexMatrix.identity(0)).eigenvalues == ()
 
@@ -277,7 +352,7 @@ def test_split_dagger_idempotent_examples():
 def test_split_dagger_idempotent_rejections():
     with pytest.raises(PreconditionError):
         split_dagger_idempotent(M([[2, 0], [0, 0]]))
-    with pytest.raises(InputError):
+    with pytest.raises(PreconditionError):
         split_dagger_idempotent(M([[1, 1], [0, 0]]))  # idempotent, not hermitian
     with pytest.raises(InputError):
         split_dagger_idempotent(ComplexMatrix.zeros(2, 3))
@@ -296,6 +371,54 @@ def test_split_dagger_idempotent_random_projectors():
         assert np.allclose(
             r.array.conj().T @ r.array, np.eye(k), atol=1e-12
         )
+
+
+@st.composite
+def rank_deficient(draw, max_dim=8):
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    return seeded_product(draw(st.integers(0, 2**32 - 1)), rows, cols, inner)
+
+
+@SCALING
+@given(f=rank_deficient(), k=st.sampled_from([-600, 600]))
+def test_split_of_computed_projectors_has_the_rank_of_f(f, k):
+    f = ComplexMatrix(f * 2.0**k)
+    g, rank = pinv(f), svd(f).rank
+    for e in (f @ g, g @ f):
+        r = split_dagger_idempotent(e).array
+        assert r.shape == (e.rows, rank)
+        assert within(_frobenius(r @ r.conj().T - e.array), e.norm(), EQ_TOL_DEFAULT)
+        eye_dev = _frobenius(r.conj().T @ r - np.eye(rank))
+        assert within(eye_dev, np.sqrt(rank), EQ_TOL_DEFAULT)
+
+
+def test_split_runs_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the split ran the eigensolver")
+
+    monkeypatch.setattr(_jacobi, "hermitian_jacobi", refuse)
+    r = split_dagger_idempotent(M([[0.5, 0.5j], [-0.5j, 0.5]]))
+    assert np.allclose(r.array @ r.array.conj().T, [[0.5, 0.5j], [-0.5j, 0.5]])
+
+
+@pytest.mark.parametrize("k", [-600, 0, 600])
+def test_split_refuses_non_hermitian_and_non_idempotent_input(k):
+    q, _ = np.linalg.qr(uniform_complex(np.random.default_rng(48), 4, 4))
+    near = 0.9 * q[:, :2] @ q[:, :2].conj().T  # Hermitian, eigenvalues 0.9 and 0
+    for e, what in (
+        ([[1, 1], [0, 0]], "not Hermitian"),  # idempotent, not Hermitian
+        ([[1, 1e-6], [0, 1]], "not Hermitian"),
+        ([[2, 0], [0, 0]], "not an idempotent"),
+        (0.5 * np.eye(3), "not an idempotent"),
+        (near, "not an idempotent"),
+    ):
+        with pytest.raises(PreconditionError, match=what):
+            split_dagger_idempotent(ComplexMatrix(np.asarray(e) * 2.0**k))
+    with pytest.raises(PreconditionError, match="not an idempotent"):
+        # |column| overflows unless the QR runs on a power-of-two prescale
+        split_dagger_idempotent(M([[1e308, 1e308], [1e308, 1e308]]))
 
 
 def test_dagger_kernel_examples():
@@ -365,7 +488,7 @@ def test_hermitian_sqrt_examples():
     h = hermitian_sqrt(M([[2, 1], [1, 2]]))
     assert np.allclose(h.array @ h.array, [[2, 1], [1, 2]], atol=1e-12)
     assert np.allclose(h.array, h.array.conj().T)
-    with pytest.raises(InputError):
+    with pytest.raises(PreconditionError):
         hermitian_sqrt(M([[-1, 0], [0, 1]]))
 
 
@@ -522,7 +645,7 @@ def test_pinv_verifies_at_extreme_scales(scale):
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_non_hermitian_matrix_is_refused_at_every_scale(scale):
     p = M([[1, 1], [0, 1]]).array * scale
-    with pytest.raises(InputError, match="not Hermitian"):
+    with pytest.raises(PreconditionError, match="not Hermitian"):
         herm_eig(ComplexMatrix(p))
     assert not is_positive(MatrixInstance(), ComplexMatrix(p))
     assert is_positive(MatrixInstance(), ComplexMatrix(np.eye(2) * scale))
