@@ -152,11 +152,20 @@ def _qrcp(a: np.ndarray):
         if alpha.imag == 0.0 and not np.count_nonzero(x[1:]):
             continue
         # ‖x‖ by hypot: a sum of squares can underflow to 0 for x != 0.
-        beta = -math.copysign(float(np.hypot.reduce(np.abs(x))), alpha.real)
+        norm = float(np.hypot.reduce(np.abs(x)))
+        e = 0
+        if norm < _TINY:
+            # 1 / (alpha - beta) would overflow: as xLARFG does, scale x
+            # into the normal range first; tau and v do not change.
+            e = _pow2_exponent(x)
+            x *= 2.0**e
+            alpha = complex(x[0])
+            norm = float(np.hypot.reduce(np.abs(x)))
+        beta = -math.copysign(norm, alpha.real)
         tau = (beta - alpha) / beta
         v = x / (alpha - beta)
         v[0] = 1.0
-        x[0] = beta
+        x[0] = beta * 2.0**-e
         x[1:] = 0.0
         rest = t[j + 1 :, j:]
         rest -= (rest @ (v.conj() * tau.conjugate()))[:, None] * v

@@ -45,6 +45,7 @@ from .core import (
 )
 
 _EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +56,10 @@ class ComplexMatrix:
     complex128 and raises InputError unless it is 2-D with finite entries.
     Every matrix the package computes is wrapped by :func:`_computed`
     instead, uncopied and read-only; no writable alias of its array may
-    outlive the wrap.
+    outlive the wrap.  :meth:`dagger`, :meth:`identity` and :meth:`zeros`
+    skip even that scan and only wrap (:func:`_wrap`): the conjugate
+    transpose of finite entries and a constant built from 0 and 1 are
+    finite by construction.
     """
 
     array: np.ndarray
@@ -83,14 +87,14 @@ class ComplexMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":
-        return _computed(np.eye(n, dtype=np.complex128))
+        return _wrap(np.eye(n, dtype=np.complex128))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ComplexMatrix":
-        return _computed(np.zeros((rows, cols), dtype=np.complex128))
+        return _wrap(np.zeros((rows, cols), dtype=np.complex128))
 
     def dagger(self) -> "ComplexMatrix":
-        return _computed(self.array.conj().T)
+        return _wrap(self.array.conj().T)
 
     def norm(self) -> float:
         return _frobenius(self.array)
@@ -107,32 +111,58 @@ class ComplexMatrix:
         return f"ComplexMatrix({self.rows}x{self.cols})"
 
 
-def _computed(arr: np.ndarray) -> ComplexMatrix:
-    """Wrap a computed complex128 2-D array; as every input was finite, a
-    non-finite entry is an overflow and raises NumericError."""
-    if arr.size and not np.isfinite(arr).all():
-        raise NumericError("a computed %dx%d matrix overflowed" % arr.shape)
+def _sum_of_squares(arr: np.ndarray) -> float:
+    """Σ|a_ij|² as one BLAS dot product, with no floating-point flag check.
+
+    ``ravel(order="K")`` copies nothing for a C- or F-ordered array (a
+    conjugate transpose is F-ordered).  An inf or nan entry makes the
+    sum nan or inf, and finite entries may overflow or underflow it.
+    """
+    flat = arr.ravel(order="K")
+    return float(np.vdot(flat, flat).real)
+
+
+def _wrap(arr: np.ndarray) -> ComplexMatrix:
+    """Wrap a complex128 2-D array known to be finite, read-only, uncopied."""
     arr.setflags(write=False)
     out = object.__new__(ComplexMatrix)
     object.__setattr__(out, "array", arr)
     return out
 
 
+def _computed(arr: np.ndarray) -> ComplexMatrix:
+    """Wrap a computed complex128 2-D array; as every input was finite, a
+    non-finite entry is an overflow and raises NumericError.
+
+    A finite sum of squares proves every entry finite, so the
+    elementwise scan runs only when the sum is not: then either an entry
+    is inf or nan, or finite entries above about 1e154 overflowed the
+    sum.
+    """
+    if not math.isfinite(_sum_of_squares(arr)) and not np.isfinite(arr).all():
+        raise NumericError("a computed %dx%d matrix overflowed" % arr.shape)
+    return _wrap(arr)
+
+
 def _frobenius(arr: np.ndarray) -> float:
     """Frobenius norm that neither overflows nor underflows to zero.
 
-    ``np.linalg.norm`` sums the squared entries, so it reads inf once an
-    entry passes about 1e154, and 0 when every entry is below about
-    1e-162.  Only then, if every entry is finite, is arr first rescaled
-    by a power of two (Blue, ACM TOMS 4(1), 1978); every other value is
-    numpy's own, so an array holding an overflowed inf reads inf.
+    The norm is √s for the sum of squares s of :func:`_sum_of_squares`
+    when s is finite and normal, or when arr is zero.  Otherwise s
+    overflowed, as an entry passed about 1e154, or it is below the
+    smallest normal, as every entry is below about 1e-154 and the
+    squares lost bits, or an entry is not finite.  An array holding an
+    overflowed inf reads inf from ``np.linalg.norm``; any other is first
+    rescaled by a power of two (Blue, ACM TOMS 4(1), 1978), which can
+    neither overflow nor produce a nan.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        plain = float(np.linalg.norm(arr))
-        if 0.0 < plain < math.inf or not arr.any() or not np.isfinite(arr).all():
-            return plain
-        e = _jacobi._pow2_exponent(arr)
-        return float(np.linalg.norm(arr * 2.0**e)) * 2.0**-e
+    s = _sum_of_squares(arr)
+    if _TINY <= s < math.inf or not arr.any():
+        return math.sqrt(s)
+    if not np.isfinite(arr).all():
+        return float(np.linalg.norm(arr))
+    e = _jacobi._pow2_exponent(arr)
+    return math.sqrt(_sum_of_squares(arr * 2.0**e)) * 2.0**-e
 
 
 def _default_rank_tol(rows: int, cols: int, sigma_max: float) -> float:
@@ -286,10 +316,16 @@ def has_mp_wrt_transpose(a: ComplexMatrix, rank_tol: Optional[float] = None) -> 
     return r_left == r == r_right
 
 
+def _distance(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """|lhs - rhs|, inf when the difference overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = lhs - rhs
+    return _frobenius(diff)
+
+
 def _require_equal(lhs: np.ndarray, rhs: np.ndarray, scale, eq_tol, what) -> None:
     """PreconditionError carrying |lhs - rhs| unless :func:`within` passes it."""
-    with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow
-        dev = _frobenius(lhs - rhs)
+    dev = _distance(lhs, rhs)
     if not within(dev, scale, eq_tol):
         raise PreconditionError(what, residual=dev)
 
@@ -489,8 +525,7 @@ class MatrixInstance(DaggerInstance):
             raise InputError(
                 f"cannot compare {f.rows}x{f.cols} with {g.rows}x{g.cols}"
             )
-        with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow
-            return _frobenius(f.array - g.array)
+        return _distance(f.array, g.array)
 
     def norm(self, f: ComplexMatrix) -> float:
         return f.norm()

@@ -61,10 +61,10 @@ def kahan(n, theta):
     return np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
 
 
-def graded_columns():
+def graded_columns(seed=2):
     """B diag(1e-120, 1e-60, 1, 1e60, 1e120), B 5 x 5 standard normal
-    from default_rng(2)."""
-    b = np.random.default_rng(2).standard_normal((5, 5))
+    from default_rng(seed)."""
+    b = np.random.default_rng(seed).standard_normal((5, 5))
     return b * np.array([1e-120, 1e-60, 1.0, 1e60, 1e120])
 
 

@@ -222,6 +222,16 @@ def test_qrcp_reflects_columns_whose_squares_underflow():
     assert np.abs(q @ r - a).max() <= 1e-15 * 1e-170
 
 
+def test_qrcp_reflects_a_column_whose_norm_is_subnormal():
+    # ‖x‖ = 5e-318: 1 / (alpha - beta) overflowed before x was scaled.
+    a = np.array([[1.0, 0.0], [0.0, 3e-318], [0.0, 4e-318j]], dtype=np.complex128)
+    q, r, perm = _qrcp(a)
+    assert perm.tolist() == [0, 1]
+    assert abs(r[1, 1]) == np.hypot(3e-318, 4e-318)
+    assert np.array_equal(q @ r, a)
+    assert _unitarity_error(q) <= 1e-15 * 3
+
+
 @pytest.mark.parametrize("tiny", [1e-170, 1e-160])
 def test_svd_keeps_singular_values_whose_squares_underflow(tiny):
     # tiny² underflows to 0 (1e-170) or to a subnormal (1e-160): σ₂ is

@@ -5,6 +5,7 @@ itself never calls it for anything beyond norms.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import (
     HARD_INPUTS,
     SCALING,
+    graded_columns,
     products,
     seeded_product,
     uniform_complex,
@@ -21,10 +23,12 @@ from conftest import (
 from daggermp import (
     _jacobi,
     ComplexMatrix,
+    DaggerError,
     InputError,
     NumericError,
     PreconditionError,
     dagger_kernel,
+    gsvd_from_mp,
     has_mp_wrt_transpose,
     herm_eig,
     herm_mp,
@@ -35,11 +39,13 @@ from daggermp import (
     MatrixInstance,
     numeric_rank,
     pinv,
+    polar_from_mp,
     svd,
     verify_mp,
 )
 from daggermp.core import EQ_TOL_DEFAULT, within
 from daggermp.matrix import (
+    _computed,
     _frobenius,
     _phases,
     _transpose_ranks,
@@ -623,7 +629,8 @@ def test_norm_does_not_overflow():
     got = ComplexMatrix(np.full((2, 2), 1e160)).norm()
     assert abs(got - 2e160) <= 1e-15 * 2e160
     assert ComplexMatrix(np.full((2, 2), 1e-170)).norm() > 0.0
-    assert ComplexMatrix.zeros(2, 2).norm() == 0.0
+    for shape in [(2, 2), (0, 3), (3, 0)]:
+        assert ComplexMatrix.zeros(*shape).norm() == 0.0
 
 
 @pytest.mark.parametrize("scale", [1e-15, 1e-200])
@@ -693,6 +700,126 @@ def test_a_candidate_cannot_widen_its_own_bound(a, j):
 def test_frobenius_of_an_overflowed_entry_is_inf():
     assert _frobenius(np.array([[-np.inf + 0j, 1.0]])) == np.inf
     assert _frobenius(np.array([[1.0, complex(0.0, np.inf)]])) == np.inf
+
+
+@pytest.mark.parametrize("x", [1e-158, 1e-160, 1e-161])
+def test_frobenius_keeps_accuracy_when_the_sum_of_squares_is_subnormal(x):
+    # The sum of squares is 1.58 x², subnormal here: summed as is, the
+    # norm read 1.6e-8, 6.9e-6 and 3.2e-4 relative off.
+    a = np.array([[complex(1.0, 0.3) * x, 0.7 * x]])
+    ref = float(np.linalg.norm(a * 2.0**600)) * 2.0**-600
+    assert abs(_frobenius(a) - ref) <= 4 * np.finfo(float).eps * ref
+
+
+# Largest exponent k of a power-of-two part per branch of _frobenius: with
+# at most 18 parts of modulus at most 2^k, the sum of squares is normal
+# for k in [-511, 509], below the smallest normal 2^-1022 for k <= -514
+# and inf for k >= 512.
+_NORM_BRANCHES = {"normal": (-511, 509), "subnormal": (-1074, -514), "overflow": (512, 1023)}
+
+
+@st.composite
+def pow2_arrays(draw, branch):
+    """Up to 3 x 3, each part 0 or ±2^k, the largest part 2^top."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    top = draw(st.integers(*_NORM_BRANCHES[branch]))
+    part = st.one_of(
+        st.just(0.0),
+        st.builds(
+            lambda sign, k: sign * math.ldexp(1.0, k),
+            st.sampled_from([1.0, -1.0]),
+            st.integers(-1074, top),
+        ),
+    )
+    parts = draw(st.lists(part, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    parts[draw(st.integers(0, len(parts) - 1))] = math.ldexp(1.0, top)
+    return np.array(parts).view(np.complex128).reshape(rows, cols), top
+
+
+@SCALING
+@given(data=st.data(), branch=st.sampled_from(sorted(_NORM_BRANCHES)))
+def test_frobenius_matches_a_rescaled_reference(data, branch):
+    a, top = data.draw(pow2_arrays(branch))
+    scaled = np.ldexp(a.real, -top) + 1j * np.ldexp(a.imag, -top)  # exact
+    with np.errstate(over="ignore"):
+        ref = float(np.ldexp(np.linalg.norm(scaled), top))
+    got = _frobenius(a)
+    if math.isinf(ref):
+        assert got == ref
+    else:
+        assert abs(got - ref) <= 4 * math.ulp(ref)
+
+
+_PART = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e154, max_value=1.7e308),
+    st.sampled_from([np.inf, -np.inf, np.nan]),
+)
+
+
+@SCALING
+@given(data=st.data(), rows=st.integers(0, 3), cols=st.integers(0, 3))
+def test_computed_refuses_exactly_the_non_finite_entries(data, rows, cols):
+    parts = data.draw(st.lists(_PART, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    a = np.array(parts, dtype=np.float64).view(np.complex128).reshape(rows, cols)
+    if np.isfinite(a).all():
+        m = _computed(a)
+        assert m.array is a and not a.flags.writeable
+    else:
+        with pytest.raises(NumericError):
+            _computed(a)
+
+
+# The matrix layer sets its own floating-point error state where it
+# needs one: a caller that raises on overflow, invalid and divide still
+# gets a result or a daggermp error.  Underflow is left out, as gradual
+# underflow is normal arithmetic.
+_GUARD_INPUTS = {
+    "huge": [[1.7e308]],
+    "huge_and_one": [[1e200, 1], [1, 1]],
+    "subnormal_diagonal": np.diag([5e-324, 1e-310, 2e-315]),
+    "tiny_row": [[1e-160, 2e-160j]],
+    "zero_2x3": np.zeros((2, 3)),
+    "squares_overflow": [[1e154, 1e154], [1e154, -1e154]],
+}
+
+
+def _guarded_routes(f):
+    inst = MatrixInstance()
+    try:
+        g = pinv(f)
+    except DaggerError:
+        g = ComplexMatrix.zeros(f.cols, f.rows)
+    return {
+        "pinv": lambda: pinv(f),
+        "verify_mp": lambda: verify_mp(inst, f, g),
+        "herm_eig": lambda: herm_eig(f if f.rows == f.cols else f.dagger() @ f),
+        "polar_from_mp": lambda: polar_from_mp(inst, f, g),
+        "gsvd_from_mp": lambda: gsvd_from_mp(inst, f, g),
+        "deviation": lambda: inst.deviation(f, ComplexMatrix(-f.array)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_GUARD_INPUTS))
+def test_the_callers_error_state_reaches_no_route(name):
+    f = ComplexMatrix(_GUARD_INPUTS[name])
+    for route, call in _guarded_routes(f).items():
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            try:
+                call()
+            except DaggerError:
+                pass
+            except FloatingPointError as exc:
+                pytest.fail(f"{route}: {exc}")
+
+
+@pytest.mark.parametrize("seed", [2, 4, 6])
+def test_projector_of_column_graded_input_has_eigenvalues_one_and_zero(seed):
+    # At one QR step every tail square underflowed and ‖x‖ was subnormal
+    # (5.18e-318 for seed 2), so 1 / (alpha - beta) overflowed.
+    f = ComplexMatrix(graded_columns(seed))
+    eig = herm_eig(pinv(f) @ f)
+    np.testing.assert_allclose(eig.eigenvalues, [1, 0, 0, 0, 0], rtol=0.0, atol=1e-12)
 
 
 @SCALING
