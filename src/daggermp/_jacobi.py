@@ -58,7 +58,16 @@ rows keep the relative accuracy of Jacobi (Demmel & Veselić, SIMAX
 own: the first k columns of Q span its range (see
 :func:`~daggermp.matrix.split_dagger_idempotent`).
 
-Both solvers run until a full sweep after the QR triggers no rotation.
+A caller that zeroes every eigenvalue below a cutoff lets the
+eigensolver drop those trailing rows of R outright: Jacobi then runs
+only on the leading block of Q† p Q, and the dropped eigenvalues come
+back as exact zeros (see :func:`hermitian_jacobi`).  On the rank-8
+gram of an 8x64 input that leaves a problem of order 8, where resolving
+the rounding noise of the other 56 eigenvalues took 567 steps of
+order 64.
+
+Both solvers run until a full sweep after the QR, over the whole
+matrix or over the eigensolver's leading block, triggers no rotation.
 The sweep budget is fixed; exceeding it raises
 :class:`~daggermp.core.NumericError`.  All paths are deterministic:
 identical input bytes give identical output bytes.
@@ -383,7 +392,25 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     return u, _unscale(sigma, e), v
 
 
-def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS):
+def _null_order(r: np.ndarray, absolute: float, relative: float) -> int:
+    """Smallest k with sqrt(2) ‖r[k:, :]‖_F <= cut / 2 (rows(r) if none).
+
+    cut = absolute + relative ‖r[0, :]‖₂.  Row norms are taken by hypot
+    and the tails accumulated by hypot, so nothing is squared and no
+    tail underflows to 0 or overflows.
+    """
+    rows = np.hypot.reduce(np.abs(r), axis=1)
+    tails = np.hypot.accumulate(rows[::-1])[::-1]
+    cut = absolute + relative * float(rows[0])
+    below = tails <= cut / (2.0 * math.sqrt(2.0))
+    return int(below.argmax()) if below.any() else r.shape[0]
+
+
+def hermitian_jacobi(
+    p: np.ndarray,
+    max_sweeps: int = MAX_SWEEPS,
+    _cut: tuple[float, float] | None = None,
+):
     """Diagonalize a Hermitian matrix: returns (q, lam).
 
     p = q diag(lam) q† with lam real and sorted descending, p taken as
@@ -393,7 +420,20 @@ def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     With s = (p 2**e + (p 2**e)†)/2, which the prescale keeps finite
     (and exact where p 2**e is normal), and s P = Q R, Jacobi runs on
     B = Q† s Q (which is R Pᵀ Q), symmetrized exactly, and q is Q times
-    the eigenvectors of B.
+    the eigenvectors of B.  Without ``_cut``, every eigenvalue is
+    resolved to full relative accuracy.
+
+    ``_cut = (absolute, relative)`` is private to the callers that zero
+    every eigenvalue of modulus at most absolute + relative max|lam|.
+    Then Jacobi runs only on the leading k x k block of B, k the
+    smallest order with sqrt(2) ‖R[k:, :]‖_F <= cut / 2, where
+    cut = absolute + relative ‖R[0, :]‖₂ in units of p is known before
+    the solve and at most the callers' cutoff (‖R[0, :]‖₂ = ‖s Q e₀‖₂
+    <= ‖s‖₂ = max|lam|).  Rows k: of B are rows k: of R times a unitary
+    and B is Hermitian, so the rest of B, E, has ‖E‖₂ <= sqrt(2)
+    ‖R[k:, :]‖_F, and by Weyl's bound the n - k eigenvalues returned
+    as exact 0, with the trailing columns of Q as eigenvectors, and the
+    shift of every other one are at most cut / 2.
     """
     n = p.shape[0]
     if n == 1:
@@ -401,9 +441,26 @@ def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     e = _pow2_exponent(p)
     scaled = p * 2.0**e
     scaled = (scaled + scaled.conj().T) / 2.0
-    qh = _qrcp(scaled)[0]
-    b = qh.conj().T @ scaled @ qh
-    # x = [A | q_B†] with A = B: a step applies J† to the rows of x, then
+    qh, rh, _ = _qrcp(scaled)
+    k = n
+    if _cut is not None:
+        k = _null_order(rh, _cut[0] * 2.0**e, _cut[1])
+    lead = qh[:, :k]
+    b = lead.conj().T @ scaled @ lead
+    # Rows of vt: the conjugated eigenvectors of B, with I on the
+    # trailing n - k coordinates.
+    vt = np.eye(n, dtype=np.complex128)
+    lam = np.zeros(n)
+    if k:
+        vt[:k, :k], lam[:k] = _jacobi_sweeps(b, max_sweeps)
+    order = (-lam).argsort(kind="stable")
+    return qh @ vt[order].conj().T, _unscale(lam[order], e)
+
+
+def _jacobi_sweeps(b: np.ndarray, max_sweeps: int):
+    """(vt, lam): b = vt† diag(lam) vt with b Hermitian, lam unsorted."""
+    n = b.shape[0]
+    # x = [A | vt] with A = b: a step applies J† to the rows of x, then
     # J to the columns of A.
     x = _with_identity((b + b.conj().T) / 2.0)
     a = x[:, :n]
@@ -436,6 +493,4 @@ def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS):
         raise NumericError(
             f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
         )
-    lam = a.diagonal().real
-    order = (-lam).argsort(kind="stable")
-    return qh @ x[order, n:].conj().T, _unscale(lam[order], e)
+    return x[:, n:], a.diagonal().real

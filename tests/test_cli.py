@@ -236,6 +236,38 @@ def test_polar_command(tmp_path):
     assert np.allclose(h, [[0, 0], [0, 2]], atol=1e-12)
 
 
+def _scaled_rank_two():
+    """A rank-2 6x5 product scaled by 2^-600, where f†f underflows."""
+    r = np.random.default_rng(5)
+    return (r.standard_normal((6, 2)) @ r.standard_normal((2, 5))) * 2.0**-600
+
+
+# Live defect 5 of the ROADMAP: polar forms f†f, which overflows or
+# underflows where f itself is fine.
+POLAR_SCALE_DEFECT = pytest.mark.xfail(
+    strict=True, reason="ROADMAP live defect 5: polar refuses when f†f overflows or underflows"
+)
+
+
+@POLAR_SCALE_DEFECT
+@pytest.mark.parametrize(
+    "rows",
+    [[[1.7e308]], [[1e200, 1], [1, 1]], _scaled_rank_two()],
+    ids=["1.7e308", "1e200-corner", "rank2-2^-600"],
+)
+def test_polar_survives_the_scale_of_its_gram(tmp_path, rows):
+    path = matrix_file(tmp_path, "a.json", rows)
+    assert run_cli("polar", "--in", path)[0] == 0
+
+
+def test_pinv_and_gcsvd_accept_the_underflowing_polar_input(tmp_path):
+    path = matrix_file(tmp_path, "a.json", _scaled_rank_two())
+    code, _, err = run_cli("polar", "--in", path)
+    assert code == 1 and "reconstruction equation fails" in err
+    for command in ("pinv", "gcsvd"):
+        assert run_cli(command, "--in", path)[0] == 0
+
+
 def test_rel_difunctional_verdicts(tmp_path):
     good = write_json(tmp_path, "g.json", {"src": 2, "tgt": 2, "pairs": [[0, 0]]})
     bad = write_json(

@@ -513,6 +513,142 @@ def test_hermitian_sqrt_random_psd():
         assert lam.size == 0 or lam.min() > -1e-12
 
 
+def _rank_deficient_grams():
+    """f†f for the wide corpus shapes (rows < cols <= 8), an 8x64 and a
+    6x48 input, and a 48x48 product of rank 24."""
+    shapes = [(n, m, n) for m in range(2, 9) for n in range(1, m)]
+    shapes += [(8, 64, 8), (6, 48, 6), (48, 48, 24)]
+    for seed, (n, m, k) in enumerate(shapes):
+        f = seeded_product(seed, n, m, k)
+        p = f.conj().T @ f
+        yield ComplexMatrix((p + p.conj().T) / 2.0)
+
+
+def test_eigenvalue_routes_match_numpy_on_rank_deficient_grams():
+    for p in _rank_deficient_grams():
+        n = p.rows
+        ref = np.linalg.pinv(p.array, rcond=n * np.finfo(float).eps, hermitian=True)
+        assert np.allclose(herm_mp(p).array, ref, atol=1e-9 * max(1.0, p.norm()))
+        h = hermitian_sqrt(p).array
+        assert np.allclose(h @ h, p.array, atol=1e-11 * max(1.0, p.norm()))
+        assert np.linalg.eigvalsh(h).min() > -1e-12
+
+
+def test_herm_mp_runs_jacobi_only_on_the_revealed_rank(monkeypatch):
+    # The 8x64 gram of the kernels' rank-boundary test: with every
+    # eigenvalue resolved, the eigensolver runs 567 steps of order 64.
+    b = uniform_complex(np.random.default_rng(64), 8, 64)
+    gram = b.conj().T @ b
+    p = ComplexMatrix((gram + gram.conj().T) / 2)
+    orders = []
+    schedule = _jacobi._schedule
+
+    def recording(m):
+        orders.append(m)
+        return schedule(m)
+
+    monkeypatch.setattr(_jacobi, "_schedule", recording)
+    herm_mp(p)
+    assert orders and max(orders) <= 8
+    orders.clear()
+    herm_eig(p)
+    assert set(orders) == {64}
+
+
+def test_an_explicit_tiny_cutoff_keeps_every_graded_eigenvalue():
+    # The graded positive definite h of the kernels' relative-accuracy
+    # test: eigenvalues from about 10 down to below 1e-22.
+    rng = np.random.default_rng(41)
+    uniform_complex(rng, 12, 10)  # that test's graded a
+    g = uniform_complex(rng, 10, 10)
+    c = g.conj().T @ g + 10.0 * np.eye(10)
+    d = rng.permutation(np.logspace(0, -12, 10))
+    h = d[:, None] * c * d
+    p = ComplexMatrix((h + h.conj().T) / 2)
+    lam = herm_eig(p).eigenvalues
+    assert lam[-1] < 1e-22
+    inv = herm_mp(p, rank_tol=1e-300).array
+    assert np.linalg.matrix_rank(inv @ p.array, tol=0.5) == 10
+    root = np.linalg.eigvalsh(hermitian_sqrt(p, rank_tol=1e-300).array)
+    assert root.min() > 0.5 * math.sqrt(lam[-1])
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eigenvalues_near_the_default_cutoff_keep_their_rank(factor, seed):
+    # Eigenvalues 1, 0.5, factor * cutoff and 0 (three times), with the
+    # default cutoff 6 eps for the largest eigenvalue 1; seed 0 permutes
+    # a diagonal, the others rotate it by a random unitary.
+    rng = np.random.default_rng(seed)
+    if seed:
+        q = np.linalg.qr(uniform_complex(rng, 6, 6))[0]
+    else:
+        q = np.eye(6)[rng.permutation(6)]
+    lam = np.array([1.0, 0.5, factor * 6 * np.finfo(float).eps, 0.0, 0.0, 0.0])
+    p = (q * lam) @ q.conj().T
+    p = ComplexMatrix((p + p.conj().T) / 2)
+    rank = 3 if factor > 1 else 2
+    assert round(float(np.trace(herm_mp(p).array @ p.array).real)) == rank
+    h = hermitian_sqrt(p).array
+    assert int(np.count_nonzero(np.linalg.eigvalsh(h) > 1e-10)) == rank
+
+
+def test_eigenvalue_routes_keep_a_tail_whose_squares_underflow():
+    # 1e-170 squared underflows to 0; summed as plain squares, the tail
+    # would read 0 and pass any cutoff.
+    p = M([[1, 0], [0, 1e-170]])
+    np.testing.assert_allclose(
+        herm_mp(p, rank_tol=1e-200).array, np.diag([1.0, 1e170]), rtol=1e-15
+    )
+    np.testing.assert_allclose(
+        hermitian_sqrt(p, rank_tol=1e-200).array, np.diag([1.0, 1e-85]), rtol=1e-15
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_eigenvalue_routes_do_not_warn_at_1e200():
+    # At 1e200 a square of an entry overflows.
+    bad = ComplexMatrix(np.array([[1, 1], [0, 1]]) * 1e200)
+    for route in (herm_mp, hermitian_sqrt):
+        with pytest.raises(PreconditionError, match="not Hermitian"):
+            route(bad)
+    assert is_positive(MatrixInstance(), ComplexMatrix(np.eye(2) * 1e200))
+    f = seeded_product(7, 3, 5, 2)
+    base = f.conj().T @ f
+    base = (base + base.conj().T) / 2
+    p = ComplexMatrix(base * 1e200)
+    ref = np.linalg.pinv(base, rcond=1e-12, hermitian=True)
+    got = herm_mp(p).array * 1e200
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-9 * np.linalg.norm(ref))
+    h = hermitian_sqrt(p).array * 1e-100
+    assert np.allclose(h @ h, base, rtol=0.0, atol=1e-11 * np.linalg.norm(base))
+
+
+@st.composite
+def _deficient_grams(draw):
+    """f†f with f = b c of inner order below cols(f), so f†f is singular."""
+    cols = draw(st.integers(2, 8))
+    f = seeded_product(
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.integers(1, 8)),
+        cols,
+        draw(st.integers(0, cols - 1)),
+    )
+    p = f.conj().T @ f
+    return (p + p.conj().T) / 2
+
+
+@SCALING
+@given(p=_deficient_grams(), k=st.integers(-150, 150))
+def test_eigenvalue_routes_commute_with_power_of_two_scaling(p, k):
+    # The cutoffs scale with p, so which eigenvalues the kernel returns
+    # as 0 does not depend on the scale, and neither do the bytes.
+    base, scaled = ComplexMatrix(p), ComplexMatrix(p * 4.0**k)
+    assert herm_mp(scaled).array.tobytes() == (herm_mp(base).array * 4.0**-k).tobytes()
+    root = hermitian_sqrt(base).array * 2.0**k
+    assert hermitian_sqrt(scaled).array.tobytes() == root.tobytes()
+
+
 def test_direct_sum_and_biproduct_maps():
     d = direct_sum(M([[1]]), M([[2]]))
     assert np.array_equal(d.array, [[1, 0], [0, 2]])
