@@ -58,8 +58,8 @@ rows keep the relative accuracy of Jacobi (Demmel & Veselić, SIMAX
 own: the first k columns of Q span its range (see
 :func:`~daggermp.matrix.split_dagger_idempotent`).
 
-A caller that zeroes every eigenvalue below a cutoff lets the
-eigensolver drop those trailing rows of R outright: Jacobi then runs
+A caller that zeroes every eigenvalue below the default cutoff lets
+the eigensolver drop those trailing rows of R outright: Jacobi then runs
 only on the leading block of Q† p Q, and the dropped eigenvalues come
 back as exact zeros (see :func:`hermitian_jacobi`).  On the rank-8
 gram of an 8x64 input that leaves a problem of order 8, where resolving
@@ -392,25 +392,22 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     return u, _unscale(sigma, e), v
 
 
-def _null_order(r: np.ndarray, absolute: float, relative: float) -> int:
+def _null_order(r: np.ndarray) -> int:
     """Smallest k with sqrt(2) ‖r[k:, :]‖_F <= cut / 2 (rows(r) if none).
 
-    cut = absolute + relative ‖r[0, :]‖₂.  Row norms are taken by hypot
+    cut = n eps ‖r[0, :]‖₂, n = rows(r).  Row norms are taken by hypot
     and the tails accumulated by hypot, so nothing is squared and no
     tail underflows to 0 or overflows.
     """
+    n = r.shape[0]
     rows = np.hypot.reduce(np.abs(r), axis=1)
     tails = np.hypot.accumulate(rows[::-1])[::-1]
-    cut = absolute + relative * float(rows[0])
+    cut = n * _EPS * float(rows[0])
     below = tails <= cut / (2.0 * math.sqrt(2.0))
-    return int(below.argmax()) if below.any() else r.shape[0]
+    return int(below.argmax()) if below.any() else n
 
 
-def hermitian_jacobi(
-    p: np.ndarray,
-    max_sweeps: int = MAX_SWEEPS,
-    _cut: tuple[float, float] | None = None,
-):
+def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool = False):
     """Diagonalize a Hermitian matrix: returns (q, lam).
 
     p = q diag(lam) q† with lam real and sorted descending, p taken as
@@ -420,20 +417,20 @@ def hermitian_jacobi(
     With s = (p 2**e + (p 2**e)†)/2, which the prescale keeps finite
     (and exact where p 2**e is normal), and s P = Q R, Jacobi runs on
     B = Q† s Q (which is R Pᵀ Q), symmetrized exactly, and q is Q times
-    the eigenvectors of B.  Without ``_cut``, every eigenvalue is
-    resolved to full relative accuracy.
+    the eigenvectors of B.  By default every eigenvalue is resolved to
+    full relative accuracy.
 
-    ``_cut = (absolute, relative)`` is private to the callers that zero
-    every eigenvalue of modulus at most absolute + relative max|lam|.
-    Then Jacobi runs only on the leading k x k block of B, k the
-    smallest order with sqrt(2) ‖R[k:, :]‖_F <= cut / 2, where
-    cut = absolute + relative ‖R[0, :]‖₂ in units of p is known before
-    the solve and at most the callers' cutoff (‖R[0, :]‖₂ = ‖s Q e₀‖₂
-    <= ‖s‖₂ = max|lam|).  Rows k: of B are rows k: of R times a unitary
-    and B is Hermitian, so the rest of B, E, has ‖E‖₂ <= sqrt(2)
-    ‖R[k:, :]‖_F, and by Weyl's bound the n - k eigenvalues returned
-    as exact 0, with the trailing columns of Q as eigenvectors, and the
-    shift of every other one are at most cut / 2.
+    ``_deflate`` is private to the callers that zero every eigenvalue
+    of modulus at most the default cutoff n eps max|lam|.  Then Jacobi
+    runs only on the leading k x k block of B, k the smallest order
+    with sqrt(2) ‖R[k:, :]‖_F <= cut / 2, where cut = n eps ‖R[0, :]‖₂
+    is known before the solve and at most the callers' cutoff
+    (‖R[0, :]‖₂ = ‖s Q e₀‖₂ <= ‖s‖₂ = max|lam|).  Rows k: of B are
+    rows k: of R times a unitary and B is Hermitian, so the rest of B,
+    E, has ‖E‖₂ <= sqrt(2) ‖R[k:, :]‖_F, and by Weyl's bound the n - k
+    eigenvalues returned as exact 0, with the trailing columns of Q as
+    eigenvectors, and the shift of every other one are at most cut / 2,
+    a shift at the level of rounding.
     """
     n = p.shape[0]
     if n == 1:
@@ -443,8 +440,8 @@ def hermitian_jacobi(
     scaled = (scaled + scaled.conj().T) / 2.0
     qh, rh, _ = _qrcp(scaled)
     k = n
-    if _cut is not None:
-        k = _null_order(rh, _cut[0] * 2.0**e, _cut[1])
+    if _deflate:
+        k = _null_order(rh)
     lead = qh[:, :k]
     b = lead.conj().T @ scaled @ lead
     # Rows of vt: the conjugated eigenvectors of B, with I on the

@@ -177,14 +177,6 @@ def _eig_cutoff(p: ComplexMatrix, lam: np.ndarray, rank_tol: Optional[float]) ->
     return _default_rank_tol(p.rows, p.cols, lam_max)
 
 
-def _prior_cut(p: ComplexMatrix, rank_tol: Optional[float]) -> tuple[float, float]:
-    """The cutoff of :func:`_eig_cutoff` as the eigensolver's private
-    (absolute, relative) pair, before the largest |eigenvalue| is known."""
-    if rank_tol is not None:
-        return rank_tol, 0.0
-    return 0.0, _default_rank_tol(p.rows, p.cols, 1.0)
-
-
 @dataclass(frozen=True)
 class SVDResult:
     """u Σ v† = a with u, v unitary and Σ the diagonal extension of sigma."""
@@ -346,21 +338,21 @@ def _require_hermitian(p: ComplexMatrix, eq_tol: float) -> None:
     _require_equal(arr, arr.conj().T, p.norm(), eq_tol, "matrix is not Hermitian")
 
 
-def herm_eig(p: ComplexMatrix, eq_tol: float = EQ_TOL_DEFAULT) -> HermEigResult:
+def herm_eig(
+    p: ComplexMatrix, eq_tol: float = EQ_TOL_DEFAULT, _deflate: bool = False
+) -> HermEigResult:
     """Eigendecomposition of a Hermitian matrix via two-sided Jacobi.
 
     p must pass :func:`_require_hermitian` at eq_tol; the kernel
     symmetrizes it after its power-of-two prescale, so the factorization
-    reproduces (p + p†)/2 without overflow or underflow.
+    reproduces (p + p†)/2 without overflow or underflow.  ``_deflate``
+    is private to :func:`herm_mp` and :func:`hermitian_sqrt` at their
+    default cutoff (see :func:`~daggermp._jacobi.hermitian_jacobi`).
     """
-    return _herm_eig(p, eq_tol, None)
-
-
-def _herm_eig(p: ComplexMatrix, eq_tol: float, cut: Optional[tuple]) -> HermEigResult:
     _require_hermitian(p, eq_tol)
     if p.rows == 0:
         return HermEigResult(ComplexMatrix.identity(0), ())
-    q, lam = _jacobi.hermitian_jacobi(p.array, _cut=cut)
+    q, lam = _jacobi.hermitian_jacobi(p.array, _deflate=_deflate)
     q *= _phases(q, p.rows * _EPS)
     return HermEigResult(_computed(q), tuple(float(x) for x in lam))
 
@@ -375,13 +367,14 @@ def herm_mp(
     This is the eigendecomposition route (invert eigenvalues above the
     cutoff, zero the rest); it is independent of the SVD-based
     :func:`pinv` and serves as the gram solver for matrices.  The
-    cutoff is rank_tol, or rows times machine epsilon times the largest
-    |eigenvalue|.  The eigensolver is given it and returns as exact 0
-    the eigenvalues of the null space that its pivoted QR reveals below
-    half the cutoff; every other eigenvalue moves by at most half the
-    cutoff, so no eigenvalue well above it is lost.
+    cutoff is rank_tol, or by default rows times machine epsilon times
+    the largest |eigenvalue|.  At the default the eigensolver returns
+    as exact 0 the eigenvalues of the null space that its pivoted QR
+    reveals below half the cutoff, and every other eigenvalue moves by
+    at most half the cutoff, a shift at the level of rounding.  With an
+    explicit rank_tol every eigenvalue is resolved before the cut.
     """
-    eig = _herm_eig(p, eq_tol, _prior_cut(p, rank_tol))
+    eig = herm_eig(p, eq_tol=eq_tol, _deflate=rank_tol is None)
     lam = np.asarray(eig.eigenvalues)
     tol = _eig_cutoff(p, lam, rank_tol)
     return _computed(_congruence(eig.q.array, _reciprocal(lam, np.abs(lam) > tol)))
@@ -451,9 +444,9 @@ def hermitian_sqrt(
     Eigenvalues below the cutoff truncate to zero, so the root of a
     singular positive matrix is again singular rather than polluted by
     noise-level negative eigenvalues.  The cutoff is that of
-    :func:`herm_mp`, and as there the eigensolver returns the null space
-    it reveals below half the cutoff as exact zeros, moving every other
-    eigenvalue by at most half the cutoff.
+    :func:`herm_mp`, and as there, at the default cutoff the eigensolver
+    returns the null space it reveals below half the cutoff as exact
+    zeros, moving every other eigenvalue by at most half the cutoff.
     """
     return _sqrt_with_mp(p, rank_tol=rank_tol, eq_tol=eq_tol)[0]
 
@@ -469,7 +462,7 @@ def _sqrt_with_mp(
     consistent to machine precision.
     """
     # PreconditionError when not Hermitian
-    eig = _herm_eig(p, eq_tol, _prior_cut(p, rank_tol))
+    eig = herm_eig(p, eq_tol=eq_tol, _deflate=rank_tol is None)
     lam = np.asarray(eig.eigenvalues)
     tol = _eig_cutoff(p, lam, rank_tol)
     if lam.size and float(np.min(lam)) < -tol:

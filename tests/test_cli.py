@@ -262,8 +262,6 @@ def test_polar_survives_the_scale_of_its_gram(tmp_path, rows):
 
 def test_pinv_and_gcsvd_accept_the_underflowing_polar_input(tmp_path):
     path = matrix_file(tmp_path, "a.json", _scaled_rank_two())
-    code, _, err = run_cli("polar", "--in", path)
-    assert code == 1 and "reconstruction equation fails" in err
     for command in ("pinv", "gcsvd"):
         assert run_cli(command, "--in", path)[0] == 0
 

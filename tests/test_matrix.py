@@ -594,8 +594,8 @@ def test_eigenvalues_near_the_default_cutoff_keep_their_rank(factor, seed):
 
 
 def test_eigenvalue_routes_keep_a_tail_whose_squares_underflow():
-    # 1e-170 squared underflows to 0; summed as plain squares, the tail
-    # would read 0 and pass any cutoff.
+    # 1e-170 squared underflows to 0, and 1e-170 is far above rank_tol:
+    # the eigenvalue must survive the cut.
     p = M([[1, 0], [0, 1e-170]])
     np.testing.assert_allclose(
         herm_mp(p, rank_tol=1e-200).array, np.diag([1.0, 1e170]), rtol=1e-15
@@ -603,6 +603,26 @@ def test_eigenvalue_routes_keep_a_tail_whose_squares_underflow():
     np.testing.assert_allclose(
         hermitian_sqrt(p, rank_tol=1e-200).array, np.diag([1.0, 1e-85]), rtol=1e-15
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_an_explicit_cutoff_moves_no_kept_eigenvalue(seed):
+    # Eigenvalues 1, 1.3e-3, 3e-4 and 0 under a random unitary, cut at
+    # rank_tol = 1e-3: the routes must match the spectral truncation of
+    # numpy's eigh to rounding, so no part of p near the cut is dropped
+    # unresolved.
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(uniform_complex(rng, 4, 4))[0]
+    p = (q * np.array([1.0, 1.3e-3, 3e-4, 0.0])) @ q.conj().T
+    p = (p + p.conj().T) / 2
+    lam, v = np.linalg.eigh(p)
+    keep = lam > 1e-3
+    inv = (v[:, keep] / lam[keep]) @ v[:, keep].conj().T
+    root = (v[:, keep] * np.sqrt(lam[keep])) @ v[:, keep].conj().T
+    got = herm_mp(ComplexMatrix(p), rank_tol=1e-3).array
+    assert np.linalg.norm(got - inv) <= 1e-12 * np.linalg.norm(inv)
+    got = hermitian_sqrt(ComplexMatrix(p), rank_tol=1e-3).array
+    assert np.linalg.norm(got - root) <= 1e-12 * np.linalg.norm(root)
 
 
 @pytest.mark.filterwarnings("error")
