@@ -52,20 +52,30 @@ _TINY = float(np.finfo(np.float64).tiny)
 class ComplexMatrix:
     """Immutable dense complex matrix; the morphism type of this instance.
 
-    ``ComplexMatrix(array)`` validates outside input: it copies array to
-    complex128 and raises InputError unless it is 2-D with finite entries.
-    Every matrix the package computes is wrapped by :func:`_computed`
-    instead, uncopied and read-only; no writable alias of its array may
-    outlive the wrap.  :meth:`dagger`, :meth:`identity` and :meth:`zeros`
-    skip even that scan and only wrap (:func:`_wrap`): the conjugate
-    transpose of finite entries and a constant built from 0 and 1 are
-    finite by construction.
+    ``ComplexMatrix(array)`` and :meth:`from_rows` validate outside
+    input: the entries must be int, float or complex numbers (not bool,
+    str, bytes or None) and finite, the array 2-D; they are copied to
+    complex128, and anything else raises InputError.  Every matrix the
+    package computes is wrapped by :func:`_computed` instead, uncopied
+    and read-only; no writable alias of its array may outlive the wrap.
+    :meth:`dagger`, :meth:`identity` and :meth:`zeros` skip even that
+    scan and only wrap (:func:`_wrap`): the conjugate transpose of
+    finite entries and a constant built from 0 and 1 are finite by
+    construction.
+
+    A matrix keeps its Frobenius norm once it is known: :func:`_computed`
+    stores it from the sum of squares it takes anyway, :meth:`norm`
+    stores it on first use otherwise, and :meth:`dagger` hands it on.
+    As the array is read-only, the stored norm cannot go stale.  With
+    the norms known, a product runs under the overflow guard of
+    ``np.errstate`` only when ‖A‖·‖B‖ reaches :data:`_FLAG_FREE`.
     """
 
     array: np.ndarray
+    _norm = None  # the Frobenius norm, once known; not a dataclass field
 
     def __post_init__(self):
-        arr = np.array(self.array, dtype=np.complex128)
+        arr = _complex_input(self.array)
         if arr.ndim != 2:
             raise InputError(f"matrix must be 2-dimensional, got shape {arr.shape}")
         if arr.size and not np.all(np.isfinite(arr)):
@@ -83,32 +93,75 @@ class ComplexMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[complex]]) -> "ComplexMatrix":
-        return cls(np.array(rows, dtype=np.complex128).reshape(len(rows), -1))
+        try:
+            lengths = {len(row) for row in rows}
+        except TypeError:
+            raise InputError("from_rows needs a sequence of rows of entries") from None
+        if len(lengths) != 1:
+            raise InputError(
+                "rows must all have the same length" if lengths
+                else "from_rows needs at least one row"
+            )
+        return cls(np.array(rows, dtype=object))
 
     @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":
-        return _wrap(np.eye(n, dtype=np.complex128))
+        return _wrap(np.eye(n, dtype=np.complex128), math.sqrt(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ComplexMatrix":
-        return _wrap(np.zeros((rows, cols), dtype=np.complex128))
+        return _wrap(np.zeros((rows, cols), dtype=np.complex128), 0.0)
 
     def dagger(self) -> "ComplexMatrix":
-        return _wrap(self.array.conj().T)
+        return _wrap(self.array.conj().T, self._norm)
 
     def norm(self) -> float:
-        return _frobenius(self.array)
+        norm = self._norm
+        if norm is None:
+            norm = _frobenius(self.array)
+            object.__setattr__(self, "_norm", norm)
+        return norm
 
     def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
         if self.cols != other.rows:
             raise InputError(
                 f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
+        if self.norm() * other.norm() < _FLAG_FREE:
+            return _computed(self.array @ other.array)
         with np.errstate(over="ignore", invalid="ignore"):  # NumericError on overflow
             return _computed(self.array @ other.array)
 
     def __repr__(self):
         return f"ComplexMatrix({self.rows}x{self.cols})"
+
+
+# By Cauchy-Schwarz every entry and every partial sum of a product AB is
+# at most ‖A‖‖B‖ (Frobenius norms), and every entry of A - B at most
+# ‖A‖ + ‖B‖.  Below this bound, rounding included, neither can overflow
+# or meet inf - inf, so no overflow or invalid flag can be raised.
+_FLAG_FREE = 2.0**1000
+
+def _complex_input(data) -> np.ndarray:
+    """A complex128 copy of outside data; InputError unless every entry
+    is an int, float or complex number (Python or numpy, never bool)."""
+    raw = data if isinstance(data, np.ndarray) else np.array(data, dtype=object)
+    if raw.dtype == object:
+        for kind in {type(x) for x in raw.flat}:
+            if kind is bool or not issubclass(kind, (int, float, complex, np.number)):
+                raise InputError(
+                    f"matrix entries must be int, float or complex numbers, "
+                    f"got {kind.__name__}"
+                )
+    elif raw.dtype.kind not in "iufc":
+        raise InputError(
+            f"matrix entries must be int, float or complex numbers, "
+            f"got {raw.dtype.type.__name__} data"
+        )
+    try:
+        return np.array(raw, dtype=np.complex128)
+    except OverflowError:  # a Python int beyond the float range
+        raise InputError("matrix entries must be finite") from None
 
 
 def _sum_of_squares(arr: np.ndarray) -> float:
@@ -122,11 +175,14 @@ def _sum_of_squares(arr: np.ndarray) -> float:
     return float(np.vdot(flat, flat).real)
 
 
-def _wrap(arr: np.ndarray) -> ComplexMatrix:
-    """Wrap a complex128 2-D array known to be finite, read-only, uncopied."""
+def _wrap(arr: np.ndarray, norm: Optional[float] = None) -> ComplexMatrix:
+    """Wrap a complex128 2-D array known to be finite, read-only, uncopied,
+    with its Frobenius norm when known."""
     arr.setflags(write=False)
     out = object.__new__(ComplexMatrix)
     object.__setattr__(out, "array", arr)
+    if norm is not None:
+        object.__setattr__(out, "_norm", norm)
     return out
 
 
@@ -137,9 +193,13 @@ def _computed(arr: np.ndarray) -> ComplexMatrix:
     A finite sum of squares proves every entry finite, so the
     elementwise scan runs only when the sum is not: then either an entry
     is inf or nan, or finite entries above about 1e154 overflowed the
-    sum.
+    sum.  A finite normal sum s also gives the norm, √s, as
+    :func:`_frobenius` would.
     """
-    if not math.isfinite(_sum_of_squares(arr)) and not np.isfinite(arr).all():
+    s = _sum_of_squares(arr)
+    if _TINY <= s < math.inf:
+        return _wrap(arr, math.sqrt(s))
+    if not math.isfinite(s) and not np.isfinite(arr).all():
         raise NumericError("a computed %dx%d matrix overflowed" % arr.shape)
     return _wrap(arr)
 
@@ -539,6 +599,8 @@ class MatrixInstance(DaggerInstance):
             raise InputError(
                 f"cannot compare {f.rows}x{f.cols} with {g.rows}x{g.cols}"
             )
+        if f.norm() + g.norm() < _FLAG_FREE:  # f - g cannot overflow
+            return _frobenius(f.array - g.array)
         return _distance(f.array, g.array)
 
     def norm(self, f: ComplexMatrix) -> float:

@@ -18,17 +18,22 @@ from .core import DaggerInstance, InputError, Tolerance, is_plain_int, pairs_fro
 
 @dataclass(frozen=True)
 class PartialInjection:
-    """Injective partial map; mapping[i] is the image of i or None."""
+    """Injective partial map; mapping[i] is the image of i or None.
+
+    ``PartialInjection(src, tgt, mapping)`` and the classmethods validate
+    outside input and raise InputError: plain nonnegative int endpoints,
+    a tuple of one entry per source point, each None or a plain int
+    below tgt, no image hit twice.  The composites and daggers the
+    package computes from valid maps are built by :func:`_injection`
+    instead, which checks nothing.
+    """
 
     src: int
     tgt: int
     mapping: tuple[Optional[int], ...]
 
     def __post_init__(self) -> None:
-        if not is_plain_int(self.src) or not is_plain_int(self.tgt):
-            raise InputError("endpoints must be ints")
-        if self.src < 0 or self.tgt < 0:
-            raise InputError("endpoints must be nonnegative")
+        _check_endpoints(self.src, self.tgt)
         if not isinstance(self.mapping, tuple) or len(self.mapping) != self.src:
             raise InputError("mapping must be a tuple with one entry per source point")
         hit: set[int] = set()
@@ -45,10 +50,11 @@ class PartialInjection:
     def from_pairs(
         cls, src: int, tgt: int, pairs: Iterable[tuple[int, int]]
     ) -> "PartialInjection":
+        _check_endpoints(src, tgt)
         mapping: list[Optional[int]] = [None] * src
         for i, j in pairs:
-            if not (0 <= i < src):
-                raise InputError(f"source {i} out of range")
+            if not (is_plain_int(i) and 0 <= i < src):
+                raise InputError(f"source {i!r} out of range")
             if mapping[i] is not None:
                 raise InputError(f"source {i} mapped twice")
             mapping[i] = j
@@ -56,6 +62,7 @@ class PartialInjection:
 
     @classmethod
     def identity(cls, n: int) -> "PartialInjection":
+        _check_endpoints(n, n)
         return cls(n, n, tuple(range(n)))
 
     @property
@@ -71,17 +78,36 @@ class PartialInjection:
         mapping = tuple(
             other.mapping[j] if j is not None else None for j in self.mapping
         )
-        return PartialInjection(self.src, other.tgt, mapping)
+        return _injection(self.src, other.tgt, mapping)
 
     def dagger(self) -> "PartialInjection":
         mapping: list[Optional[int]] = [None] * self.tgt
         for i, j in enumerate(self.mapping):
             if j is not None:
                 mapping[j] = i
-        return PartialInjection(self.tgt, self.src, tuple(mapping))
+        return _injection(self.tgt, self.src, tuple(mapping))
 
     def __repr__(self) -> str:
         return f"PartialInjection({self.src}, {self.tgt}, pairs={self.pairs})"
+
+
+def _check_endpoints(src: Any, tgt: Any) -> None:
+    """InputError unless both endpoints are plain nonnegative ints."""
+    if not is_plain_int(src) or not is_plain_int(tgt):
+        raise InputError("endpoints must be ints")
+    if src < 0 or tgt < 0:
+        raise InputError("endpoints must be nonnegative")
+
+
+def _injection(
+    src: int, tgt: int, mapping: tuple[Optional[int], ...]
+) -> PartialInjection:
+    """A partial injection computed from valid ones, built without validation."""
+    out = object.__new__(PartialInjection)
+    object.__setattr__(out, "src", src)
+    object.__setattr__(out, "tgt", tgt)
+    object.__setattr__(out, "mapping", mapping)
+    return out
 
 
 def verify_inverse_category_laws(

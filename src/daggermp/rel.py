@@ -39,17 +39,23 @@ BRUTE_FORCE_LIMIT = 16  # max src*tgt for the exhaustive candidate scan
 
 @dataclass(frozen=True)
 class FiniteRelation:
-    """Relation src -> tgt; bit j of rows[i] set iff (i, j) related."""
+    """Relation src -> tgt; bit j of rows[i] set iff (i, j) related.
+
+    ``FiniteRelation(src, tgt, rows)`` and the classmethods validate
+    outside input and raise InputError: plain nonnegative int endpoints,
+    a tuple of one row per source point, each row a plain int bitmask
+    below 2^tgt.  Every relation the package computes from valid ones
+    (:meth:`compose`, :meth:`converse`, :func:`split_per`,
+    :func:`gcsvd_rel`, :func:`brute_force_mp`) is built by
+    :func:`_relation` instead, which checks nothing.
+    """
 
     src: int
     tgt: int
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not is_plain_int(self.src) or not is_plain_int(self.tgt):
-            raise InputError("relation endpoints must be ints")
-        if self.src < 0 or self.tgt < 0:
-            raise InputError("relation endpoints must be nonnegative")
+        _check_endpoints(self.src, self.tgt)
         if not isinstance(self.rows, tuple) or len(self.rows) != self.src:
             raise InputError("rows must be a tuple with one entry per source element")
         full = (1 << self.tgt) - 1
@@ -61,23 +67,29 @@ class FiniteRelation:
     def from_pairs(
         cls, src: int, tgt: int, pairs: Iterable[tuple[int, int]]
     ) -> "FiniteRelation":
+        _check_endpoints(src, tgt)
         rows = [0] * src
         for i, j in pairs:
-            if not (0 <= i < src and 0 <= j < tgt):
-                raise InputError(f"pair ({i}, {j}) out of range for {src} -> {tgt}")
+            if not (is_plain_int(i) and is_plain_int(j)) or not (
+                0 <= i < src and 0 <= j < tgt
+            ):
+                raise InputError(f"pair ({i!r}, {j!r}) out of range for {src} -> {tgt}")
             rows[i] |= 1 << j
         return cls(src, tgt, tuple(rows))
 
     @classmethod
     def identity(cls, n: int) -> "FiniteRelation":
+        _check_endpoints(n, n)
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
     def empty(cls, src: int, tgt: int) -> "FiniteRelation":
+        _check_endpoints(src, tgt)
         return cls(src, tgt, (0,) * src)
 
     @classmethod
     def full(cls, src: int, tgt: int) -> "FiniteRelation":
+        _check_endpoints(src, tgt)
         return cls(src, tgt, ((1 << tgt) - 1,) * src)
 
     @property
@@ -103,7 +115,7 @@ class FiniteRelation:
                     rows[j] |= 1 << i
                 row >>= 1
                 j += 1
-        return FiniteRelation(self.tgt, self.src, tuple(rows))
+        return _relation(self.tgt, self.src, tuple(rows))
 
     def compose(self, other: "FiniteRelation") -> "FiniteRelation":
         """self then other (source side first)."""
@@ -121,10 +133,27 @@ class FiniteRelation:
                 row >>= 1
                 j += 1
             rows.append(acc)
-        return FiniteRelation(self.src, other.tgt, tuple(rows))
+        return _relation(self.src, other.tgt, tuple(rows))
 
     def __repr__(self) -> str:
         return f"FiniteRelation({self.src}, {self.tgt}, pairs={self.pairs})"
+
+
+def _check_endpoints(src: Any, tgt: Any) -> None:
+    """InputError unless both endpoints are plain nonnegative ints."""
+    if not is_plain_int(src) or not is_plain_int(tgt):
+        raise InputError("relation endpoints must be ints")
+    if src < 0 or tgt < 0:
+        raise InputError("relation endpoints must be nonnegative")
+
+
+def _relation(src: int, tgt: int, rows: tuple[int, ...]) -> FiniteRelation:
+    """A relation computed from valid ones, built without validation."""
+    out = object.__new__(FiniteRelation)
+    object.__setattr__(out, "src", src)
+    object.__setattr__(out, "tgt", tgt)
+    object.__setattr__(out, "rows", rows)
+    return out
 
 
 def is_difunctional(r: FiniteRelation) -> bool:
@@ -216,7 +245,7 @@ def brute_force_mp(r: FiniteRelation) -> Optional[FiniteRelation]:
             "inverses must be unique"
         )
     code = int(hits[0])
-    return FiniteRelation(r.tgt, r.src, tuple(int(row[code]) for row in grid))
+    return _relation(r.tgt, r.src, tuple(int(row[code]) for row in grid))
 
 
 def split_per(e: FiniteRelation) -> FiniteRelation:
@@ -241,7 +270,7 @@ def split_per(e: FiniteRelation) -> FiniteRelation:
     rows = tuple(
         (1 << index[row]) if row else 0 for row in e.rows
     )
-    mem = FiniteRelation(e.src, len(classes), rows)
+    mem = _relation(e.src, len(classes), rows)
     if mem.compose(mem.converse()) != e:
         raise ConsistencyError("class membership does not recompose the idempotent")
     if mem.converse().compose(mem) != FiniteRelation.identity(len(classes)):

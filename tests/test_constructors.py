@@ -1,10 +1,13 @@
-"""The two constructors of ComplexMatrix.
+"""The two constructors of each morphism type.
 
-``ComplexMatrix(...)`` validates outside input and raises InputError.
-Every matrix the package computes is wrapped by ``matrix._computed``,
-which reports a non-finite entry as the overflow it must be
-(NumericError).  The scan keeps computed results from drifting back to
-the public constructor; the runtime checks see the same from outside.
+``ComplexMatrix(...)``, ``FiniteRelation(...)``, ``PartialInjection(...)``
+and their classmethods validate outside input and raise InputError.
+Every morphism the package computes is built without that check: a
+matrix by ``matrix._computed`` (which reports a non-finite entry as the
+overflow it must be, NumericError) or ``matrix._wrap``, a relation by
+``rel._relation``, a partial injection by ``pinj._injection``.  The scan
+keeps computed results from drifting back to the public constructors;
+the runtime checks see the same from outside.
 """
 
 import ast
@@ -36,15 +39,18 @@ from daggermp import (
 SRC = pathlib.Path(daggermp.__file__).parent
 
 
+MORPHISMS = {"ComplexMatrix", "FiniteRelation", "PartialInjection"}
+
+
 def public_constructor_calls(source):
-    """The enclosing function of each ComplexMatrix(...) call, and of each
-    cls(...) call inside class ComplexMatrix; "<module>" outside any."""
+    """The enclosing function of each call of a morphism class, and of each
+    cls(...) call inside one; "<module>" outside any function."""
     found = []
 
     def visit(node, func, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, func, child.name == "ComplexMatrix")
+                visit(child, func, child.name in MORPHISMS)
                 continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name, in_class)
@@ -52,7 +58,7 @@ def public_constructor_calls(source):
             if isinstance(child, ast.Call):
                 f = child.func
                 name = getattr(f, "id", None) or getattr(f, "attr", None)
-                if name == "ComplexMatrix" or (in_class and name == "cls"):
+                if name in MORPHISMS or (in_class and name == "cls"):
                     found.append(func)
             visit(child, func, in_class)
 
@@ -69,6 +75,12 @@ def test_the_constructor_scan_catches_each_form():
     assert scan("class ComplexMatrix:\n    def zeros(cls):\n        return cls(z)") == ["zeros"]
     assert scan("class Tolerance:\n    def exact(cls):\n        return cls(0)") == []
     assert scan("def f():\n    return _computed(a)") == []
+    assert scan("def f():\n    return FiniteRelation(1, 1, (1,))") == ["f"]
+    assert scan("def f():\n    return pinj.PartialInjection(1, 1, (0,))") == ["f"]
+    assert scan("class FiniteRelation:\n    def full(cls):\n        return cls(1, 1, (1,))") == ["full"]
+    assert scan("class PartialInjection:\n    def identity(cls, n):\n        return cls(n)") == ["identity"]
+    assert scan("def f():\n    return _relation(1, 1, (1,)), _injection(1, 1, (0,))") == []
+    assert scan("def f():\n    return FiniteRelation.identity(2)") == []
 
 
 def test_only_the_input_boundary_calls_the_public_constructor():
@@ -76,7 +88,14 @@ def test_only_the_input_boundary_calls_the_public_constructor():
     for path in sorted(SRC.glob("*.py")):
         for func in public_constructor_calls(path.read_text(encoding="utf-8")):
             calls.setdefault(func, []).append(path.name)
-    assert calls == {"from_rows": ["matrix.py"], "matrix_from_obj": ["matrix.py"]}
+    assert calls == {
+        "from_rows": ["matrix.py"],
+        "matrix_from_obj": ["matrix.py"],
+        "from_pairs": ["pinj.py", "rel.py"],
+        "identity": ["pinj.py", "rel.py"],
+        "empty": ["rel.py"],
+        "full": ["rel.py"],
+    }
 
 
 def _routes(a):

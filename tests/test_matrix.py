@@ -6,6 +6,7 @@ itself never calls it for anything beyond norms.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from daggermp import (
 )
 from daggermp.core import EQ_TOL_DEFAULT, within
 from daggermp.matrix import (
+    _FLAG_FREE,
     _computed,
     _frobenius,
     _phases,
@@ -1040,3 +1042,200 @@ def test_subnormal_hermitian_input_is_not_rounded_to_zero():
     )
     with pytest.raises(NumericError):  # 1/5e-324 overflows
         herm_mp(M([[5e-324]]))
+
+
+# Outside input holds numbers only: the constructor is the one check on it.
+
+
+@pytest.mark.parametrize(
+    "data, fault",
+    [
+        ([["1+2j"]], "got str"),
+        ([[b"1"]], "got bytes"),
+        (np.array([[True]]), "got bool"),
+        ([[1, True]], "got bool"),
+        ([[None]], "got NoneType"),
+        (np.array([["1"]]), "got str"),
+        ([[10**400]], "finite"),
+    ],
+)
+def test_outside_matrices_hold_only_numbers(data, fault):
+    with pytest.raises(InputError, match=fault):
+        ComplexMatrix(data)
+
+
+@pytest.mark.parametrize(
+    "rows, fault",
+    [
+        ([[1, 2], [3]], "same length"),
+        ([], "at least one row"),
+        ([1, 2], "sequence of rows"),
+        ([["1", "2"]], "got str"),
+    ],
+)
+def test_from_rows_names_the_fault(rows, fault):
+    with pytest.raises(InputError, match=fault):
+        ComplexMatrix.from_rows(rows)
+
+
+def test_outside_numbers_of_every_kind_are_accepted():
+    a = M([[1, 2.5, 3j], [np.int8(4), np.float32(0.5), np.complex64(2j)]])
+    assert a.array.tolist() == [[1, 2.5, 3j], [4, 0.5, 2j]]
+    assert ComplexMatrix(np.array([[1, 2**70]], dtype=object)).array[0, 1] == 2.0**70
+    assert ComplexMatrix(np.arange(6, dtype=np.uint8).reshape(2, 3)).rows == 2
+
+
+# A computed matrix carries its Frobenius norm: _computed stores it from
+# the sum of squares it takes anyway, norm() on first use, and the
+# dagger hands it on.  Either way it is the norm _frobenius gives.
+
+_NORM_EDGES = {
+    "subnormal_entries": [[5e-324, 1e-310j], [2e-315, 0]],
+    "tiny": [[1e-160, 2e-160j], [3e-161, 0]],
+    "subnormal_product_sum": [[1e-79, 2e-79j], [3e-80, 1e-79]],
+    "near_overflow": [[1.7e308, -1e300], [1e-300, 1j]],
+    "squares_overflow": [[1e154, 1e154], [1e154, -1e154]],
+    "zero": np.zeros((2, 3)),
+}
+
+
+def _assert_norms_are_frobenius(f, g):
+    """f, g, their daggers and the finite products among them: every norm,
+    stored or computed on use, is _frobenius of the array bit for bit."""
+    found = [f, g]
+    for x, y in ((f, g), (g, f), (f, f.dagger()), (f.dagger(), f)):
+        try:
+            found.append(x @ y)
+        except NumericError:
+            pass
+    found += [m.dagger() for m in found]
+    for m in found:
+        ref = _frobenius(m.array).hex()
+        stored = vars(m).get("_norm")
+        assert stored is None or stored.hex() == ref
+        assert m.norm().hex() == ref
+        assert m.dagger().norm().hex() == _frobenius(m.array.conj().T).hex() == ref
+
+
+@SCALING
+@given(a=products(tall=False, max_dim=8), k=st.integers(-600, 600))
+def test_stored_norms_are_the_frobenius_norm(a, k):
+    _assert_norms_are_frobenius(
+        ComplexMatrix(a * 2.0**k), ComplexMatrix(a.conj().T * 2.0**-k)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(_NORM_EDGES))
+def test_stored_norms_are_the_frobenius_norm_at_the_edges(name):
+    f = M(_NORM_EDGES[name])
+    _assert_norms_are_frobenius(f, f.dagger())
+
+
+def test_products_daggers_and_constants_store_their_norm():
+    f = M([[1, 2j], [3, 4]])
+    p = f @ f.dagger()
+    assert vars(p)["_norm"] == _frobenius(p.array)
+    assert vars(p.dagger())["_norm"] == vars(p)["_norm"]
+    for c in (ComplexMatrix.identity(0), ComplexMatrix.identity(3), ComplexMatrix.zeros(2, 3)):
+        assert vars(c)["_norm"].hex() == _frobenius(c.array).hex()
+
+
+# Products and deviations either side of the 2^1000 bound that lets them
+# skip the overflow guard, and near the largest float, under an error
+# state that raises on every flag with warnings as errors: each gives the
+# correct result, or NumericError for a product that overflows (inf for
+# a deviation that does).
+
+_GUARD_EXPONENTS = {
+    "below_2^1000": 1000,
+    "above_2^1000": 1001,
+    "near_max": 1024,
+    "beyond_max": 1030,
+}
+
+
+def _pair(kind):
+    rng = np.random.default_rng(1000)
+    if kind == "rank_one":  # ‖a b‖ = ‖a‖ ‖b‖ for b = a†
+        a = uniform_complex(rng, 4, 1) @ uniform_complex(rng, 1, 4)
+        return a, a.conj().T
+    return uniform_complex(rng, 4, 3), uniform_complex(rng, 3, 5)
+
+
+def _ldexp(z, e):
+    """z 2^e, part by part: exact unless it overflows or underflows."""
+    parts = np.ascontiguousarray(z, dtype=np.complex128).view(np.float64)
+    with np.errstate(over="ignore"):
+        return np.ldexp(parts, e).view(np.complex128)
+
+
+def _strict(call):
+    """call() where every floating-point flag raises and warnings are errors;
+    None for NumericError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            try:
+                return call()
+            except NumericError:
+                return None
+
+
+@pytest.mark.parametrize("where", sorted(_GUARD_EXPONENTS))
+@pytest.mark.parametrize("kind", ["rank_one", "full"])
+def test_products_at_the_guard_bound_raise_no_flag(kind, where):
+    a, b = _pair(kind)
+    # ‖a‖ ‖b‖ 2^s lies in [2^(E-1), 2^E)
+    s = _GUARD_EXPONENTS[where] - math.frexp(_frobenius(a) * _frobenius(b))[1]
+    f, g = ComplexMatrix(_ldexp(a, s // 2)), ComplexMatrix(_ldexp(b, s - s // 2))
+    assert (f.norm() * g.norm() < _FLAG_FREE) == (where == "below_2^1000")
+    got = _strict(lambda: f @ g)
+    ref = a @ b
+    exact_overflows = not np.isfinite(_ldexp(ref, s)).all()
+    if got is None:
+        assert where in ("near_max", "beyond_max")
+    else:
+        assert not exact_overflows
+        atol = 8 * np.finfo(float).eps * abs(ref).max()
+        np.testing.assert_allclose(_ldexp(got.array, -s), ref, rtol=0, atol=atol)
+    if where == "beyond_max" and kind == "rank_one":  # an entry passes 2^1026
+        assert exact_overflows and got is None
+
+
+# For a deviation, "beyond_max" puts ‖f - g‖ in [2^1024, 2^1025): its
+# norm overflows, and so does the entry of the real 1 x 1 difference.
+_DEVIATION_EXPONENTS = dict(_GUARD_EXPONENTS, beyond_max=1025)
+
+
+@pytest.mark.parametrize("where", sorted(_DEVIATION_EXPONENTS))
+@pytest.mark.parametrize("shape", [(1, 1), (3, 4)])
+def test_deviations_at_the_guard_bound_raise_no_flag(shape, where):
+    a = uniform_complex(np.random.default_rng(1001), *shape)
+    if shape == (1, 1):
+        a = a.real
+    # ‖f - g‖ = ‖f‖ + ‖g‖ = 2 ‖a‖ 2^s lies in [2^(E-1), 2^E)
+    top = _DEVIATION_EXPONENTS[where]
+    s = top - math.frexp(2 * _frobenius(a))[1]
+    f, g = ComplexMatrix(_ldexp(a, s)), ComplexMatrix(_ldexp(-a, s))
+    assert (f.norm() + g.norm() < _FLAG_FREE) == (where == "below_2^1000")
+    got = _strict(lambda: MatrixInstance().deviation(f, g))
+    ref = 2 * _frobenius(a)
+    if top > 1024:
+        assert got == math.inf
+    else:
+        assert abs(math.ldexp(got, -s) - ref) <= 4 * math.ulp(ref)
+
+
+def test_verify_mp_of_an_ordinary_pair_enters_no_error_state(monkeypatch):
+    f = ComplexMatrix(uniform_complex(np.random.default_rng(8), 8, 8))
+    g = pinv(f)
+    entered = []
+
+    class counted(np.errstate):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", counted)
+    assert verify_mp(MatrixInstance(), f, g).all_hold
+    assert entered == []

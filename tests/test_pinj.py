@@ -144,3 +144,47 @@ def test_bools_are_not_points(args):
     # output that the parser refuses.
     with pytest.raises(InputError):
         PartialInjection(*args)
+
+
+def rebuilt(f):
+    """f through the public constructor, which must accept it unchanged."""
+    assert type(f) is PartialInjection
+    out = PartialInjection(f.src, f.tgt, f.mapping)
+    assert out == f and hash(out) == hash(f)
+    return out
+
+
+def test_composites_and_daggers_pass_the_public_checks():
+    sizes = range(4)
+    maps = {(s, t): list(all_partial_injections(s, t)) for s in sizes for t in sizes}
+    for (a, b), left in maps.items():
+        for f in left:
+            rebuilt(f.dagger())
+        for c in sizes:
+            for g in maps[b, c]:
+                for f in left:
+                    rebuilt(f.compose(g))
+
+
+@pytest.mark.parametrize(
+    "method, args",
+    [
+        ("identity", (-1,)),
+        ("identity", (True,)),
+        ("identity", (2.0,)),
+        ("from_pairs", (-1, 2, [])),
+        ("from_pairs", (2, True, [])),
+        ("from_pairs", (2, 2, [(0, 2)])),
+        ("from_pairs", (2, 2, [(2, 0)])),
+        ("from_pairs", (2, 2, [(True, 0)])),
+        ("from_pairs", (2, 2, [(0, 1), (1, 1)])),
+        ("new", (2, 2, (1, 1))),
+        ("new", (2, 2, (0, -1))),
+        ("new", (2, 2, [0, 1])),
+    ],
+    ids=str,
+)
+def test_public_constructors_reject_bad_arguments(method, args):
+    build = getattr(PartialInjection, method, PartialInjection)
+    with pytest.raises(InputError):
+        build(*args)

@@ -354,3 +354,65 @@ def test_bools_are_not_endpoints_or_rows(args):
     # output that the parser refuses.
     with pytest.raises(InputError):
         FiniteRelation(*args)
+
+
+# Relations with src * tgt <= 6, the empty shapes 0 x k and k x 0 included.
+SMALL_SHAPES = [(s, t) for s in range(7) for t in range(7) if s * t <= 6]
+
+
+def rebuilt(r):
+    """r through the public constructor, which must accept it unchanged."""
+    assert type(r) is FiniteRelation
+    out = FiniteRelation(r.src, r.tgt, r.rows)
+    assert out == r and hash(out) == hash(r)
+    return out
+
+
+def test_composites_and_converses_pass_the_public_checks():
+    small = {shape: list(all_relations(*shape)) for shape in SMALL_SHAPES}
+    for (a, b), left in small.items():
+        for r in left:
+            rebuilt(r.converse())
+        for c in range(7):
+            for s in small.get((b, c), ()):
+                for r in left:
+                    rebuilt(r.compose(s))
+
+
+def test_split_gcsvd_and_oracle_outputs_pass_the_public_checks():
+    for r in (r for shape in SMALL_SHAPES + [(3, 3)] for r in all_relations(*shape)):
+        g = brute_force_mp(r)
+        if g is None:
+            continue
+        rebuilt(g)
+        for factor in gcsvd_rel(r):
+            rebuilt(factor)
+        if r.src == r.tgt and r.converse() == r and r.compose(r) == r:
+            rebuilt(split_per(r))
+
+
+@pytest.mark.parametrize(
+    "method, args",
+    [
+        ("identity", (-1,)),
+        ("identity", (True,)),
+        ("identity", (2.0,)),
+        ("empty", (-1, 2)),
+        ("empty", (2, True)),
+        ("full", (1, -1)),
+        ("full", (True, 1)),
+        ("from_pairs", (-1, 2, [])),
+        ("from_pairs", (2, 2, [(0, 2)])),
+        ("from_pairs", (2, 2, [(-1, 0)])),
+        ("from_pairs", (2, 2, [(True, 0)])),
+        ("from_pairs", (2, 2, [(0, 1.0)])),
+        ("new", (2, 2, (0, 4))),
+        ("new", (2, 2, (0, -1))),
+        ("new", (2, 2, [0, 1])),
+    ],
+    ids=str,
+)
+def test_public_constructors_reject_bad_arguments(method, args):
+    build = getattr(FiniteRelation, method, FiniteRelation)
+    with pytest.raises(InputError):
+        build(*args)
