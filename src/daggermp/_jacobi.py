@@ -58,16 +58,21 @@ rows keep the relative accuracy of Jacobi (Demmel & Veselić, SIMAX
 own: the first k columns of Q span its range (see
 :func:`~daggermp.matrix.split_dagger_idempotent`).
 
-A caller that zeroes every eigenvalue below the default cutoff lets
-the eigensolver drop those trailing rows of R outright: Jacobi then runs
-only on the leading block of Q† p Q, and the dropped eigenvalues come
-back as exact zeros (see :func:`hermitian_jacobi`).  On the rank-8
+A caller that zeroes every eigenvalue or singular value below the
+default cutoff lets the solvers drop those trailing rows of R outright,
+by one rule, :func:`_null_order`: the eigensolver then runs Jacobi only
+on the leading block of Q† p Q, the SVD only on the leading rows of R,
+and the dropped values come back as exact zeros (see
+:func:`hermitian_jacobi` and :func:`one_sided_svd`).  On the rank-8
 gram of an 8x64 input that leaves a problem of order 8, where resolving
 the rounding noise of the other 56 eigenvalues took 567 steps of
-order 64.
+order 64; the SVD of a rank-24 48x48 product runs at order 24, not 48.
+Rows of R below about 1e-154 of the first, whose squared norms
+underflow, fall in the dropped block at that cutoff, so row-graded
+inputs that the full solve cannot converge on factor there.
 
 Both solvers run until a full sweep after the QR, over the whole
-matrix or over the eigensolver's leading block, triggers no rotation.
+matrix or over its leading block, triggers no rotation.
 The sweep budget is fixed; exceeding it raises
 :class:`~daggermp.core.NumericError`.  All paths are deterministic:
 identical input bytes give identical output bytes.
@@ -331,7 +336,7 @@ def _complete_columns(u: np.ndarray, k: int) -> None:
         resid -= col.real * col.real + col.imag * col.imag
 
 
-def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS):
+def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool = False):
     """Factor a tall matrix: returns (u, sigma, v) with a = u Σ v†.
 
     Requires rows >= cols >= 1.  u is rows x rows unitary, sigma the
@@ -340,28 +345,43 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     not normalized here; the caller owns that policy.
 
     With a 2**e P = Q R, Jacobi runs on the cols x cols R†: R† V = U Σ
-    gives u = [Q₁V | Q₂] and v = P U.
+    gives u = [Q₁V | Q₂] and v = P U.  By default every singular value
+    is resolved to full relative accuracy.
+
+    ``_deflate`` is private to the callers that cut every singular
+    value at most the default cutoff max(rows, cols) eps max(sigma).
+    Then Jacobi runs only on the leading k rows of R, k =
+    :func:`_null_order` of R[:cols] as for :func:`hermitian_jacobi`, so
+    that sqrt(2) ‖R[k:, :]‖_F <= cut / 2 with cut = cols eps ‖R[0, :]‖₂,
+    at most the callers' cutoff for a 2**e (‖R[0, :]‖₂ = ‖(a 2**e P)† Q e₀‖₂
+    is at most its largest singular value).  The dropped block E = R[k:, :]
+    has ‖E‖₂ <= ‖E‖_F, so by Weyl's bound the cols - k singular values
+    returned as exact 0, with the trailing columns of Q as left vectors
+    and :func:`_complete_columns` completing the right ones, and the
+    shift of every other one are below cut / 2, a shift at the level of
+    rounding.
     """
     n, m = a.shape
     e = _pow2_exponent(a)
     u, r, perm = _qrcp(a * 2.0**e)
-    # Row i of x is column i of w = R†, then column i of V.
-    x = _with_identity(r[:m].conj())
+    k = _null_order(r[:m]) if _deflate else m
+    # Row i of x is column i of w = R[:k]†, then column i of V.
+    x = _with_identity(r[:k].conj())
     wt = x[:, :m]
-    if m > 1:
-        k = m // 2
-        arrays = k >= _ARRAY_PAIRS
+    if k > 1:
+        half = k // 2
+        arrays = half >= _ARRAY_PAIRS
         rotations = _array_step if arrays else _scalar_step
-        mixed = np.empty((2 * k, 2 * m), dtype=np.complex128)
+        mixed = np.empty((2 * half, m + k), dtype=np.complex128)
         for _ in range(max_sweeps):
             rotated = False
             norms = np.einsum("ij,ij->i", wt.conj(), wt).real
             if not arrays:
                 norms = norms.tolist()
-            for step in _schedule(m):
+            for step in _schedule(k):
                 pq = step[4]
                 y = x[pq]
-                g = np.einsum("ij,ij->i", y[:k, :m].conj(), y[k:, :m])
+                g = np.einsum("ij,ij->i", y[:half, :m].conj(), y[half:, :m])
                 found = rotations(norms, step, g, False)
                 if found is not None:
                     rotated = True
@@ -379,7 +399,7 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     for i in np.flatnonzero(squares < _TINY):
         sigma[i] = np.hypot.reduce(np.abs(wt[i]))
     order = (-sigma).argsort(kind="stable")
-    sigma = sigma[order]
+    sigma = np.concatenate((sigma[order], np.zeros(m - k)))
     zero_tol = max(n, m) * _EPS * float(sigma[0])
     good = int(np.count_nonzero(sigma > zero_tol))
     # uw is filled column-major, so its columns are contiguous rows of uw.T.
@@ -388,7 +408,7 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS):
     _complete_columns(uw, good)
     v = np.empty((m, m), dtype=np.complex128)
     v[perm] = uw
-    u[:, :m] = u[:, :m] @ x[order, m:].T
+    u[:, :k] = u[:, :k] @ x[order, m:].T
     return u, _unscale(sigma, e), v
 
 

@@ -25,7 +25,7 @@ import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterator, Optional
 
 MACHINE_EPS = sys.float_info.epsilon
 EQ_TOL_DEFAULT = 100.0 * MACHINE_EPS
@@ -76,6 +76,21 @@ class DecompositionError(DaggerError):
 def is_plain_int(x: Any) -> bool:
     """True for an int that is not a bool (JSON ``true`` parses as one)."""
     return type(x) is int
+
+
+def pair_items(pairs: Any) -> Iterator[tuple[Any, Any]]:
+    """Each entry of pairs as (i, j); InputError unless pairs is iterable
+    and each entry unpacks into exactly two items."""
+    try:
+        entries = iter(pairs)
+    except TypeError:
+        raise InputError("pairs must be an iterable of (i, j) pairs") from None
+    for entry in entries:
+        try:
+            i, j = entry
+        except (TypeError, ValueError):
+            raise InputError(f"not an (i, j) pair: {entry!r}") from None
+        yield i, j
 
 
 def json_fields(obj: Any, what: str, keys: tuple[str, ...]) -> tuple:

@@ -106,10 +106,12 @@ class ComplexMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":
+        _check_sizes(n)
         return _wrap(np.eye(n, dtype=np.complex128), math.sqrt(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ComplexMatrix":
+        _check_sizes(rows, cols)
         return _wrap(np.zeros((rows, cols), dtype=np.complex128), 0.0)
 
     def dagger(self) -> "ComplexMatrix":
@@ -141,6 +143,13 @@ class ComplexMatrix:
 # ‖A‖ + ‖B‖.  Below this bound, rounding included, neither can overflow
 # or meet inf - inf, so no overflow or invalid flag can be raised.
 _FLAG_FREE = 2.0**1000
+
+
+def _check_sizes(*sizes) -> None:
+    """InputError unless every size is a plain nonnegative int."""
+    if not all(is_plain_int(n) and n >= 0 for n in sizes):
+        raise InputError(f"matrix sizes must be nonnegative ints, got {sizes!r}")
+
 
 def _complex_input(data) -> np.ndarray:
     """A complex128 copy of outside data; InputError unless every entry
@@ -299,7 +308,9 @@ def _phases(cols: np.ndarray, cutoff: float) -> np.ndarray:
     return z
 
 
-def svd(a: ComplexMatrix, rank_tol: Optional[float] = None) -> SVDResult:
+def svd(
+    a: ComplexMatrix, rank_tol: Optional[float] = None, _deflate: bool = False
+) -> SVDResult:
     """One-sided Jacobi SVD, run on the taller orientation.
 
     ``rank_tol`` overrides the cutoff used for the rank count; the
@@ -308,14 +319,17 @@ def svd(a: ComplexMatrix, rank_tol: Optional[float] = None) -> SVDResult:
     the unit scale: its first entry of modulus above
     ``max(rows, cols) * machine_eps`` is real and nonnegative, so the
     factors do not depend on the scale of ``a`` or on ``rank_tol``.
+    ``_deflate`` is private to :func:`pinv`, :func:`dagger_kernel` and
+    :func:`numeric_rank` at their default cutoff (see
+    :func:`~daggermp._jacobi.one_sided_svd`).
     """
     n, m = a.rows, a.cols
     if min(n, m) == 0:
         return SVDResult(ComplexMatrix.identity(n), (), ComplexMatrix.identity(m), 0)
     if n >= m:
-        u, s, v = _jacobi.one_sided_svd(a.array)
+        u, s, v = _jacobi.one_sided_svd(a.array, _deflate=_deflate)
     else:
-        vb, s, ub = _jacobi.one_sided_svd(a.array.conj().T)
+        vb, s, ub = _jacobi.one_sided_svd(a.array.conj().T, _deflate=_deflate)
         u, v = ub, vb
     k = len(s)
     smax = float(s[0]) if k else 0.0
@@ -331,8 +345,15 @@ def svd(a: ComplexMatrix, rank_tol: Optional[float] = None) -> SVDResult:
 
 
 def pinv(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
-    """Moore-Penrose inverse via the SVD, singular values cut at rank_tol."""
-    res = svd(a, rank_tol=rank_tol)
+    """Moore-Penrose inverse via the SVD, singular values cut at rank_tol.
+
+    At the default cutoff the SVD returns as exact 0 the singular values
+    of the null space that its pivoted QR reveals below half the cutoff,
+    and every other singular value moves by less than half the cutoff,
+    a shift at the level of rounding.  With an explicit rank_tol every
+    singular value is resolved before the cut.
+    """
+    res = svd(a, rank_tol=rank_tol, _deflate=rank_tol is None)
     k = res.rank
     if k == 0:
         return ComplexMatrix.zeros(a.cols, a.rows)
@@ -342,8 +363,12 @@ def pinv(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
 
 
 def numeric_rank(a: ComplexMatrix, rank_tol: Optional[float] = None) -> int:
-    """Count of singular values above the cutoff; 0 for the zero matrix."""
-    return svd(a, rank_tol=rank_tol).rank
+    """Count of singular values above the cutoff; 0 for the zero matrix.
+
+    At the default cutoff the SVD skips the null space its pivoted QR
+    reveals, as for :func:`pinv`.
+    """
+    return svd(a, rank_tol=rank_tol, _deflate=rank_tol is None).rank
 
 
 def _transpose_ranks(
@@ -376,16 +401,25 @@ def has_mp_wrt_transpose(a: ComplexMatrix, rank_tol: Optional[float] = None) -> 
     return r_left == r == r_right
 
 
-def _distance(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """|lhs - rhs|, inf when the difference overflows."""
+def _distance(lhs: np.ndarray, rhs: np.ndarray, norms: float) -> float:
+    """|lhs - rhs|, inf when the difference overflows.
+
+    norms bounds |lhs| + |rhs|; below :data:`_FLAG_FREE` the difference
+    cannot overflow and is taken without the guard of ``np.errstate``.
+    """
+    if norms < _FLAG_FREE:
+        return _frobenius(lhs - rhs)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = lhs - rhs
     return _frobenius(diff)
 
 
-def _require_equal(lhs: np.ndarray, rhs: np.ndarray, scale, eq_tol, what) -> None:
-    """PreconditionError carrying |lhs - rhs| unless :func:`within` passes it."""
-    dev = _distance(lhs, rhs)
+def _require_equal(
+    lhs: np.ndarray, rhs: np.ndarray, norms: float, scale, eq_tol, what
+) -> None:
+    """PreconditionError carrying |lhs - rhs| unless :func:`within` passes
+    it; norms bounds |lhs| + |rhs| as for :func:`_distance`."""
+    dev = _distance(lhs, rhs, norms)
     if not within(dev, scale, eq_tol):
         raise PreconditionError(what, residual=dev)
 
@@ -394,8 +428,10 @@ def _require_hermitian(p: ComplexMatrix, eq_tol: float) -> None:
     """p = p† at scale |p| (PreconditionError); InputError unless square."""
     if p.rows != p.cols:
         raise InputError("a Hermitian matrix must be square")
-    arr = p.array
-    _require_equal(arr, arr.conj().T, p.norm(), eq_tol, "matrix is not Hermitian")
+    arr, norm = p.array, p.norm()
+    _require_equal(
+        arr, arr.conj().T, 2.0 * norm, norm, eq_tol, "matrix is not Hermitian"
+    )
 
 
 def herm_eig(
@@ -459,9 +495,14 @@ def split_dagger_idempotent(
     if k:
         r = _jacobi._qrcp(e.array * 2.0 ** _jacobi._pow2_exponent(e.array))[0][:, :k]
         r *= _phases(r, e.rows * _EPS)
-    rd = r.conj().T
-    _require_equal(r @ rd, e.array, e.norm(), eq_tol, "not an idempotent")
-    _require_equal(rd @ r, np.eye(k), math.sqrt(k), eq_tol, "split is not a coisometry")
+    # r has k columns of unit norm to rounding, so |r r†| and |r† r| are
+    # at most |r|² < k + 1.
+    rd, norm = r.conj().T, e.norm()
+    _require_equal(r @ rd, e.array, norm + k + 1, norm, eq_tol, "not an idempotent")
+    root = math.sqrt(k)
+    _require_equal(
+        rd @ r, np.eye(k), root + k + 1, root, eq_tol, "split is not a coisometry"
+    )
     return _computed(r)
 
 
@@ -470,8 +511,11 @@ def dagger_kernel(a: ComplexMatrix, rank_tol: Optional[float] = None) -> Complex
 
     The rows of k are an orthonormal basis of the left null space, taken
     from the final columns of the SVD's left factor; z = n - rank(a).
+    At the default cutoff the SVD skips the null space its pivoted QR
+    reveals, as for :func:`pinv`; the rows then span the same space as
+    the trailing columns of :func:`svd`'s u, in another basis.
     """
-    res = svd(a, rank_tol=rank_tol)
+    res = svd(a, rank_tol=rank_tol, _deflate=rank_tol is None)
     return _computed(res.u.array[:, res.rank:].conj().T)
 
 
@@ -599,9 +643,7 @@ class MatrixInstance(DaggerInstance):
             raise InputError(
                 f"cannot compare {f.rows}x{f.cols} with {g.rows}x{g.cols}"
             )
-        if f.norm() + g.norm() < _FLAG_FREE:  # f - g cannot overflow
-            return _frobenius(f.array - g.array)
-        return _distance(f.array, g.array)
+        return _distance(f.array, g.array, f.norm() + g.norm())
 
     def norm(self, f: ComplexMatrix) -> float:
         return f.norm()

@@ -13,7 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
-from .core import DaggerInstance, InputError, Tolerance, is_plain_int, pairs_from_obj
+from .core import (
+    DaggerInstance,
+    InputError,
+    Tolerance,
+    is_plain_int,
+    pair_items,
+    pairs_from_obj,
+)
 
 
 @dataclass(frozen=True)
@@ -52,7 +59,7 @@ class PartialInjection:
     ) -> "PartialInjection":
         _check_endpoints(src, tgt)
         mapping: list[Optional[int]] = [None] * src
-        for i, j in pairs:
+        for i, j in pair_items(pairs):
             if not (is_plain_int(i) and 0 <= i < src):
                 raise InputError(f"source {i!r} out of range")
             if mapping[i] is not None:

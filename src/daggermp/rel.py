@@ -31,6 +31,7 @@ from .core import (
     PreconditionError,
     Tolerance,
     is_plain_int,
+    pair_items,
     pairs_from_obj,
 )
 
@@ -69,7 +70,7 @@ class FiniteRelation:
     ) -> "FiniteRelation":
         _check_endpoints(src, tgt)
         rows = [0] * src
-        for i, j in pairs:
+        for i, j in pair_items(pairs):
             if not (is_plain_int(i) and is_plain_int(j)) or not (
                 0 <= i < src and 0 <= j < tgt
             ):

@@ -159,7 +159,9 @@ def test_svd_is_deterministic():
 def test_svd_sweep_budget_exhaustion(monkeypatch):
     # svd passes on the kernel's NumericError; give the kernel one sweep
     kernel = _jacobi.one_sided_svd
-    monkeypatch.setattr(_jacobi, "one_sided_svd", lambda a: kernel(a, max_sweeps=1))
+    monkeypatch.setattr(
+        _jacobi, "one_sided_svd", lambda a, **kw: kernel(a, max_sweeps=1, **kw)
+    )
     rng = np.random.default_rng(3)
     a = ComplexMatrix(uniform_complex(rng, 5, 5))
     with pytest.raises(NumericError):
@@ -671,6 +673,182 @@ def test_eigenvalue_routes_commute_with_power_of_two_scaling(p, k):
     assert hermitian_sqrt(scaled).array.tobytes() == root.tobytes()
 
 
+def _rank_deficient_inputs():
+    """The rank-deficient corpus shapes (every shape up to 8 x 8 at rank
+    min(rows, cols) // 2), 8x64 and 6x48 at half rank, and a 48x48
+    product of rank 24."""
+    shapes = [(n, m, min(n, m) // 2) for n in range(1, 9) for m in range(1, 9)]
+    shapes += [(8, 64, 4), (6, 48, 3), (48, 48, 24)]
+    for seed, (n, m, k) in enumerate(shapes):
+        yield ComplexMatrix(seeded_product(seed, n, m, k))
+
+
+def test_svd_routes_match_numpy_on_rank_deficient_input():
+    for a in _rank_deficient_inputs():
+        n, m = a.rows, a.cols
+        cut = max(n, m) * np.finfo(float).eps
+        ref = np.linalg.pinv(a.array, rcond=cut)
+        assert np.allclose(pinv(a).array, ref, atol=1e-9 * max(1.0, a.norm()))
+        k = dagger_kernel(a).array
+        u, sigma, _ = np.linalg.svd(a.array)
+        rank = int(np.count_nonzero(sigma > cut * sigma[0]))
+        assert k.shape == (n - rank, n) and numeric_rank(a) == rank
+        assert np.allclose(k @ a.array, 0.0, atol=1e-12 * max(1.0, a.norm()))
+        assert np.allclose(k @ k.conj().T, np.eye(n - rank), atol=1e-12)
+        null = u[:, rank:] @ u[:, rank:].conj().T
+        assert np.allclose(k.conj().T @ k, null, atol=1e-12)
+
+
+def test_pinv_runs_jacobi_only_on_the_revealed_rank(monkeypatch):
+    a = ComplexMatrix(seeded_product(0, 48, 48, 24))
+    orders = []
+    schedule = _jacobi._schedule
+
+    def recording(m):
+        orders.append(m)
+        return schedule(m)
+
+    monkeypatch.setattr(_jacobi, "_schedule", recording)
+    pinv(a)
+    assert orders and max(orders) <= 24
+    orders.clear()
+    svd(a)
+    assert set(orders) == {48}
+
+
+def test_only_the_default_cutoff_deflates_the_svd(monkeypatch):
+    # The public svd and every explicit cutoff resolve every singular
+    # value, as the kernel does by default.
+    kernel = _jacobi.one_sided_svd
+    asked = []
+
+    def recording(a, **kw):
+        asked.append(kw.get("_deflate", False))
+        return kernel(a, **kw)
+
+    monkeypatch.setattr(_jacobi, "one_sided_svd", recording)
+    a = ComplexMatrix(seeded_product(1, 6, 9, 3))
+    for call, deflates in (
+        (lambda: svd(a), False),
+        (lambda: svd(a, rank_tol=1e-9), False),
+        (lambda: pinv(a, rank_tol=1e-9), False),
+        (lambda: dagger_kernel(a, rank_tol=1e-9), False),
+        (lambda: numeric_rank(a, rank_tol=1e-9), False),
+        (lambda: pinv(a), True),
+        (lambda: dagger_kernel(a), True),
+        (lambda: numeric_rank(a), True),
+    ):
+        asked.clear()
+        call()
+        assert asked == [deflates]
+    # svd() keeps the rounding-level singular values of the null space,
+    # bit for bit those of the kernel at its default.
+    res = svd(a)
+    _, sigma, _ = kernel(a.array.conj().T)
+    assert np.asarray(res.sigma).tobytes() == sigma.tobytes()
+    assert min(res.sigma) > 0.0
+
+
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_singular_values_near_the_default_cutoff_keep_their_rank(factor, seed):
+    # Singular values 1, 0.5, factor * cutoff and 0 (three times), with
+    # the default cutoff 6 eps for the largest singular value 1; seed 0
+    # permutes a diagonal, the others take random unitary factors.
+    rng = np.random.default_rng(seed)
+    if seed:
+        u, v = (np.linalg.qr(uniform_complex(rng, 6, 6))[0] for _ in range(2))
+    else:
+        u, v = (np.eye(6)[rng.permutation(6)] for _ in range(2))
+    sigma = np.array([1.0, 0.5, factor * 6 * np.finfo(float).eps, 0.0, 0.0, 0.0])
+    a = ComplexMatrix((u * sigma) @ v.conj().T)
+    rank = 3 if factor > 1 else 2
+    assert numeric_rank(a) == rank
+    assert round(float(np.trace(pinv(a).array @ a.array).real)) == rank
+    assert dagger_kernel(a).rows == 6 - rank
+
+
+def test_an_explicit_tiny_cutoff_keeps_every_graded_singular_value():
+    # Columns graded from 1 down to 1e-24: at the default cutoff the
+    # smallest singular values are cut, at 1e-300 none is.
+    a = ComplexMatrix(
+        uniform_complex(np.random.default_rng(41), 12, 10) * np.logspace(0, -24, 10)
+    )
+    smallest = svd(a).sigma[-1]
+    assert numeric_rank(a) < 10 and smallest > 0.0
+    assert numeric_rank(a, rank_tol=1e-300) == 10
+    # ‖a°‖₂ = 1 / σ_min once every singular value is kept
+    norm = np.linalg.norm(pinv(a, rank_tol=1e-300).array, 2)
+    assert abs(norm * smallest - 1.0) <= 1e-6
+    assert dagger_kernel(a, rank_tol=1e-300).rows == 2
+
+
+@SCALING
+@given(f=rank_deficient(), k=st.integers(-150, 150))
+def test_pinv_commutes_with_power_of_two_scaling(f, k):
+    # The deflation rule scales with f, so the null block it drops does
+    # not depend on the scale, and neither do the bytes.
+    base, scaled = ComplexMatrix(f), ComplexMatrix(f * 4.0**k)
+    assert pinv(scaled).array.tobytes() == (pinv(base).array * 4.0**-k).tobytes()
+    assert dagger_kernel(scaled).array.tobytes() == dagger_kernel(base).array.tobytes()
+
+
+def _row_graded(seed, span):
+    """diag(10^linspace(-span, span, 7)) B, B complex 7 x 5 standard normal."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    return ComplexMatrix(np.logspace(-span, span, 7)[:, None] * b)
+
+
+_ROW_GRADED = [(span, seed) for span in (150, 200) for seed in range(6)]
+
+
+@pytest.mark.parametrize("span, seed", _ROW_GRADED)
+def test_row_graded_input_has_a_verified_inverse_and_kernel(span, seed):
+    # ROADMAP defect 3: the rows below about 1e-154 of the largest, whose
+    # squared norms underflow, lie in the null block the default cutoff
+    # drops, so pinv and dagger_kernel no longer run Jacobi on them.
+    f = _row_graded(seed, span)
+    g = pinv(f)
+    assert verify_mp(MatrixInstance(), f, g).all_hold
+    k = dagger_kernel(f).array
+    assert k.shape == (7 - numeric_rank(f), 7)
+    assert np.allclose(k @ k.conj().T, np.eye(k.shape[0]), atol=1e-12)
+    assert _frobenius(k @ f.array) <= 1e-12 * f.norm()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_full_gsvd_of_column_graded_input_is_verified(seed):
+    # The kernel of f† ran the full solve on the rows of R below 1e-154
+    # of the first and did not converge for six of these seeds; at the
+    # default cutoff they are dropped, and gsvd_from_mp checks its
+    # covers, unitary factors and reconstruction.
+    f = ComplexMatrix(graded_columns(seed))
+    t = gsvd_from_mp(MatrixInstance(), f, pinv(f))
+    x, z, y, w = t.dims
+    assert x + z == y + w == 5 and x == numeric_rank(f)
+
+
+@pytest.mark.parametrize(
+    "span, seed",
+    [
+        case if case == (150, 3) else pytest.param(
+            *case,
+            marks=pytest.mark.xfail(
+                raises=NumericError,
+                strict=True,
+                reason="ROADMAP item 3: the full solve rotates rows whose "
+                "squared norms underflow in every sweep",
+            ),
+        )
+        for case in _ROW_GRADED
+    ],
+)
+def test_svd_of_row_graded_input_converges(span, seed):
+    f = _row_graded(seed, span)
+    assert _frobenius(svd(f).reconstruct().array - f.array) <= 1e-12 * f.norm()
+
+
 def test_direct_sum_and_biproduct_maps():
     d = direct_sum(M([[1]]), M([[2]]))
     assert np.array_equal(d.array, [[1, 0], [0, 2]])
@@ -1078,6 +1256,24 @@ def test_from_rows_names_the_fault(rows, fault):
         ComplexMatrix.from_rows(rows)
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        ("identity", (-1,)),
+        ("identity", (2.5,)),
+        ("identity", (True,)),
+        ("identity", (np.int64(2),)),
+        ("zeros", (True, 2)),
+        ("zeros", (2, -1)),
+        ("zeros", (2.0, 2)),
+    ],
+    ids=str,
+)
+def test_constant_constructors_reject_bad_sizes(build, args):
+    with pytest.raises(InputError, match="sizes"):
+        getattr(ComplexMatrix, build)(*args)
+
+
 def test_outside_numbers_of_every_kind_are_accepted():
     a = M([[1, 2.5, 3j], [np.int8(4), np.float32(0.5), np.complex64(2j)]])
     assert a.array.tolist() == [[1, 2.5, 3j], [4, 0.5, 2j]]
@@ -1238,4 +1434,23 @@ def test_verify_mp_of_an_ordinary_pair_enters_no_error_state(monkeypatch):
 
     monkeypatch.setattr(np, "errstate", counted)
     assert verify_mp(MatrixInstance(), f, g).all_hold
+    assert entered == []
+
+
+def test_split_checks_enter_no_error_state(monkeypatch):
+    # The operands' norms are known (|e|, and |r r†|, |r† r| < k + 1 for
+    # unit columns), so the three checks skip the overflow guard.
+    q = np.linalg.qr(uniform_complex(np.random.default_rng(9), 6, 6))[0]
+    e = ComplexMatrix(q[:, :3] @ q[:, :3].conj().T)
+    entered = []
+
+    class counted(np.errstate):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", counted)
+    assert split_dagger_idempotent(e).cols == 3
+    with pytest.raises(PreconditionError, match="not Hermitian"):
+        split_dagger_idempotent(M([[1, 1], [0, 0]]))
     assert entered == []

@@ -177,6 +177,10 @@ def test_composites_and_daggers_pass_the_public_checks():
         ("from_pairs", (2, 2, [(0, 2)])),
         ("from_pairs", (2, 2, [(2, 0)])),
         ("from_pairs", (2, 2, [(True, 0)])),
+        ("from_pairs", (2, 2, [(0, 1, 2)])),
+        ("from_pairs", (2, 2, [(0,)])),
+        ("from_pairs", (2, 2, [5])),
+        ("from_pairs", (2, 2, 5)),
         ("from_pairs", (2, 2, [(0, 1), (1, 1)])),
         ("new", (2, 2, (1, 1))),
         ("new", (2, 2, (0, -1))),

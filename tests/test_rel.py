@@ -405,6 +405,10 @@ def test_split_gcsvd_and_oracle_outputs_pass_the_public_checks():
         ("from_pairs", (2, 2, [(0, 2)])),
         ("from_pairs", (2, 2, [(-1, 0)])),
         ("from_pairs", (2, 2, [(True, 0)])),
+        ("from_pairs", (2, 2, [(0, 1, 2)])),
+        ("from_pairs", (2, 2, [(0,)])),
+        ("from_pairs", (2, 2, [5])),
+        ("from_pairs", (2, 2, 5)),
         ("from_pairs", (2, 2, [(0, 1.0)])),
         ("new", (2, 2, (0, 4))),
         ("new", (2, 2, (0, -1))),
