@@ -78,6 +78,13 @@ def is_plain_int(x: Any) -> bool:
     return type(x) is int
 
 
+def check_sizes(*sizes: Any) -> None:
+    """InputError unless every size (a matrix's rows and cols, an exact
+    morphism's src and tgt) is a plain nonnegative int."""
+    if not all(is_plain_int(n) and n >= 0 for n in sizes):
+        raise InputError(f"sizes must be nonnegative ints, got {sizes!r}")
+
+
 def pair_items(pairs: Any) -> Iterator[tuple[Any, Any]]:
     """Each entry of pairs as (i, j); InputError unless pairs is iterable
     and each entry unpacks into exactly two items."""
@@ -107,8 +114,7 @@ def pairs_from_obj(obj: Any, what: str, key: str) -> tuple[int, int, list]:
     """(src, tgt, pairs) of ``{"src": int, "tgt": int, key: [[i, j], ...]}``,
     the JSON form of both exact instances."""
     src, tgt, entries = json_fields(obj, what, ("src", "tgt", key))
-    if not is_plain_int(src) or not is_plain_int(tgt):
-        raise InputError("src and tgt must be integers")
+    check_sizes(src, tgt)
     if not isinstance(entries, list):
         raise InputError(f"{key} must be a list of [i, j] pairs")
     for entry in entries:
@@ -123,7 +129,9 @@ def within(dev: float, scale: float, eq_tol: float, cond: float = 1.0) -> bool:
     """The equality rule: dev is 0, or dev <= eq_tol * cond * scale with the
     slack eq_tol * cond below 1 (a larger one verifies nothing) and scale finite.
 
-    ``scale`` is of degree 1 with no floor, ``cond`` of degree 0.
+    ``scale`` is of degree 1 with no floor, ``cond`` of degree 0.  Its one
+    caller is :meth:`DaggerInstance.compare`: every equation the package
+    checks is measured by an instance's deviation and passes or fails here.
     """
     slack = eq_tol * cond
     return dev == 0.0 or (slack < 1.0 and math.isfinite(scale) and dev <= slack * scale)
@@ -315,10 +323,21 @@ def is_self_adjoint(inst: DaggerInstance, f: Any) -> bool:
     return inst.equals(inst.dagger(f), f)
 
 
+def require_dagger_idempotent(inst: DaggerInstance, e: Any) -> None:
+    """PreconditionError unless e = e† and e e = e, carrying the deviation
+    of the first that fails; InputError unless e is an endomorphism."""
+    _require_endo(inst, e, "dagger idempotency")
+    check(inst, inst.dagger(e), e, PreconditionError, "not a dagger idempotent")
+    check(inst, inst.compose(e, e), e, PreconditionError, "not a dagger idempotent")
+
+
 def is_dagger_idempotent(inst: DaggerInstance, f: Any) -> bool:
     """f = f† and f f = f."""
-    _require_endo(inst, f, "dagger idempotency")
-    return inst.equals(inst.dagger(f), f) and inst.equals(inst.compose(f, f), f)
+    try:
+        require_dagger_idempotent(inst, f)
+    except PreconditionError:
+        return False
+    return True
 
 
 def is_positive(inst: DaggerInstance, p: Any) -> bool:

@@ -26,6 +26,7 @@ from .core import (
     is_dagger_idempotent,
     is_partial_isometry,
     is_self_adjoint,
+    require_dagger_idempotent,
     require_mp,
     verify_mp,
 )
@@ -43,10 +44,7 @@ def mp_of_partial_isometry(inst: DaggerInstance, f: Any) -> Any:
 
 def mp_of_dagger_idempotent(inst: DaggerInstance, e: Any) -> Any:
     """M-P inverse of a dagger idempotent: itself."""
-    if inst.source(e) != inst.target(e):
-        raise InputError("dagger idempotency requires an endomorphism")
-    check(inst, inst.dagger(e), e, PreconditionError, "not a dagger idempotent")
-    check(inst, inst.compose(e, e), e, PreconditionError, "not a dagger idempotent")
+    require_dagger_idempotent(inst, e)
     return require_mp(
         inst, e, e, ConsistencyError,
         "dagger idempotent constructor produced a candidate failing the axioms",

@@ -23,6 +23,7 @@ from .core import (
     InputError,
     PreconditionError,
     check,
+    require_dagger_idempotent,
     require_mp,
 )
 
@@ -49,10 +50,7 @@ class SplitMorphism:
 
 def split_object(inst: DaggerInstance, e: Any) -> SplitObject:
     """Wrap a dagger idempotent as a formal object."""
-    if inst.source(e) != inst.target(e):
-        raise InputError("only endomorphisms can be split")
-    check(inst, inst.dagger(e), e, PreconditionError, "not a dagger idempotent")
-    check(inst, inst.compose(e, e), e, PreconditionError, "not a dagger idempotent")
+    require_dagger_idempotent(inst, e)
     return SplitObject(inst.source(e), e)
 
 

@@ -39,9 +39,9 @@ from .core import (
     PreconditionError,
     Tolerance,
     check,
+    check_sizes,
     is_plain_int,
     json_fields,
-    within,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -106,12 +106,12 @@ class ComplexMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ComplexMatrix":
-        _check_sizes(n)
+        check_sizes(n)
         return _wrap(np.eye(n, dtype=np.complex128), math.sqrt(n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ComplexMatrix":
-        _check_sizes(rows, cols)
+        check_sizes(rows, cols)
         return _wrap(np.zeros((rows, cols), dtype=np.complex128), 0.0)
 
     def dagger(self) -> "ComplexMatrix":
@@ -143,12 +143,6 @@ class ComplexMatrix:
 # ‖A‖ + ‖B‖.  Below this bound, rounding included, neither can overflow
 # or meet inf - inf, so no overflow or invalid flag can be raised.
 _FLAG_FREE = 2.0**1000
-
-
-def _check_sizes(*sizes) -> None:
-    """InputError unless every size is a plain nonnegative int."""
-    if not all(is_plain_int(n) and n >= 0 for n in sizes):
-        raise InputError(f"matrix sizes must be nonnegative ints, got {sizes!r}")
 
 
 def _complex_input(data) -> np.ndarray:
@@ -238,12 +232,20 @@ def _default_rank_tol(rows: int, cols: int, sigma_max: float) -> float:
     return max(rows, cols) * _EPS * sigma_max
 
 
-def _eig_cutoff(p: ComplexMatrix, lam: np.ndarray, rank_tol: Optional[float]) -> float:
-    """rank_tol, or the default cutoff for p scaled by the largest |eigenvalue|."""
-    if rank_tol is not None:
-        return rank_tol
-    lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
-    return _default_rank_tol(p.rows, p.cols, lam_max)
+def _cut_eig(
+    p: ComplexMatrix, rank_tol: Optional[float], eq_tol: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The eigenvectors and eigenvalues of :func:`herm_eig` of p, and the
+    cutoff: rank_tol, or the default for p scaled by the largest
+    |eigenvalue|.  A rank_tol that :class:`~daggermp.core.Tolerance`
+    refuses raises InputError before the solve."""
+    Tolerance(rank_tol=rank_tol)
+    eig = herm_eig(p, eq_tol=eq_tol, _deflate=rank_tol is None)
+    lam = np.asarray(eig.eigenvalues)
+    if rank_tol is None:
+        lam_max = float(np.max(np.abs(lam))) if lam.size else 0.0
+        rank_tol = _default_rank_tol(p.rows, p.cols, lam_max)
+    return eig.q.array, lam, rank_tol
 
 
 @dataclass(frozen=True)
@@ -321,8 +323,10 @@ def svd(
     factors do not depend on the scale of ``a`` or on ``rank_tol``.
     ``_deflate`` is private to :func:`pinv`, :func:`dagger_kernel` and
     :func:`numeric_rank` at their default cutoff (see
-    :func:`~daggermp._jacobi.one_sided_svd`).
+    :func:`~daggermp._jacobi.one_sided_svd`).  A rank_tol that
+    :class:`Tolerance` refuses raises InputError before the solve.
     """
+    Tolerance(rank_tol=rank_tol)
     n, m = a.rows, a.cols
     if min(n, m) == 0:
         return SVDResult(ComplexMatrix.identity(n), (), ComplexMatrix.identity(m), 0)
@@ -401,37 +405,15 @@ def has_mp_wrt_transpose(a: ComplexMatrix, rank_tol: Optional[float] = None) -> 
     return r_left == r == r_right
 
 
-def _distance(lhs: np.ndarray, rhs: np.ndarray, norms: float) -> float:
-    """|lhs - rhs|, inf when the difference overflows.
-
-    norms bounds |lhs| + |rhs|; below :data:`_FLAG_FREE` the difference
-    cannot overflow and is taken without the guard of ``np.errstate``.
-    """
-    if norms < _FLAG_FREE:
-        return _frobenius(lhs - rhs)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = lhs - rhs
-    return _frobenius(diff)
-
-
-def _require_equal(
-    lhs: np.ndarray, rhs: np.ndarray, norms: float, scale, eq_tol, what
-) -> None:
-    """PreconditionError carrying |lhs - rhs| unless :func:`within` passes
-    it; norms bounds |lhs| + |rhs| as for :func:`_distance`."""
-    dev = _distance(lhs, rhs, norms)
-    if not within(dev, scale, eq_tol):
-        raise PreconditionError(what, residual=dev)
-
-
-def _require_hermitian(p: ComplexMatrix, eq_tol: float) -> None:
-    """p = p† at scale |p| (PreconditionError); InputError unless square."""
+def _require_hermitian(p: ComplexMatrix, eq_tol: float) -> "MatrixInstance":
+    """The instance at eq_tol, once p = p† passes its check at scale |p|
+    (PreconditionError); InputError unless eq_tol is valid and p square."""
+    inst = MatrixInstance(Tolerance(eq_tol=eq_tol))
     if p.rows != p.cols:
         raise InputError("a Hermitian matrix must be square")
-    arr, norm = p.array, p.norm()
-    _require_equal(
-        arr, arr.conj().T, 2.0 * norm, norm, eq_tol, "matrix is not Hermitian"
-    )
+    norm = p.norm()  # taken before the dagger, which then carries it
+    check(inst, p, p.dagger(), PreconditionError, "matrix is not Hermitian", norm)
+    return inst
 
 
 def herm_eig(
@@ -439,11 +421,14 @@ def herm_eig(
 ) -> HermEigResult:
     """Eigendecomposition of a Hermitian matrix via two-sided Jacobi.
 
-    p must pass :func:`_require_hermitian` at eq_tol; the kernel
-    symmetrizes it after its power-of-two prescale, so the factorization
-    reproduces (p + p†)/2 without overflow or underflow.  ``_deflate``
-    is private to :func:`herm_mp` and :func:`hermitian_sqrt` at their
-    default cutoff (see :func:`~daggermp._jacobi.hermitian_jacobi`).
+    p = p† must pass :func:`~daggermp.core.check` on a
+    :class:`MatrixInstance` at eq_tol, at scale |p|, or PreconditionError
+    carries its deviation; an eq_tol that :class:`~daggermp.core.Tolerance`
+    refuses raises InputError.  The kernel symmetrizes p after its
+    power-of-two prescale, so the factorization reproduces (p + p†)/2
+    without overflow or underflow.  ``_deflate`` is private to
+    :func:`herm_mp` and :func:`hermitian_sqrt` at their default cutoff
+    (see :func:`~daggermp._jacobi.hermitian_jacobi`).
     """
     _require_hermitian(p, eq_tol)
     if p.rows == 0:
@@ -470,10 +455,8 @@ def herm_mp(
     at most half the cutoff, a shift at the level of rounding.  With an
     explicit rank_tol every eigenvalue is resolved before the cut.
     """
-    eig = herm_eig(p, eq_tol=eq_tol, _deflate=rank_tol is None)
-    lam = np.asarray(eig.eigenvalues)
-    tol = _eig_cutoff(p, lam, rank_tol)
-    return _computed(_congruence(eig.q.array, _reciprocal(lam, np.abs(lam) > tol)))
+    q, lam, tol = _cut_eig(p, rank_tol, eq_tol)
+    return _computed(_congruence(q, _reciprocal(lam, np.abs(lam) > tol)))
 
 
 def split_dagger_idempotent(
@@ -484,10 +467,12 @@ def split_dagger_idempotent(
     The rank k of a dagger idempotent is its trace; r is the first k
     columns of Q from a pivoted QR of e, phases fixed as for eigenvectors.
     e = e† at scale |e|, r r† = e at scale |e| and r† r = I_k at scale
-    √k must pass :func:`~daggermp.core.within` at eq_tol, or
-    PreconditionError is raised.
+    √k must pass :func:`~daggermp.core.check` on a :class:`MatrixInstance`
+    at eq_tol, or PreconditionError carries the deviation of the first
+    that fails; an eq_tol that :class:`~daggermp.core.Tolerance` refuses
+    raises InputError.
     """
-    _require_hermitian(e, eq_tol)
+    inst = _require_hermitian(e, eq_tol)
     # The diagonal of a dagger idempotent lies in [0, 1]: clipping it
     # changes nothing there and keeps k in [0, n] for any other input.
     k = round(float(np.clip(e.array.diagonal().real, 0.0, 1.0).sum()))
@@ -495,15 +480,14 @@ def split_dagger_idempotent(
     if k:
         r = _jacobi._qrcp(e.array * 2.0 ** _jacobi._pow2_exponent(e.array))[0][:, :k]
         r *= _phases(r, e.rows * _EPS)
-    # r has k columns of unit norm to rounding, so |r r†| and |r† r| are
-    # at most |r|² < k + 1.
-    rd, norm = r.conj().T, e.norm()
-    _require_equal(r @ rd, e.array, norm + k + 1, norm, eq_tol, "not an idempotent")
-    root = math.sqrt(k)
-    _require_equal(
-        rd @ r, np.eye(k), root + k + 1, root, eq_tol, "split is not a coisometry"
+    r = _computed(r)
+    rd = r.dagger()
+    check(inst, r @ rd, e, PreconditionError, "not an idempotent", e.norm())
+    check(
+        inst, rd @ r, ComplexMatrix.identity(k), PreconditionError,
+        "split is not a coisometry", math.sqrt(k),
     )
-    return _computed(r)
+    return r
 
 
 def dagger_kernel(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
@@ -565,18 +549,14 @@ def _sqrt_with_mp(
     Both come from one eigendecomposition, which keeps h and h_mp
     consistent to machine precision.
     """
-    # PreconditionError when not Hermitian
-    eig = herm_eig(p, eq_tol=eq_tol, _deflate=rank_tol is None)
-    lam = np.asarray(eig.eigenvalues)
-    tol = _eig_cutoff(p, lam, rank_tol)
+    q, lam, tol = _cut_eig(p, rank_tol, eq_tol)  # PreconditionError if not Hermitian
     if lam.size and float(np.min(lam)) < -tol:
         raise PreconditionError(
             f"matrix is not positive (eigenvalue {float(np.min(lam)):.3e})"
         )
     roots = np.sqrt(np.where(lam < tol, 0.0, lam))
-    qa = eig.q.array
-    h = _congruence(qa, roots)
-    h_mp = _congruence(qa, _reciprocal(roots, roots > 0.0))
+    h = _congruence(q, roots)
+    h_mp = _congruence(q, _reciprocal(roots, roots > 0.0))
     return _computed((h + h.conj().T) / 2.0), _computed((h_mp + h_mp.conj().T) / 2.0)
 
 
@@ -612,10 +592,14 @@ class MatrixInstance(DaggerInstance):
     """The dagger category of finite-dimensional complex matrices.
 
     Objects are nonnegative integers (dimensions); morphisms are
-    :class:`ComplexMatrix`.  Equality is :func:`~daggermp.core.within` on the
-    Frobenius deviation, at scale ``max(|f|, |g|)`` or at the factor-norm
-    bounds of the inverse identities.  All optional capabilities are
-    provided: positivity, idempotent splitting, kernels, square roots, biproducts.
+    :class:`ComplexMatrix`.  Equality is :meth:`~daggermp.core.DaggerInstance.compare`
+    on the Frobenius deviation, at scale ``max(|f|, |g|)`` or at the
+    factor-norm bounds of the inverse identities.  The module's own
+    preconditions (the Hermitian check, the split's two equations) are
+    checked the same way, on an instance at the caller's eq_tol, so
+    :meth:`deviation` measures every matrix equation.  All optional
+    capabilities are provided: positivity, idempotent splitting, kernels,
+    square roots, biproducts.
     """
 
     name = "matrix"
@@ -643,7 +627,11 @@ class MatrixInstance(DaggerInstance):
             raise InputError(
                 f"cannot compare {f.rows}x{f.cols} with {g.rows}x{g.cols}"
             )
-        return _distance(f.array, g.array, f.norm() + g.norm())
+        if f.norm() + g.norm() < _FLAG_FREE:
+            return _frobenius(f.array - g.array)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf on overflow
+            diff = f.array - g.array
+        return _frobenius(diff)
 
     def norm(self, f: ComplexMatrix) -> float:
         return f.norm()
@@ -697,11 +685,9 @@ def matrix_to_obj(a: ComplexMatrix) -> dict:
 
 def matrix_from_obj(obj: dict) -> ComplexMatrix:
     rows, cols, data = json_fields(obj, "matrix", ("rows", "cols", "data"))
-    if not (is_plain_int(rows) and is_plain_int(cols)) or rows < 0 or cols < 0:
-        raise InputError("rows and cols must be nonnegative integers")
+    check_sizes(rows, cols)
     if not isinstance(data, list) or len(data) != rows * cols:
         raise InputError("data must list rows*cols entries in row-major order")
-    flat = np.zeros(rows * cols, dtype=np.complex128)
     for i, entry in enumerate(data):
         if (
             not isinstance(entry, (list, tuple))
@@ -709,6 +695,7 @@ def matrix_from_obj(obj: dict) -> ComplexMatrix:
             or not all(isinstance(x, float) or is_plain_int(x) for x in entry)
         ):
             raise InputError(f"entry {i} must be a [re, im] pair")
-        flat[i] = complex(entry[0], entry[1])
-    return ComplexMatrix(flat.reshape(rows, cols))
+    # Each [re, im] row of float64 parts, read as one complex128.
+    parts = _complex_input(np.array(data, dtype=object).reshape(-1, 2)).real
+    return ComplexMatrix(parts.copy().view(np.complex128).reshape(rows, cols))
 

@@ -17,6 +17,7 @@ from .core import (
     DaggerInstance,
     InputError,
     Tolerance,
+    check_sizes,
     is_plain_int,
     pair_items,
     pairs_from_obj,
@@ -40,7 +41,7 @@ class PartialInjection:
     mapping: tuple[Optional[int], ...]
 
     def __post_init__(self) -> None:
-        _check_endpoints(self.src, self.tgt)
+        check_sizes(self.src, self.tgt)
         if not isinstance(self.mapping, tuple) or len(self.mapping) != self.src:
             raise InputError("mapping must be a tuple with one entry per source point")
         hit: set[int] = set()
@@ -57,7 +58,7 @@ class PartialInjection:
     def from_pairs(
         cls, src: int, tgt: int, pairs: Iterable[tuple[int, int]]
     ) -> "PartialInjection":
-        _check_endpoints(src, tgt)
+        check_sizes(src, tgt)
         mapping: list[Optional[int]] = [None] * src
         for i, j in pair_items(pairs):
             if not (is_plain_int(i) and 0 <= i < src):
@@ -69,7 +70,7 @@ class PartialInjection:
 
     @classmethod
     def identity(cls, n: int) -> "PartialInjection":
-        _check_endpoints(n, n)
+        check_sizes(n)
         return cls(n, n, tuple(range(n)))
 
     @property
@@ -96,14 +97,6 @@ class PartialInjection:
 
     def __repr__(self) -> str:
         return f"PartialInjection({self.src}, {self.tgt}, pairs={self.pairs})"
-
-
-def _check_endpoints(src: Any, tgt: Any) -> None:
-    """InputError unless both endpoints are plain nonnegative ints."""
-    if not is_plain_int(src) or not is_plain_int(tgt):
-        raise InputError("endpoints must be ints")
-    if src < 0 or tgt < 0:
-        raise InputError("endpoints must be nonnegative")
 
 
 def _injection(

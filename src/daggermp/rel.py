@@ -30,6 +30,7 @@ from .core import (
     NoMPInverseError,
     PreconditionError,
     Tolerance,
+    check_sizes,
     is_plain_int,
     pair_items,
     pairs_from_obj,
@@ -56,7 +57,7 @@ class FiniteRelation:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_endpoints(self.src, self.tgt)
+        check_sizes(self.src, self.tgt)
         if not isinstance(self.rows, tuple) or len(self.rows) != self.src:
             raise InputError("rows must be a tuple with one entry per source element")
         full = (1 << self.tgt) - 1
@@ -68,7 +69,7 @@ class FiniteRelation:
     def from_pairs(
         cls, src: int, tgt: int, pairs: Iterable[tuple[int, int]]
     ) -> "FiniteRelation":
-        _check_endpoints(src, tgt)
+        check_sizes(src, tgt)
         rows = [0] * src
         for i, j in pair_items(pairs):
             if not (is_plain_int(i) and is_plain_int(j)) or not (
@@ -80,17 +81,17 @@ class FiniteRelation:
 
     @classmethod
     def identity(cls, n: int) -> "FiniteRelation":
-        _check_endpoints(n, n)
+        check_sizes(n)
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
     def empty(cls, src: int, tgt: int) -> "FiniteRelation":
-        _check_endpoints(src, tgt)
+        check_sizes(src, tgt)
         return cls(src, tgt, (0,) * src)
 
     @classmethod
     def full(cls, src: int, tgt: int) -> "FiniteRelation":
-        _check_endpoints(src, tgt)
+        check_sizes(src, tgt)
         return cls(src, tgt, ((1 << tgt) - 1,) * src)
 
     @property
@@ -138,14 +139,6 @@ class FiniteRelation:
 
     def __repr__(self) -> str:
         return f"FiniteRelation({self.src}, {self.tgt}, pairs={self.pairs})"
-
-
-def _check_endpoints(src: Any, tgt: Any) -> None:
-    """InputError unless both endpoints are plain nonnegative ints."""
-    if not is_plain_int(src) or not is_plain_int(tgt):
-        raise InputError("relation endpoints must be ints")
-    if src < 0 or tgt < 0:
-        raise InputError("relation endpoints must be nonnegative")
 
 
 def _relation(src: int, tgt: int, rows: tuple[int, ...]) -> FiniteRelation:

@@ -462,6 +462,14 @@ def test_json_booleans_exit_2(tmp_path):
         assert code == 2 and out == "" and err.startswith("error:"), command
 
 
+def test_an_integer_entry_beyond_the_float_range_exits_2(tmp_path):
+    p = tmp_path / "huge.json"
+    p.write_text('{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400))
+    code, out, err = run_cli("pinv", "--in", str(p))
+    assert code == 2 and out == ""
+    assert err == "error: matrix entries must be finite\n"
+
+
 def test_overflow_is_a_numeric_refusal_exit_1(tmp_path):
     f = matrix_file(tmp_path, "f.json", [[1e200]])
     code, out, err = run_cli("verify-mp", "--in", f, "--in", f)

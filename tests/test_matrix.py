@@ -1454,3 +1454,72 @@ def test_split_checks_enter_no_error_state(monkeypatch):
     with pytest.raises(PreconditionError, match="not Hermitian"):
         split_dagger_idempotent(M([[1, 1], [0, 0]]))
     assert entered == []
+
+
+# An invertible input and a Hermitian idempotent; every call below is
+# given an invalid tolerance through one of its parameters.
+A, P = M([[1, 2], [3, 4]]), M([[0.5, 0.5], [0.5, 0.5]])
+TOLERANT = {
+    "svd": lambda t: svd(A, rank_tol=t),
+    "pinv": lambda t: pinv(A, rank_tol=t),
+    "numeric_rank": lambda t: numeric_rank(A, rank_tol=t),
+    "dagger_kernel": lambda t: dagger_kernel(A, rank_tol=t),
+    "has_mp_wrt_transpose": lambda t: has_mp_wrt_transpose(A, rank_tol=t),
+    "herm_mp-rank_tol": lambda t: herm_mp(P, rank_tol=t),
+    "herm_mp-eq_tol": lambda t: herm_mp(P, eq_tol=t),
+    "hermitian_sqrt-rank_tol": lambda t: hermitian_sqrt(P, rank_tol=t),
+    "hermitian_sqrt-eq_tol": lambda t: hermitian_sqrt(P, eq_tol=t),
+    "herm_eig": lambda t: herm_eig(P, eq_tol=t),
+    "split_dagger_idempotent": lambda t: split_dagger_idempotent(P, eq_tol=t),
+    "kernel_universality_holds": lambda t: kernel_universality_holds(
+        A, ComplexMatrix.zeros(0, 2), ComplexMatrix.zeros(1, 2), eq_tol=t
+    ),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0], ids=["nan", "inf", "-1"])
+@pytest.mark.parametrize("name", sorted(TOLERANT))
+def test_an_invalid_tolerance_is_refused_before_any_solve(monkeypatch, name, tol):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran before the tolerance was checked")
+
+    for solver in ("one_sided_svd", "hermitian_jacobi", "_qrcp"):
+        monkeypatch.setattr(_jacobi, solver, refuse)
+    with pytest.raises(InputError, match="must be finite and nonnegative"):
+        TOLERANT[name](tol)
+
+
+def measured_pairs(monkeypatch):
+    """Each (f, g, deviation) that MatrixInstance.deviation returns, in order."""
+    measured = []
+    deviation = MatrixInstance.deviation
+
+    def spy(self, f, g):
+        measured.append((f, g, deviation(self, f, g)))
+        return measured[-1][2]
+
+    monkeypatch.setattr(MatrixInstance, "deviation", spy)
+    return measured
+
+
+@pytest.mark.parametrize("refuse", [herm_eig, split_dagger_idempotent, hermitian_sqrt])
+def test_a_hermitian_refusal_carries_the_instance_deviation(monkeypatch, refuse):
+    p = M([[1, 1e-6], [0, 1]])
+    measured = measured_pairs(monkeypatch)
+    with pytest.raises(PreconditionError, match="not Hermitian") as exc:
+        refuse(p)
+    [(f, g, dev)] = measured
+    assert f is p and np.array_equal(g.array, p.array.conj().T)
+    assert exc.value.residual == dev == _frobenius(p.array - p.array.conj().T)
+
+
+def test_a_split_refusal_carries_the_instance_deviation(monkeypatch):
+    q = np.linalg.qr(uniform_complex(np.random.default_rng(49), 4, 4))[0]
+    measured = measured_pairs(monkeypatch)
+    for e in (M([[2, 0], [0, 0]]), ComplexMatrix(0.9 * q[:, :2] @ q[:, :2].conj().T)):
+        measured.clear()
+        with pytest.raises(PreconditionError, match="not an idempotent") as exc:
+            split_dagger_idempotent(e)
+        (_, _, hermitian), (rrd, rhs, dev) = measured
+        assert hermitian <= EQ_TOL_DEFAULT * e.norm() and rhs is e
+        assert exc.value.residual == dev == _frobenius(rrd.array - e.array)
