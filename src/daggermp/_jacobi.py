@@ -56,7 +56,7 @@ entry first, as LAPACK's xGEJSV does with row pivoting, so that graded
 rows keep the relative accuracy of Jacobi (Demmel & Veselić, SIMAX
 13(4), 1992).  The same QR splits a dagger idempotent of rank k on its
 own: the first k columns of Q span its range (see
-:func:`~daggermp.matrix.split_dagger_idempotent`).
+:meth:`~daggermp.matrix.MatrixInstance.split_idempotent`).
 
 A caller that zeroes every eigenvalue or singular value below the
 default cutoff lets the solvers drop those trailing rows of R outright,

@@ -73,37 +73,23 @@ def _tolerance(args: argparse.Namespace) -> Tolerance:
     return Tolerance(rank_tol=args.rank_tol, eq_tol=args.eq_tol)
 
 
-def _detect(obj: Any):
-    """Build (kind, morphism) from a JSON object by its keys."""
+def _morphism(obj: Any, tol: Tolerance):
+    """(kind, instance, morphism) of a JSON object, its kind told by its keys."""
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
     if "data" in obj:
-        from .matrix import matrix_from_obj
+        from .matrix import MatrixInstance, matrix_from_obj
 
-        return "matrix", matrix_from_obj(obj)
+        return "matrix", MatrixInstance(tol), matrix_from_obj(obj)
     if "pairs" in obj:
-        from .rel import rel_from_obj
+        from .rel import RelInstance, rel_from_obj
 
-        return "rel", rel_from_obj(obj)
+        return "rel", RelInstance(), rel_from_obj(obj)
     if "map" in obj:
-        from .pinj import pinj_from_obj
+        from .pinj import PInjInstance, pinj_from_obj
 
-        return "pinj", pinj_from_obj(obj)
+        return "pinj", PInjInstance(), pinj_from_obj(obj)
     raise InputError("cannot tell matrix / relation / partial injection apart")
-
-
-def _instance_for(kind: str, tol: Tolerance):
-    if kind == "matrix":
-        from .matrix import MatrixInstance
-
-        return MatrixInstance(tol)
-    if kind == "rel":
-        from .rel import RelInstance
-
-        return RelInstance()
-    from .pinj import PInjInstance
-
-    return PInjInstance()
 
 
 def cmd_pinv(args) -> tuple[dict, int]:
@@ -160,11 +146,10 @@ def cmd_rank_transpose(args) -> tuple[dict, int]:
 def cmd_verify_mp(args) -> tuple[dict, int]:
     tol = _tolerance(args)
     obj_f, obj_g = _expect_inputs(args, 2)
-    kind_f, f = _detect(obj_f)
-    kind_g, g = _detect(obj_g)
+    kind_f, inst, f = _morphism(obj_f, tol)
+    kind_g, _, g = _morphism(obj_g, tol)
     if kind_f != kind_g:
         raise InputError(f"inputs are different kinds: {kind_f} and {kind_g}")
-    inst = _instance_for(kind_f, tol)
     report = verify_mp(inst, f, g)
     out = {"instance": kind_f}
     out.update(report.as_dict())
@@ -252,12 +237,10 @@ def cmd_rel_oracle(args) -> tuple[dict, int]:
 
 
 def cmd_rel_split_per(args) -> tuple[dict, int]:
-    from .rel import RelInstance, rel_from_obj, rel_to_obj
+    from .rel import rel_from_obj, rel_to_obj, split_per
 
     (obj,) = _expect_inputs(args, 1)
-    inst = RelInstance()
-    mem = inst.split_idempotent(rel_from_obj(obj))
-    return rel_to_obj(mem), 0
+    return rel_to_obj(split_per(rel_from_obj(obj))), 0
 
 
 def cmd_rel_gcsvd(args) -> tuple[dict, int]:
@@ -294,8 +277,7 @@ def cmd_karoubi_check(args) -> tuple[dict, int]:
 
     tol = _tolerance(args)
     (obj,) = _expect_inputs(args, 1)
-    kind, f = _detect(obj)
-    inst = _instance_for(kind, tol)
+    kind, inst, f = _morphism(obj, tol)
     f_mp = inst.mp(f)
     report = verify_mp(inst, f, f_mp)
     forward, backward = iso_from_mp(inst, f, f_mp)

@@ -200,7 +200,10 @@ class DaggerInstance(ABC):
     The mandatory part is composition, dagger, identities, typing, and a
     deviation measure.  The capability hooks below are optional; the
     default implementations raise :class:`CapabilityError`, and generic
-    code is expected to let that propagate.
+    code is expected to let that propagate.  A capability that builds a
+    morphism checks no equation of what it returns: that is a candidate,
+    certified by its consumer (a factorization's defining equations, or
+    :func:`split` for a splitting handed to the user).
     """
 
     name = "instance"
@@ -259,7 +262,8 @@ class DaggerInstance(ABC):
         raise CapabilityError(f"{self.name} instance provides no positivity check")
 
     def split_idempotent(self, e: Any) -> Any:
-        """Coisometry r with r r† = e and r† r = 1 on the new object."""
+        """Candidate coisometry r with r r† = e and r† r = 1 on the new
+        object, for a dagger idempotent e; unchecked (see :func:`split`)."""
         raise CapabilityError(f"{self.name} instance cannot split idempotents")
 
     def kernel(self, f: Any) -> Any:
@@ -338,6 +342,34 @@ def is_dagger_idempotent(inst: DaggerInstance, f: Any) -> bool:
     except PreconditionError:
         return False
     return True
+
+
+def split(inst: DaggerInstance, e: Any) -> Any:
+    """The instance's splitting r of a dagger idempotent e, certified.
+
+    InputError unless e is an endomorphism.  e = e† at scale |e|, then
+    r r† = e at scale |e| and r† r = 1 at scale |1| must pass
+    :func:`check`, or PreconditionError carries the deviation of the
+    first that fails.  The last two imply e e = e.
+    """
+    _require_endo(inst, e, "splitting")
+    scale = inst.norm(e)  # taken before the dagger, which then carries it
+    check(
+        inst, e, inst.dagger(e), PreconditionError,
+        "split: self_adjoint equation fails", scale,
+    )
+    r = inst.split_idempotent(e)
+    rd = inst.dagger(r)
+    check(
+        inst, inst.compose(r, rd), e, PreconditionError,
+        "split: recomposition equation fails", scale,
+    )
+    one = inst.identity(inst.target(r))
+    check(
+        inst, inst.compose(rd, r), one, PreconditionError,
+        "split: coisometry equation fails", inst.norm(one),
+    )
+    return r
 
 
 def is_positive(inst: DaggerInstance, p: Any) -> bool:

@@ -10,11 +10,15 @@ polar form      f = u . h         u partial isometry, h positive
 
 Each constructor records its defining equations as residuals and
 refuses (DecompositionError, carrying the residual) when one fails at
-the instance tolerance.  Refusals happen in practice: the equations are
-algebraic consequences of the axioms, but at aggressive tolerances or
-borderline numerical rank the verification can genuinely miss.  Loosen
-the instance's eq_tol to accept more rounding error, or treat the
-refusal as the answer.
+the instance tolerance.  Those equations define the factorization, so
+they also certify what it is built from: the splittings of f f° and
+f° f come unchecked from the instance capability (or a ``splitter``),
+and r† r = 1, s s† = 1, d's two-sided inverse and r d s = f hold only
+if r r† = f f° and s† s = f° f.  Refusals happen in practice: the
+equations are algebraic consequences of the axioms, but at aggressive
+tolerances or borderline numerical rank the verification can genuinely
+miss.  Loosen the instance's eq_tol to accept more rounding error, or
+treat the refusal as the answer.
 """
 
 from __future__ import annotations
@@ -95,10 +99,11 @@ def gcsvd_from_mp(
 ) -> GCSVDTriple:
     """Compact factorization through the splittings of f f° and f° f.
 
-    ``splitter`` must send a dagger idempotent e to some m with
+    ``splitter`` should send a dagger idempotent e to some m with
     m . m-dagger == e and m-dagger . m an identity; it defaults to the
     instance capability and its exceptions propagate (an instance that
-    cannot split reports that here).
+    cannot split reports that here).  Its output is not checked on its
+    own: the compact-form equations certify it, and refuse a wrong one.
     """
     require_mp(inst, f, f_mp, PreconditionError, "compact form needs an M-P pair")
     split = splitter if splitter is not None else inst.split_idempotent

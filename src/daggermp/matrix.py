@@ -42,6 +42,7 @@ from .core import (
     check_sizes,
     is_plain_int,
     json_fields,
+    split,
 )
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -405,15 +406,14 @@ def has_mp_wrt_transpose(a: ComplexMatrix, rank_tol: Optional[float] = None) -> 
     return r_left == r == r_right
 
 
-def _require_hermitian(p: ComplexMatrix, eq_tol: float) -> "MatrixInstance":
-    """The instance at eq_tol, once p = p† passes its check at scale |p|
-    (PreconditionError); InputError unless eq_tol is valid and p square."""
+def _require_hermitian(p: ComplexMatrix, eq_tol: float) -> None:
+    """PreconditionError unless p = p† passes its check at scale |p| on the
+    instance at eq_tol; InputError unless eq_tol is valid and p square."""
     inst = MatrixInstance(Tolerance(eq_tol=eq_tol))
     if p.rows != p.cols:
         raise InputError("a Hermitian matrix must be square")
     norm = p.norm()  # taken before the dagger, which then carries it
     check(inst, p, p.dagger(), PreconditionError, "matrix is not Hermitian", norm)
-    return inst
 
 
 def herm_eig(
@@ -464,30 +464,14 @@ def split_dagger_idempotent(
 ) -> ComplexMatrix:
     """Split a dagger idempotent: returns r (n x k) with r r† = e, r† r = I_k.
 
-    The rank k of a dagger idempotent is its trace; r is the first k
-    columns of Q from a pivoted QR of e, phases fixed as for eigenvectors.
+    r is :meth:`MatrixInstance.split_idempotent`, certified by
+    :func:`~daggermp.core.split` on a :class:`MatrixInstance` at eq_tol:
     e = e† at scale |e|, r r† = e at scale |e| and r† r = I_k at scale
-    √k must pass :func:`~daggermp.core.check` on a :class:`MatrixInstance`
-    at eq_tol, or PreconditionError carries the deviation of the first
-    that fails; an eq_tol that :class:`~daggermp.core.Tolerance` refuses
-    raises InputError.
+    √k, or PreconditionError carries the deviation of the first that
+    fails.  A non-square e, or an eq_tol that
+    :class:`~daggermp.core.Tolerance` refuses, raises InputError.
     """
-    inst = _require_hermitian(e, eq_tol)
-    # The diagonal of a dagger idempotent lies in [0, 1]: clipping it
-    # changes nothing there and keeps k in [0, n] for any other input.
-    k = round(float(np.clip(e.array.diagonal().real, 0.0, 1.0).sum()))
-    r = np.zeros((e.rows, 0), dtype=np.complex128)
-    if k:
-        r = _jacobi._qrcp(e.array * 2.0 ** _jacobi._pow2_exponent(e.array))[0][:, :k]
-        r *= _phases(r, e.rows * _EPS)
-    r = _computed(r)
-    rd = r.dagger()
-    check(inst, r @ rd, e, PreconditionError, "not an idempotent", e.norm())
-    check(
-        inst, rd @ r, ComplexMatrix.identity(k), PreconditionError,
-        "split is not a coisometry", math.sqrt(k),
-    )
-    return r
+    return split(MatrixInstance(Tolerance(eq_tol=eq_tol)), e)
 
 
 def dagger_kernel(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
@@ -568,11 +552,10 @@ def direct_sum(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
 
 
 def _block_offsets(dims: Sequence[int], j: int) -> tuple[int, int, int]:
-    if not 0 <= j < len(dims):
-        raise InputError(f"block index {j} out of range for {len(dims)} blocks")
-    total = int(sum(dims))
-    off = int(sum(dims[:j]))
-    return total, off, int(dims[j])
+    check_sizes(*dims)
+    if not (is_plain_int(j) and 0 <= j < len(dims)):
+        raise InputError(f"block index {j!r} out of range for {len(dims)} blocks")
+    return sum(dims), sum(dims[:j]), dims[j]
 
 
 def biproduct_injection(dims: Sequence[int], j: int) -> ComplexMatrix:
@@ -595,9 +578,10 @@ class MatrixInstance(DaggerInstance):
     :class:`ComplexMatrix`.  Equality is :meth:`~daggermp.core.DaggerInstance.compare`
     on the Frobenius deviation, at scale ``max(|f|, |g|)`` or at the
     factor-norm bounds of the inverse identities.  The module's own
-    preconditions (the Hermitian check, the split's two equations) are
-    checked the same way, on an instance at the caller's eq_tol, so
-    :meth:`deviation` measures every matrix equation.  All optional
+    preconditions (the Hermitian check, and the split's equations in
+    :func:`~daggermp.core.split`) are checked the same way, on an
+    instance at the caller's eq_tol, so :meth:`deviation` measures
+    every matrix equation.  All optional
     capabilities are provided: positivity, idempotent splitting, kernels,
     square roots, biproducts.
     """
@@ -644,7 +628,18 @@ class MatrixInstance(DaggerInstance):
         return True
 
     def split_idempotent(self, e: ComplexMatrix) -> ComplexMatrix:
-        return split_dagger_idempotent(e, eq_tol=self.tolerance.eq_tol)
+        """The first k columns of Q from a pivoted QR of e, phases fixed as
+        for eigenvectors, where k is the trace, the rank of a dagger
+        idempotent; unchecked, as :func:`split_dagger_idempotent` certifies it."""
+        # The diagonal of a dagger idempotent lies in [0, 1]: clipping it
+        # changes nothing there and keeps k in [0, n] for any other input.
+        k = round(float(np.clip(e.array.diagonal().real, 0.0, 1.0).sum()))
+        r = np.zeros((e.rows, 0), dtype=np.complex128)
+        if k:
+            scaled = e.array * 2.0 ** _jacobi._pow2_exponent(e.array)
+            r = _jacobi._qrcp(scaled)[0][:, :k]
+            r *= _phases(r, e.rows * _EPS)
+        return _computed(r)
 
     def kernel(self, f: ComplexMatrix) -> ComplexMatrix:
         return dagger_kernel(f, rank_tol=self.tolerance.rank_tol)

@@ -34,6 +34,7 @@ from .core import (
     is_plain_int,
     pair_items,
     pairs_from_obj,
+    split,
 )
 
 BRUTE_FORCE_LIMIT = 16  # max src*tgt for the exhaustive candidate scan
@@ -104,8 +105,10 @@ class FiniteRelation:
         ]
 
     def has(self, i: int, j: int) -> bool:
-        if not (0 <= i < self.src and 0 <= j < self.tgt):
-            raise InputError(f"({i}, {j}) out of range for {self.src} -> {self.tgt}")
+        if not (is_plain_int(i) and is_plain_int(j)) or not (
+            0 <= i < self.src and 0 <= j < self.tgt
+        ):
+            raise InputError(f"({i!r}, {j!r}) out of range for {self.src} -> {self.tgt}")
         return bool((self.rows[i] >> j) & 1)
 
     def converse(self) -> "FiniteRelation":
@@ -247,29 +250,12 @@ def split_per(e: FiniteRelation) -> FiniteRelation:
 
     For symmetric idempotent e on n points, returns mem : n -> k sending
     each point in e's domain to its equivalence class, classes ordered
-    by least member.  Then mem . converse(mem) == e exactly and
-    converse(mem) . mem is the identity on k points.
+    by least member (:meth:`RelInstance.split_idempotent`).
+    :func:`~daggermp.core.split` certifies it: e == converse(e),
+    mem . converse(mem) == e and converse(mem) . mem the identity on k
+    points, or PreconditionError; InputError unless e is an endo-relation.
     """
-    if e.src != e.tgt:
-        raise InputError("only endo-relations can be split")
-    if e.converse() != e or e.compose(e) != e:
-        raise PreconditionError("relation is not a symmetric idempotent")
-    classes: list[int] = []
-    seen: set[int] = set()
-    for row in e.rows:
-        if row and row not in seen:
-            seen.add(row)
-            classes.append(row)
-    index = {mask: c for c, mask in enumerate(classes)}
-    rows = tuple(
-        (1 << index[row]) if row else 0 for row in e.rows
-    )
-    mem = _relation(e.src, len(classes), rows)
-    if mem.compose(mem.converse()) != e:
-        raise ConsistencyError("class membership does not recompose the idempotent")
-    if mem.converse().compose(mem) != FiniteRelation.identity(len(classes)):
-        raise ConsistencyError("equivalence classes are not disjoint")
-    return mem
+    return split(RelInstance(), e)
 
 
 def gcsvd_rel(
@@ -345,7 +331,15 @@ class RelInstance(DaggerInstance):
         return g
 
     def split_idempotent(self, e: FiniteRelation) -> FiniteRelation:
-        return split_per(e)
+        """Each point of e's domain sent to its row, the class it lies in if
+        e is a partial equivalence relation; unchecked, as :func:`split_per`
+        certifies it."""
+        index: dict[int, int] = {}
+        for row in e.rows:
+            if row:
+                index.setdefault(row, len(index))
+        rows = tuple((1 << index[row]) if row else 0 for row in e.rows)
+        return _relation(e.src, len(index), rows)
 
 
 def rel_to_obj(r: FiniteRelation) -> dict:

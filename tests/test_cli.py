@@ -188,6 +188,19 @@ def test_verify_mp_rejects_mixed_kinds(tmp_path):
     assert err.startswith("error:") and "different kinds" in err
 
 
+@pytest.mark.parametrize("payload, what", [
+    ([[1, 0], [0, 1]], "input must be a JSON object"),
+    ({"rows": 1, "cols": 1}, "cannot tell matrix / relation / partial injection apart"),
+])
+@pytest.mark.parametrize("command", ["verify-mp", "karoubi check"])
+def test_an_input_of_no_kind_exits_2(tmp_path, command, payload, what):
+    path = write_json(tmp_path, "odd.json", payload)
+    inputs = ["--in", path] * (2 if command == "verify-mp" else 1)
+    code, out, err = run_cli(*command.split(), *inputs)
+    assert code == 2 and out == ""
+    assert err == f"error: {what}\n"
+
+
 def test_verify_mp_relation_pair(tmp_path):
     r = write_json(tmp_path, "r.json", {"src": 2, "tgt": 2, "pairs": [[0, 1], [1, 0]]})
     code, out, _ = run_cli("verify-mp", "--in", r, "--in", r)

@@ -34,7 +34,7 @@ from daggermp import (
     mp_via_gram,
     verify_mp,
 )
-from daggermp.core import check, require_mp, within
+from daggermp.core import check, require_mp, split, within
 
 M = ComplexMatrix.from_rows
 
@@ -83,6 +83,39 @@ def test_projector_predicates(minst):
     assert not is_isometry(minst, p)
     assert not is_coisometry(minst, p)
     assert not is_unitary(minst, p)
+
+
+def test_what_is_not_a_dagger_idempotent(minst, rel_inst):
+    assert not is_dagger_idempotent(minst, M([[1, 1], [0, 0]]))  # idempotent only
+    assert not is_dagger_idempotent(minst, M([[2, 0], [0, 0]]))  # Hermitian only
+    assert not is_dagger_idempotent(rel_inst, FiniteRelation.from_pairs(2, 2, [(0, 1)]))
+    assert not is_dagger_idempotent(
+        rel_inst, FiniteRelation.from_pairs(2, 2, [(0, 1), (1, 0)])
+    )  # symmetric, not idempotent
+
+
+class FixedSplit(RelInstance):
+    """A relation instance whose split capability returns a fixed candidate."""
+
+    def __init__(self, candidate):
+        super().__init__()
+        self.candidate = candidate
+
+    def split_idempotent(self, e):
+        return self.candidate
+
+
+def test_split_certifies_the_capability_candidate(minst, rel_inst):
+    eye = FiniteRelation.identity(1)
+    assert split(rel_inst, eye) == eye
+    assert split(minst, M([[1, 0], [0, 0]])).cols == 1
+    with pytest.raises(InputError, match="requires an endomorphism"):
+        split(rel_inst, FiniteRelation.empty(1, 2))
+    # r r† = e holds but r† r is the full relation on 2 points
+    with pytest.raises(PreconditionError, match="split: coisometry equation fails"):
+        split(FixedSplit(FiniteRelation.full(1, 2)), eye)
+    with pytest.raises(PreconditionError, match="split: recomposition equation fails"):
+        split(FixedSplit(FiniteRelation.empty(1, 1)), eye)
 
 
 def test_row_isometry_is_not_coisometry(minst):

@@ -446,11 +446,11 @@ def test_each_defining_equation_is_measured_once(minst, monkeypatch):
         return measure(self, a, b)
 
     monkeypatch.setattr(MatrixInstance, "deviation", counted)
-    # 4 MP identities + 5 compact equations + 2 splits of 3 each (e = e†,
-    # r r† = e, r† r = I); + 2 kernel covers, 4 unitarity and 1
-    # reconstruction; polar: 4 + p = p† in herm_eig + self-adjoint + square
-    # + 4 + 3.
-    for route, expected in ((gcsvd_from_mp, 15), (gsvd_from_mp, 22), (polar_from_mp, 14)):
+    # 4 MP identities + 5 compact equations; gcsvd measures no split
+    # equation, as the compact ones certify the unchecked splits.  gsvd:
+    # + 2 kernel covers, 4 unitarity and 1 reconstruction; polar: 4 + p = p†
+    # in herm_eig + self-adjoint + square + 4 + 3.
+    for route, expected in ((gcsvd_from_mp, 9), (gsvd_from_mp, 16), (polar_from_mp, 14)):
         calls.clear()
         route(minst, f, f_mp)
         assert len(calls) == expected, route.__name__

@@ -418,15 +418,15 @@ def test_split_refuses_non_hermitian_and_non_idempotent_input(k):
     q, _ = np.linalg.qr(uniform_complex(np.random.default_rng(48), 4, 4))
     near = 0.9 * q[:, :2] @ q[:, :2].conj().T  # Hermitian, eigenvalues 0.9 and 0
     for e, what in (
-        ([[1, 1], [0, 0]], "not Hermitian"),  # idempotent, not Hermitian
-        ([[1, 1e-6], [0, 1]], "not Hermitian"),
-        ([[2, 0], [0, 0]], "not an idempotent"),
-        (0.5 * np.eye(3), "not an idempotent"),
-        (near, "not an idempotent"),
+        ([[1, 1], [0, 0]], "self_adjoint"),  # idempotent, not Hermitian
+        ([[1, 1e-6], [0, 1]], "self_adjoint"),
+        ([[2, 0], [0, 0]], "recomposition"),
+        (0.5 * np.eye(3), "recomposition"),
+        (near, "recomposition"),
     ):
-        with pytest.raises(PreconditionError, match=what):
+        with pytest.raises(PreconditionError, match=f"split: {what} equation fails"):
             split_dagger_idempotent(ComplexMatrix(np.asarray(e) * 2.0**k))
-    with pytest.raises(PreconditionError, match="not an idempotent"):
+    with pytest.raises(PreconditionError, match="recomposition equation fails"):
         # |column| overflows unless the QR runs on a power-of-two prescale
         split_dagger_idempotent(M([[1e308, 1e308], [1e308, 1e308]]))
 
@@ -871,6 +871,16 @@ def test_direct_sum_and_biproduct_maps():
     assert np.array_equal(cover, np.eye(5))
     with pytest.raises(InputError):
         biproduct_injection((2, 3), 2)
+
+
+@pytest.mark.parametrize("dims, j", [
+    ((2, 1.5), 1), ((2, True), 0), ((2, -1), 0), ((2, None), 0),
+    ((2, 3), True), ((2, 3), 1.0), ((2, 3), -1),
+])
+def test_a_biproduct_with_a_bad_size_or_index_is_refused(dims, j):
+    for build in (biproduct_injection, biproduct_projection):
+        with pytest.raises(InputError):
+            build(dims, j)
 
 
 def test_json_round_trip():
@@ -1451,7 +1461,7 @@ def test_split_checks_enter_no_error_state(monkeypatch):
 
     monkeypatch.setattr(np, "errstate", counted)
     assert split_dagger_idempotent(e).cols == 3
-    with pytest.raises(PreconditionError, match="not Hermitian"):
+    with pytest.raises(PreconditionError, match="self_adjoint equation fails"):
         split_dagger_idempotent(M([[1, 1], [0, 0]]))
     assert entered == []
 
@@ -1506,7 +1516,8 @@ def measured_pairs(monkeypatch):
 def test_a_hermitian_refusal_carries_the_instance_deviation(monkeypatch, refuse):
     p = M([[1, 1e-6], [0, 1]])
     measured = measured_pairs(monkeypatch)
-    with pytest.raises(PreconditionError, match="not Hermitian") as exc:
+    what = "self_adjoint equation" if refuse is split_dagger_idempotent else "not Hermitian"
+    with pytest.raises(PreconditionError, match=what) as exc:
         refuse(p)
     [(f, g, dev)] = measured
     assert f is p and np.array_equal(g.array, p.array.conj().T)
@@ -1518,7 +1529,7 @@ def test_a_split_refusal_carries_the_instance_deviation(monkeypatch):
     measured = measured_pairs(monkeypatch)
     for e in (M([[2, 0], [0, 0]]), ComplexMatrix(0.9 * q[:, :2] @ q[:, :2].conj().T)):
         measured.clear()
-        with pytest.raises(PreconditionError, match="not an idempotent") as exc:
+        with pytest.raises(PreconditionError, match="recomposition equation fails") as exc:
             split_dagger_idempotent(e)
         (_, _, hermitian), (rrd, rhs, dev) = measured
         assert hermitian <= EQ_TOL_DEFAULT * e.norm() and rhs is e

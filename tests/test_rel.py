@@ -47,6 +47,12 @@ def test_relation_validation():
         r.has(2, 0)
 
 
+@pytest.mark.parametrize("i, j", [("a", 0), (True, 1), (0, 1.0), (0, None), (-1, 0)])
+def test_has_refuses_an_index_that_is_not_a_plain_int_in_range(i, j):
+    with pytest.raises(InputError, match="out of range"):
+        R(2, 3, [(0, 1), (1, 1)]).has(i, j)
+
+
 def test_relation_algebra_basics():
     r = R(2, 3, [(0, 0), (0, 2), (1, 1)])
     assert r.converse().converse() == r
@@ -296,9 +302,9 @@ def test_rel_instance_errors(rel_inst):
         rel_inst.mp(R(2, 2, [(0, 0), (1, 0), (1, 1)]))
     assert exc.value.residual == 1.0
     with pytest.raises(InputError):
-        rel_inst.split_idempotent(FiniteRelation.empty(2, 3))
+        split_per(FiniteRelation.empty(2, 3))
     with pytest.raises(PreconditionError):
-        rel_inst.split_idempotent(R(2, 2, [(0, 1)]))
+        split_per(R(2, 2, [(0, 1)]))
 
 
 def test_rel_deviation_counts_disagreeing_pairs(rel_inst):
