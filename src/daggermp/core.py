@@ -383,6 +383,7 @@ def verify_mp(inst: DaggerInstance, f: Any, g: Any) -> MPReport:
 
     ``g`` must have the dual type of ``f`` (source(g) = target(f) and
     target(g) = source(f)); anything else raises :class:`InputError`.
+    A report stores nothing: :func:`require_mp` certifies.
     """
     if inst.source(g) != inst.target(f) or inst.target(g) != inst.source(f):
         raise InputError("candidate inverse must have the dual type of f")
@@ -419,9 +420,19 @@ def require_mp(inst: DaggerInstance, f: Any, g: Any, error: type, what: str) -> 
     """Return g if it is the M-P inverse of f, else raise ``error``.
 
     The error names the first failing identity and carries its residual.
+    A pair that passes is certified: g keeps ``(f, inst)`` as ``_mp_cert``,
+    set as a matrix sets its stored norm, and a later call with the same
+    f object and the same instance object returns g without measuring.
+    Morphisms are immutable and an instance keeps its tolerance, so the
+    pair would pass again.  A failed pair stores nothing, and
+    :func:`verify_mp` only reports.
     """
+    cert = getattr(g, "_mp_cert", None)
+    if cert is not None and cert[0] is f and cert[1] is inst:
+        return g
     report = verify_mp(inst, f, g)
     if not report.all_hold:
         i = (report.mp1, report.mp2, report.mp3, report.mp4).index(False)
         raise error(f"{what}: MP{i + 1} fails", residual=report.residuals[i])
+    object.__setattr__(g, "_mp_cert", (f, inst))
     return g

@@ -70,10 +70,14 @@ class ComplexMatrix:
     As the array is read-only, the stored norm cannot go stale.  With
     the norms known, a product runs under the overflow guard of
     ``np.errstate`` only when ‖A‖·‖B‖ reaches :data:`_FLAG_FREE`.
+    :func:`dagger_kernel` at its default cutoff keeps the raw factors of
+    its SVD the same way, and :meth:`dagger` hands them on with u and v
+    swapped, so the kernels of f† and of (f†)† cost one SVD.
     """
 
     array: np.ndarray
     _norm = None  # the Frobenius norm, once known; not a dataclass field
+    _svd = None  # read-only raw (u, sigma, v) of the deflated SVD, once known
 
     def __post_init__(self):
         arr = _complex_input(self.array)
@@ -116,7 +120,11 @@ class ComplexMatrix:
         return _wrap(np.zeros((rows, cols), dtype=np.complex128), 0.0)
 
     def dagger(self) -> "ComplexMatrix":
-        return _wrap(self.array.conj().T, self._norm)
+        out = _wrap(self.array.conj().T, self._norm)
+        if self._svd is not None:
+            u, s, v = self._svd
+            object.__setattr__(out, "_svd", (v, s, u))
+        return out
 
     def norm(self) -> float:
         norm = self._norm
@@ -331,11 +339,7 @@ def svd(
     n, m = a.rows, a.cols
     if min(n, m) == 0:
         return SVDResult(ComplexMatrix.identity(n), (), ComplexMatrix.identity(m), 0)
-    if n >= m:
-        u, s, v = _jacobi.one_sided_svd(a.array, _deflate=_deflate)
-    else:
-        vb, s, ub = _jacobi.one_sided_svd(a.array.conj().T, _deflate=_deflate)
-        u, v = ub, vb
+    u, s, v = _raw_svd(a, _deflate)
     k = len(s)
     smax = float(s[0]) if k else 0.0
     tol = rank_tol if rank_tol is not None else _default_rank_tol(n, m, smax)
@@ -347,6 +351,15 @@ def svd(
         v[:, k:] *= _phases(v[:, k:], unit_tol)
     rank = int(np.count_nonzero(s > tol))
     return SVDResult(_computed(u), tuple(float(x) for x in s), _computed(v), rank)
+
+
+def _raw_svd(a: ComplexMatrix, deflate: bool) -> tuple:
+    """(u, sigma, v) with a = u Σ v†, from :func:`~daggermp._jacobi.one_sided_svd`
+    on the taller orientation of a nonempty a; phases not yet fixed."""
+    if a.rows >= a.cols:
+        return _jacobi.one_sided_svd(a.array, _deflate=deflate)
+    vb, s, ub = _jacobi.one_sided_svd(a.array.conj().T, _deflate=deflate)
+    return ub, s, vb
 
 
 def pinv(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
@@ -481,10 +494,29 @@ def dagger_kernel(a: ComplexMatrix, rank_tol: Optional[float] = None) -> Complex
     from the final columns of the SVD's left factor; z = n - rank(a).
     At the default cutoff the SVD skips the null space its pivoted QR
     reveals, as for :func:`pinv`; the rows then span the same space as
-    the trailing columns of :func:`svd`'s u, in another basis.
+    the trailing columns of :func:`svd`'s u, in another basis.  At that
+    cutoff a keeps the raw factors of its SVD, and
+    :meth:`ComplexMatrix.dagger` hands them on swapped, so the kernel of
+    a's dagger reads them with no second SVD.  The phase rule of
+    :func:`svd` is applied to the columns taken, in the orientation
+    asked for.  A rectangular a has the same factors in either
+    orientation; for a square a whose factors came from its dagger, the
+    rows are another basis of the same space.
     """
-    res = svd(a, rank_tol=rank_tol, _deflate=rank_tol is None)
-    return _computed(res.u.array[:, res.rank:].conj().T)
+    n, m = a.rows, a.cols
+    if rank_tol is not None or min(n, m) == 0:
+        res = svd(a, rank_tol=rank_tol, _deflate=rank_tol is None)
+        return _computed(res.u.array[:, res.rank:].conj().T)
+    factors = a._svd
+    if factors is None:
+        factors = _raw_svd(a, True)
+        for x in factors:
+            x.setflags(write=False)
+        object.__setattr__(a, "_svd", factors)
+    u, s, _ = factors
+    null = u[:, np.count_nonzero(s > _default_rank_tol(n, m, float(s[0]))):]
+    null = null * _phases(null, max(n, m) * _EPS)
+    return _computed(null.conj().T)
 
 
 def kernel_universality_holds(

@@ -12,9 +12,9 @@ numpy, and they import it themselves, so the rest of the module runs
 without loading it.
 
 Symmetric idempotents here are partial equivalence relations; they split
-through their set of equivalence classes (:func:`split_per`), which is
-what the compact-decomposition construction for difunctional relations
-(:func:`gcsvd_rel`) is made of.
+through their set of equivalence classes (:func:`split_per`), and the
+compact decomposition of a difunctional relation (:func:`gcsvd_rel`) is
+made of two such splits.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .core import (
     NoMPInverseError,
     PreconditionError,
     Tolerance,
+    check,
     check_sizes,
     is_plain_int,
     pair_items,
@@ -266,25 +267,30 @@ def gcsvd_rel(
     mem : src -> X is the class membership of r.converse-composite on the
     source side (a coisometry), s : Y -> tgt the converse membership on
     the target side (an isometry), and d : X -> Y a bijection between
-    the two class sets.
+    the two class sets.  A difunctional r makes r r° and r° r partial
+    equivalence relations, so the memberships are
+    :meth:`RelInstance.split_idempotent`, unchecked.  Each equation is
+    checked by :func:`~daggermp.core.check` on a :class:`RelInstance`:
+    r r° r = r (else PreconditionError), then d d° = 1, d° d = 1 and
+    mem d s = r (else ConsistencyError), the refusal carrying the
+    deviation.
     """
-    if not is_difunctional(r):
-        raise PreconditionError("relation is not difunctional")
-    mem_src = split_per(r.compose(r.converse()))
-    mem_tgt = split_per(r.converse().compose(r))
+    inst = RelInstance()
+    rc = r.converse()
+    left = r.compose(rc)
+    check(inst, left.compose(r), r, PreconditionError, "relation is not difunctional")
+    mem_src = inst.split_idempotent(left)
+    mem_tgt = inst.split_idempotent(rc.compose(r))
     d = mem_src.converse().compose(r).compose(mem_tgt)
+    dc = d.converse()
+    what = "middle factor of a difunctional relation not a bijection"
+    check(inst, d.compose(dc), inst.identity(d.src), ConsistencyError, what)
+    check(inst, dc.compose(d), inst.identity(d.tgt), ConsistencyError, what)
     s = mem_tgt.converse()
-    x, y = d.src, d.tgt
-    bijection = (
-        x == y
-        and all(row.bit_count() == 1 for row in d.rows)
-        and d.converse().compose(d) == FiniteRelation.identity(y)
-        and d.compose(d.converse()) == FiniteRelation.identity(x)
+    check(
+        inst, mem_src.compose(d).compose(s), r, ConsistencyError,
+        "compact factors do not recompose the relation",
     )
-    if not bijection:
-        raise ConsistencyError("middle factor of a difunctional relation not a bijection")
-    if mem_src.compose(d).compose(s) != r:
-        raise ConsistencyError("compact factors do not recompose the relation")
     return mem_src, d, s
 
 
@@ -333,7 +339,7 @@ class RelInstance(DaggerInstance):
     def split_idempotent(self, e: FiniteRelation) -> FiniteRelation:
         """Each point of e's domain sent to its row, the class it lies in if
         e is a partial equivalence relation; unchecked, as :func:`split_per`
-        certifies it."""
+        and :func:`gcsvd_rel` certify it."""
         index: dict[int, int] = {}
         for row in e.rows:
             if row:

@@ -12,6 +12,7 @@ from daggermp import (
     InputError,
     NoMPInverseError,
     PreconditionError,
+    RelInstance,
     brute_force_mp,
     gcsvd_from_mp,
     gcsvd_intertwiners,
@@ -252,8 +253,22 @@ def test_gcsvd_rel_empty_relation():
 
 
 def test_gcsvd_rel_refuses_nondifunctional():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="not difunctional") as err:
         gcsvd_rel(R(2, 2, [(0, 0), (1, 0), (1, 1)]))
+    assert err.value.residual == 1.0  # r r° r relates 0 to 1 as well
+
+
+@pytest.mark.parametrize("mem, what, residual", [
+    (FiniteRelation(2, 2, (1, 0)), "not a bijection", 1.0),  # class 1 empty
+    (FiniteRelation(2, 1, (1, 1)), "do not recompose", 2.0),  # one class for both
+])
+def test_gcsvd_rel_certifies_its_splits(mem, what, residual, monkeypatch):
+    # gcsvd_rel takes the memberships from the split capability unchecked;
+    # its own equations refuse a wrong one, carrying the deviation.
+    monkeypatch.setattr(RelInstance, "split_idempotent", lambda self, e: mem)
+    with pytest.raises(ConsistencyError, match=what) as err:
+        gcsvd_rel(FiniteRelation.identity(2))
+    assert err.value.residual == residual
 
 
 def test_gcsvd_rel_all_small_difunctionals(rel_inst):
