@@ -270,6 +270,11 @@ class DaggerInstance(ABC):
         """Isometry k with k f = 0, universal among such."""
         raise CapabilityError(f"{self.name} instance provides no kernels")
 
+    def _kernels(self, f: Any) -> tuple[Any, Any]:
+        """The kernels of f and of f†, for an instance that can share the
+        work of the two; by default two calls of :meth:`kernel`."""
+        return self.kernel(f), self.kernel(self.dagger(f))
+
     def sqrt_positive(self, p: Any) -> tuple[Any, Any]:
         """Pair (h, h_mp): positive square root of p and its M-P inverse."""
         raise CapabilityError(f"{self.name} instance provides no square roots")
@@ -420,19 +425,23 @@ def require_mp(inst: DaggerInstance, f: Any, g: Any, error: type, what: str) -> 
     """Return g if it is the M-P inverse of f, else raise ``error``.
 
     The error names the first failing identity and carries its residual.
-    A pair that passes is certified: g keeps ``(f, inst)`` as ``_mp_cert``,
-    set as a matrix sets its stored norm, and a later call with the same
-    f object and the same instance object returns g without measuring.
-    Morphisms are immutable and an instance keeps its tolerance, so the
-    pair would pass again.  A failed pair stores nothing, and
-    :func:`verify_mp` only reports.
+    A pair that passes is certified: g keeps ``(f, inst, inst.tolerance)``
+    as ``_mp_cert``, set as a matrix sets its stored norm, and a later
+    call with the same f object, instance object and tolerance object
+    returns g without measuring.  Morphisms are immutable, so the pair
+    would pass again.  A failed pair, and a g that is f (which would
+    refer to itself), store nothing; :func:`verify_mp` only reports.
     """
     cert = getattr(g, "_mp_cert", None)
-    if cert is not None and cert[0] is f and cert[1] is inst:
+    if (
+        cert is not None
+        and cert[0] is f and cert[1] is inst and cert[2] is inst.tolerance
+    ):
         return g
     report = verify_mp(inst, f, g)
     if not report.all_hold:
         i = (report.mp1, report.mp2, report.mp3, report.mp4).index(False)
         raise error(f"{what}: MP{i + 1} fails", residual=report.residuals[i])
-    object.__setattr__(g, "_mp_cert", (f, inst))
+    if g is not f:
+        object.__setattr__(g, "_mp_cert", (f, inst, inst.tolerance))
     return g

@@ -180,16 +180,13 @@ def gsvd_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> GSVDTriple:
 
     Needs kernel, biproduct and zero capabilities on top of idempotent
     splitting; instances without them raise CapabilityError here.
-    The kernel of a fresh fd = f† is taken first, then that of fd†: a
-    matrix keeps the factors of its kernel's SVD and its dagger hands
-    them on, so both kernels cost one SVD and f itself gains nothing.
-    For a square f the kernel block of u then comes from the SVD of f†.
-    Both kernels, like the splits, are certified by the equations below.
+    Both kernels come from the instance's ``_kernels``: the matrix
+    instance takes them from one SVD of f†, so for a square f the kernel
+    block of u comes from that SVD, and nothing is stored on f.  Both
+    kernels, like the splits, are certified by the equations below.
     """
     compact = gcsvd_from_mp(inst, f, f_mp)
-    fd = inst.dagger(f)
-    c = inst.kernel(fd)
-    k = inst.kernel(inst.dagger(fd))
+    k, c = inst._kernels(f)
     cover_src = inst.add(inst.compose(f, f_mp), inst.compose(inst.dagger(k), k))
     cover_tgt = inst.add(inst.compose(f_mp, f), inst.compose(inst.dagger(c), c))
     residuals = _residuals(inst, DecompositionError, "range and kernel projections", {

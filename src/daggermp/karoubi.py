@@ -160,7 +160,9 @@ def mp_from_iso(
 
     Requires forward . backward and backward . forward to equal the two
     split identities; then the underlying base maps already satisfy all
-    four axioms, which is re-verified before returning them.
+    four axioms, which is verified before returning them unless
+    :func:`~daggermp.core.require_mp` has already certified the pair for
+    the same f object and instance (as :func:`iso_from_mp` does).
     """
     for a, b in ((forward.dom, backward.cod), (forward.cod, backward.dom)):
         _require_same_object(inst, a, b, "maps do not go between the same two pairs")

@@ -70,14 +70,10 @@ class ComplexMatrix:
     As the array is read-only, the stored norm cannot go stale.  With
     the norms known, a product runs under the overflow guard of
     ``np.errstate`` only when ‖A‖·‖B‖ reaches :data:`_FLAG_FREE`.
-    :func:`dagger_kernel` at its default cutoff keeps the raw factors of
-    its SVD the same way, and :meth:`dagger` hands them on with u and v
-    swapped, so the kernels of f† and of (f†)† cost one SVD.
     """
 
     array: np.ndarray
     _norm = None  # the Frobenius norm, once known; not a dataclass field
-    _svd = None  # read-only raw (u, sigma, v) of the deflated SVD, once known
 
     def __post_init__(self):
         arr = _complex_input(self.array)
@@ -120,11 +116,7 @@ class ComplexMatrix:
         return _wrap(np.zeros((rows, cols), dtype=np.complex128), 0.0)
 
     def dagger(self) -> "ComplexMatrix":
-        out = _wrap(self.array.conj().T, self._norm)
-        if self._svd is not None:
-            u, s, v = self._svd
-            object.__setattr__(out, "_svd", (v, s, u))
-        return out
+        return _wrap(self.array.conj().T, self._norm)
 
     def norm(self) -> float:
         norm = self._norm
@@ -330,10 +322,11 @@ def svd(
     the unit scale: its first entry of modulus above
     ``max(rows, cols) * machine_eps`` is real and nonnegative, so the
     factors do not depend on the scale of ``a`` or on ``rank_tol``.
-    ``_deflate`` is private to :func:`pinv`, :func:`dagger_kernel` and
-    :func:`numeric_rank` at their default cutoff (see
-    :func:`~daggermp._jacobi.one_sided_svd`).  A rank_tol that
-    :class:`Tolerance` refuses raises InputError before the solve.
+    ``_deflate`` is private to :func:`pinv` and :func:`numeric_rank` at
+    their default cutoff; the kernels deflate there too, through
+    :func:`_raw_svd` (see :func:`~daggermp._jacobi.one_sided_svd`).  A
+    rank_tol that :class:`Tolerance` refuses raises InputError before
+    the solve.
     """
     Tolerance(rank_tol=rank_tol)
     n, m = a.rows, a.cols
@@ -341,15 +334,13 @@ def svd(
         return SVDResult(ComplexMatrix.identity(n), (), ComplexMatrix.identity(m), 0)
     u, s, v = _raw_svd(a, _deflate)
     k = len(s)
-    smax = float(s[0]) if k else 0.0
-    tol = rank_tol if rank_tol is not None else _default_rank_tol(n, m, smax)
     unit_tol = max(n, m) * _EPS
     phases = _phases(u, unit_tol)
     u *= phases
     v[:, :k] *= phases[:k]
     if m > k:
         v[:, k:] *= _phases(v[:, k:], unit_tol)
-    rank = int(np.count_nonzero(s > tol))
+    rank = _svd_rank(s, n, m, rank_tol)
     return SVDResult(_computed(u), tuple(float(x) for x in s), _computed(v), rank)
 
 
@@ -360,6 +351,14 @@ def _raw_svd(a: ComplexMatrix, deflate: bool) -> tuple:
         return _jacobi.one_sided_svd(a.array, _deflate=deflate)
     vb, s, ub = _jacobi.one_sided_svd(a.array.conj().T, _deflate=deflate)
     return ub, s, vb
+
+
+def _svd_rank(s: np.ndarray, rows: int, cols: int, rank_tol: Optional[float]) -> int:
+    """How many singular values s of a rows x cols matrix exceed rank_tol,
+    by default ``max(rows, cols) * machine_eps * sigma_max``."""
+    if rank_tol is None:
+        rank_tol = _default_rank_tol(rows, cols, float(s[0]) if len(s) else 0.0)
+    return int(np.count_nonzero(s > rank_tol))
 
 
 def pinv(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
@@ -494,29 +493,34 @@ def dagger_kernel(a: ComplexMatrix, rank_tol: Optional[float] = None) -> Complex
     from the final columns of the SVD's left factor; z = n - rank(a).
     At the default cutoff the SVD skips the null space its pivoted QR
     reveals, as for :func:`pinv`; the rows then span the same space as
-    the trailing columns of :func:`svd`'s u, in another basis.  At that
-    cutoff a keeps the raw factors of its SVD, and
-    :meth:`ComplexMatrix.dagger` hands them on swapped, so the kernel of
-    a's dagger reads them with no second SVD.  The phase rule of
-    :func:`svd` is applied to the columns taken, in the orientation
-    asked for.  A rectangular a has the same factors in either
-    orientation; for a square a whose factors came from its dagger, the
-    rows are another basis of the same space.
+    the trailing columns of :func:`svd`'s u, in another basis.
     """
+    return _kernel_pair(a, rank_tol)[0]
+
+
+def _kernel_pair(
+    a: ComplexMatrix, rank_tol: Optional[float]
+) -> tuple[ComplexMatrix, ComplexMatrix]:
+    """The kernels of a and of a†, from one SVD of a.
+
+    Each is the conjugate transpose of the columns of one factor (u for
+    a, v for a†) past the rank at rank_tol, each column phased by the
+    rule of :func:`svd`; an empty a has identity kernels.  The first is
+    :func:`dagger_kernel` of a.  The second is ``dagger_kernel(a†)`` for
+    a rectangular a, whose SVD runs on the same orientation; for a
+    square a it is another orthonormal basis of the same space.
+    """
+    Tolerance(rank_tol=rank_tol)
     n, m = a.rows, a.cols
-    if rank_tol is not None or min(n, m) == 0:
-        res = svd(a, rank_tol=rank_tol, _deflate=rank_tol is None)
-        return _computed(res.u.array[:, res.rank:].conj().T)
-    factors = a._svd
-    if factors is None:
-        factors = _raw_svd(a, True)
-        for x in factors:
-            x.setflags(write=False)
-        object.__setattr__(a, "_svd", factors)
-    u, s, _ = factors
-    null = u[:, np.count_nonzero(s > _default_rank_tol(n, m, float(s[0]))):]
-    null = null * _phases(null, max(n, m) * _EPS)
-    return _computed(null.conj().T)
+    if min(n, m) == 0:
+        return ComplexMatrix.identity(n).dagger(), ComplexMatrix.identity(m).dagger()
+    u, s, v = _raw_svd(a, rank_tol is None)
+    rank, unit_tol = _svd_rank(s, n, m, rank_tol), max(n, m) * _EPS
+    u, v = u[:, rank:], v[:, rank:]
+    return (
+        _computed((u * _phases(u, unit_tol)).conj().T),
+        _computed((v * _phases(v, unit_tol)).conj().T),
+    )
 
 
 def kernel_universality_holds(
@@ -675,6 +679,13 @@ class MatrixInstance(DaggerInstance):
 
     def kernel(self, f: ComplexMatrix) -> ComplexMatrix:
         return dagger_kernel(f, rank_tol=self.tolerance.rank_tol)
+
+    def _kernels(self, f: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
+        """Both kernels from one SVD of f†, whose u gives the kernel of f†
+        as :meth:`kernel` does; for a square f the kernel of f is then
+        another basis than :meth:`kernel` gives."""
+        kd, k = _kernel_pair(f.dagger(), self.tolerance.rank_tol)
+        return k, kd
 
     def sqrt_positive(self, p: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
         return _sqrt_with_mp(

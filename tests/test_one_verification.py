@@ -1,12 +1,11 @@
 """One verification per M-P pair and one SVD for both kernels of gsvd.
 
 ``core.require_mp`` certifies a pair that passes: the candidate keeps the
-f object and the instance object it passed for, and a later call with
-both the same returns without measuring.  ``verify_mp`` only reports.
-``dagger_kernel`` at its default cutoff keeps the raw factors of its SVD
-on its argument and ``ComplexMatrix.dagger`` hands them on, so
-``gsvd_from_mp`` takes the kernels of f† and of (f†)† from one SVD
-without storing anything on f.
+f object, the instance object and its tolerance object it passed for,
+and a later call with all three the same returns without measuring.
+``verify_mp`` only reports.  ``gsvd_from_mp`` takes the kernels of f and
+of f† from the instance's ``_kernels``, which for matrices runs one SVD
+of f†; no kernel stores anything on its argument.
 """
 
 import numpy as np
@@ -58,7 +57,7 @@ def test_a_certificate_is_read_only_for_its_own_f_and_instance(monkeypatch):
     measured = _counted(monkeypatch, core, "verify_mp")
     assert _require(inst, f, g) is g
     cert = vars(g)[CERT]
-    assert cert[0] is f and cert[1] is inst
+    assert cert[0] is f and cert[1] is inst and cert[2] is inst.tolerance
     assert _require(inst, f, g) is g and len(measured) == 1
     twin = ComplexMatrix(f.array)  # equal entries, another object
     _require(inst, twin, g)
@@ -135,45 +134,67 @@ def test_the_corpus_routes_verify_each_pair_once_and_run_two_svds(monkeypatch):
     dm.mp_from_iso(inst, *dm.iso_from_mp(inst, a, g))
     assert len(svds) == 2
     assert len(measured) == 14
-    assert "_svd" not in vars(a) and CERT not in vars(a)
+    assert set(vars(a)) <= {"array", "_norm"}
 
 
-@pytest.mark.parametrize("shape", [(7, 4, 2), (4, 7, 2), (6, 4, 4), (3, 8, 3)])
-def test_a_handed_on_kernel_of_a_rectangular_matrix_is_a_fresh_one(shape, monkeypatch):
+@pytest.mark.parametrize(
+    "shape", [(7, 4, 2), (4, 7, 2), (6, 4, 4), (3, 8, 3), (6, 6, 3)]
+)
+def test_both_kernels_of_gsvd_come_from_one_svd(shape, monkeypatch):
     rows, cols, inner = shape
+    inst = MatrixInstance()
     f = ComplexMatrix(seeded_product(21, rows, cols, inner))
-    fresh = dagger_kernel(ComplexMatrix(f.array)).array
+    fresh_k, fresh_c = dagger_kernel(f), dagger_kernel(f.dagger())
     svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
-    fd = f.dagger()
-    c = dagger_kernel(fd)
-    u, s, v = vars(fd)["_svd"]
-    assert not any(x.flags.writeable for x in (u, s, v))
-    fdd = fd.dagger()
-    handed = vars(fdd)["_svd"]
-    assert handed[0] is v and handed[1] is s and handed[2] is u
-    assert dagger_kernel(fdd).array.tobytes() == fresh.tobytes()
-    assert dagger_kernel(fd).array.tobytes() == c.array.tobytes()
+    k, c = inst._kernels(f)
     assert len(svds) == 1
-    assert "_svd" not in vars(f)
+    assert c.array.tobytes() == fresh_c.array.tobytes()
+    if rows != cols:  # the SVD of f and of f† run on the same orientation
+        assert k.array.tobytes() == fresh_k.array.tobytes()
+    z = rows - inner
+    assert k.rows == z and inst.equals(k @ k.dagger(), ComplexMatrix.identity(z))
+    assert inst.compare(k @ f, ComplexMatrix.zeros(z, cols), f.norm())[1]
+    assert set(vars(f)) <= {"array", "_norm"}
 
 
-def test_a_handed_on_kernel_of_a_square_matrix_is_a_kernel():
+@pytest.mark.parametrize("rank_tol", [None, 1e-9])
+def test_a_kernel_follows_the_rank_and_phase_rule_of_svd(rank_tol):
+    for seed, shape in enumerate([(5, 7, 2), (7, 5, 2), (6, 6, 3), (4, 4, 4)]):
+        f = ComplexMatrix(seeded_product(30 + seed, *shape))
+        res = dm.svd(f, rank_tol=rank_tol, _deflate=rank_tol is None)
+        k = dagger_kernel(f, rank_tol=rank_tol)
+        assert k.array.tobytes() == res.u.array[:, res.rank:].conj().T.tobytes()
+        assert set(vars(f)) <= {"array", "_norm"}
+    for rows, cols in [(0, 3), (3, 0), (0, 0)]:
+        empty = ComplexMatrix.zeros(rows, cols)
+        k = dagger_kernel(empty, rank_tol=rank_tol)
+        assert k.array.tobytes() == dm.svd(empty).u.array.conj().T.tobytes()
+
+
+def test_gsvd_does_not_depend_on_an_earlier_kernel_of_its_input():
     inst = MatrixInstance()
     f = ComplexMatrix(seeded_product(22, 6, 6, 3))
-    fd = f.dagger()
-    dagger_kernel(fd)
-    k = dagger_kernel(fd.dagger())
-    assert k.rows == 3
-    assert inst.equals(k @ k.dagger(), ComplexMatrix.identity(3))
-    assert inst.compare(k @ f, ComplexMatrix.zeros(3, 6), f.norm())[1]
+    g = pinv(f)
+    before = dm.gsvd_from_mp(inst, f, g).u.array.tobytes()
+    dagger_kernel(f)
+    dagger_kernel(f.dagger())
+    assert dm.gsvd_from_mp(inst, f, g).u.array.tobytes() == before
 
 
-def test_an_explicit_cutoff_neither_reads_nor_keeps_factors(monkeypatch):
-    f = ComplexMatrix(seeded_product(23, 5, 7, 2))
-    dagger_kernel(f, rank_tol=1e-9)
-    assert "_svd" not in vars(f)
-    dagger_kernel(f)
-    svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
-    dagger_kernel(f, rank_tol=1e-9)
-    dagger_kernel(f)
-    assert len(svds) == 1
+def test_a_certificate_is_not_read_after_the_tolerance_changes(monkeypatch):
+    f = ComplexMatrix(seeded_product(24, 5, 4, 2))
+    g = pinv(f)
+    inst = MatrixInstance()
+    measured = _counted(monkeypatch, core, "verify_mp")
+    _require(inst, f, g)
+    inst.tolerance = Tolerance(eq_tol=1e-30)
+    with pytest.raises(DecompositionError):
+        _require(inst, f, g)
+    assert len(measured) == 2
+
+
+def test_a_self_inverse_candidate_stores_no_certificate():
+    inst = MatrixInstance()
+    e = ComplexMatrix.from_rows([[1, 0], [0, 0]])
+    assert engine.mp_of_dagger_idempotent(inst, e) is e
+    assert CERT not in vars(e)
