@@ -198,12 +198,14 @@ class DaggerInstance(ABC):
     """Contract an instance implements to plug into the generic machinery.
 
     The mandatory part is composition, dagger, identities, typing, and a
-    deviation measure.  The capability hooks below are optional; the
-    default implementations raise :class:`CapabilityError`, and generic
-    code is expected to let that propagate.  A capability that builds a
-    morphism checks no equation of what it returns: that is a candidate,
-    certified by its consumer (a factorization's defining equations, or
-    :func:`split` for a splitting handed to the user).
+    deviation measure.  The capability hooks below are optional and hold
+    only what the generic code cannot derive: a biproduct's projection is
+    the dagger of its injection, and positivity is having a square root.
+    The default implementations raise :class:`CapabilityError`, and
+    generic code is expected to let that propagate.  A capability that
+    builds a morphism checks no equation of what it returns: that is a
+    candidate, certified by its consumer (a factorization's defining
+    equations, or :func:`split` for a splitting handed to the user).
     """
 
     name = "instance"
@@ -256,27 +258,21 @@ class DaggerInstance(ABC):
     def equals(self, f: Any, g: Any) -> bool:
         return self.compare(f, g)[1]
 
-    # Optional capabilities.
-
-    def positivity_witness(self, p: Any) -> bool:
-        raise CapabilityError(f"{self.name} instance provides no positivity check")
+    # Optional capabilities: what the generic code cannot derive.
 
     def split_idempotent(self, e: Any) -> Any:
         """Candidate coisometry r with r r† = e and r† r = 1 on the new
         object, for a dagger idempotent e; unchecked (see :func:`split`)."""
         raise CapabilityError(f"{self.name} instance cannot split idempotents")
 
-    def kernel(self, f: Any) -> Any:
-        """Isometry k with k f = 0, universal among such."""
+    def kernels(self, f: Any) -> tuple[Any, Any]:
+        """Isometries (k, c) with k f = 0 and c f† = 0, each universal
+        among such: the kernels of f and of f†, from work the two share."""
         raise CapabilityError(f"{self.name} instance provides no kernels")
 
-    def _kernels(self, f: Any) -> tuple[Any, Any]:
-        """The kernels of f and of f†, for an instance that can share the
-        work of the two; by default two calls of :meth:`kernel`."""
-        return self.kernel(f), self.kernel(self.dagger(f))
-
     def sqrt_positive(self, p: Any) -> tuple[Any, Any]:
-        """Pair (h, h_mp): positive square root of p and its M-P inverse."""
+        """Pair (h, h_mp): positive square root of p and its M-P inverse;
+        PreconditionError when p has none."""
         raise CapabilityError(f"{self.name} instance provides no square roots")
 
     def add(self, f: Any, g: Any) -> Any:
@@ -286,9 +282,8 @@ class DaggerInstance(ABC):
         raise CapabilityError(f"{self.name} instance has no biproducts")
 
     def injection(self, dims: tuple, j: int) -> Any:
-        raise CapabilityError(f"{self.name} instance has no biproducts")
-
-    def projection(self, dims: tuple, j: int) -> Any:
+        """Injection of block j into the biproduct of dims; its dagger is
+        the projection onto that block."""
         raise CapabilityError(f"{self.name} instance has no biproducts")
 
     def zero(self, src: Any, tgt: Any) -> Any:
@@ -378,9 +373,17 @@ def split(inst: DaggerInstance, e: Any) -> Any:
 
 
 def is_positive(inst: DaggerInstance, p: Any) -> bool:
-    """p = f f† for some f; delegated to the instance's witness."""
+    """p = h h† for some h: the instance finds a square root h = h† of p.
+
+    Its PreconditionError (p not Hermitian, or an eigenvalue below the
+    cutoff) means False; its CapabilityError propagates.
+    """
     _require_endo(inst, p, "positivity")
-    return inst.positivity_witness(p)
+    try:
+        inst.sqrt_positive(p)
+    except PreconditionError:
+        return False
+    return True
 
 
 def verify_mp(inst: DaggerInstance, f: Any, g: Any) -> MPReport:

@@ -178,15 +178,16 @@ def _full_map(inst: DaggerInstance, u: Any, d: Any, v: Any, dims: tuple) -> Any:
 def gsvd_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> GSVDTriple:
     """Full unitary factorization, padding the compact form with kernels.
 
-    Needs kernel, biproduct and zero capabilities on top of idempotent
-    splitting; instances without them raise CapabilityError here.
-    Both kernels come from the instance's ``_kernels``: the matrix
-    instance takes them from one SVD of f†, so for a square f the kernel
-    block of u comes from that SVD, and nothing is stored on f.  Both
-    kernels, like the splits, are certified by the equations below.
+    Needs the kernels, add, direct_sum, injection and zero capabilities
+    on top of idempotent splitting; instances without them raise
+    CapabilityError here.  Each projection is the dagger of its
+    injection.  Both kernels come from one call of ``kernels``: the
+    matrix instance takes them from one SVD of f†, so for a square f the
+    kernel block of u comes from that SVD, and nothing is stored on f.
+    Both kernels, like the splits, are certified by the equations below.
     """
     compact = gcsvd_from_mp(inst, f, f_mp)
-    k, c = inst._kernels(f)
+    k, c = inst.kernels(f)
     cover_src = inst.add(inst.compose(f, f_mp), inst.compose(inst.dagger(k), k))
     cover_tgt = inst.add(inst.compose(f_mp, f), inst.compose(inst.dagger(c), c))
     residuals = _residuals(inst, DecompositionError, "range and kernel projections", {
@@ -201,8 +202,8 @@ def gsvd_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> GSVDTriple:
         inst.compose(inst.dagger(k), inst.injection((x, z), 1)),
     )
     v = inst.add(
-        inst.compose(inst.projection((y, w), 0), compact.s),
-        inst.compose(inst.projection((y, w), 1), c),
+        inst.compose(inst.dagger(inst.injection((y, w), 0)), compact.s),
+        inst.compose(inst.dagger(inst.injection((y, w), 1)), c),
     )
     _check_unitary(inst, u, DecompositionError, "outer factor u")
     _check_unitary(inst, v, DecompositionError, "outer factor v")
@@ -241,7 +242,7 @@ def induced_gcsvd(inst: DaggerInstance, t: GSVDTriple) -> GCSVDTriple:
     """Restrict the full form back to rank blocks: a compact factorization."""
     _check_outer_factors(inst, t)  # d's invertibility is a compact-form equation
     x, z, y, w = t.dims
-    r = inst.compose(t.u, inst.projection((x, z), 0))
+    r = inst.compose(t.u, inst.dagger(inst.injection((x, z), 0)))
     s = inst.compose(inst.injection((y, w), 0), t.v)
     f = _full_map(inst, t.u, t.d, t.v, t.dims)
     residuals = _compact_residuals(inst, r, t.d, s, t.d_inv, InputError, f)
@@ -265,10 +266,14 @@ def gsvd_intertwiners(
     )
     link_u = inst.compose(inst.dagger(t1.u), t2.u)
     link_v = inst.compose(t1.v, inst.dagger(t2.v))
-    p = inst.compose(inst.injection((x1, z1), 0), link_u, inst.projection((x2, z2), 0))
-    kp = inst.compose(inst.injection((x1, z1), 1), link_u, inst.projection((x2, z2), 1))
-    q = inst.compose(inst.injection((y1, w1), 0), link_v, inst.projection((y2, w2), 0))
-    kq = inst.compose(inst.injection((y1, w1), 1), link_v, inst.projection((y2, w2), 1))
+
+    def block(dims1, link, dims2, j):
+        return inst.compose(
+            inst.injection(dims1, j), link, inst.dagger(inst.injection(dims2, j))
+        )
+
+    p, kp = (block((x1, z1), link_u, (x2, z2), j) for j in (0, 1))
+    q, kq = (block((y1, w1), link_v, (y2, w2), j) for j in (0, 1))
     _residuals(inst, DecompositionError, "intertwiners", {
         "source_link": (inst.compose(t1.u, inst.direct_sum(p, kp)), t2.u),
         "middle_link": (inst.compose(t1.d, q), inst.compose(p, t2.d)),

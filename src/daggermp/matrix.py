@@ -618,8 +618,8 @@ class MatrixInstance(DaggerInstance):
     :func:`~daggermp.core.split`) are checked the same way, on an
     instance at the caller's eq_tol, so :meth:`deviation` measures
     every matrix equation.  All optional
-    capabilities are provided: positivity, idempotent splitting, kernels,
-    square roots, biproducts.
+    capabilities are provided: idempotent splitting, kernels, square
+    roots, biproducts and zero maps, and ``pinv`` as the M-P route.
     """
 
     name = "matrix"
@@ -656,13 +656,6 @@ class MatrixInstance(DaggerInstance):
     def norm(self, f: ComplexMatrix) -> float:
         return f.norm()
 
-    def positivity_witness(self, p: ComplexMatrix) -> bool:
-        try:  # a square root h = h† witnesses p = h h†
-            self.sqrt_positive(p)
-        except PreconditionError:  # not Hermitian, or an eigenvalue below -cutoff
-            return False
-        return True
-
     def split_idempotent(self, e: ComplexMatrix) -> ComplexMatrix:
         """The first k columns of Q from a pivoted QR of e, phases fixed as
         for eigenvectors, where k is the trace, the rank of a dagger
@@ -677,13 +670,10 @@ class MatrixInstance(DaggerInstance):
             r *= _phases(r, e.rows * _EPS)
         return _computed(r)
 
-    def kernel(self, f: ComplexMatrix) -> ComplexMatrix:
-        return dagger_kernel(f, rank_tol=self.tolerance.rank_tol)
-
-    def _kernels(self, f: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
+    def kernels(self, f: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
         """Both kernels from one SVD of f†, whose u gives the kernel of f†
-        as :meth:`kernel` does; for a square f the kernel of f is then
-        another basis than :meth:`kernel` gives."""
+        as :func:`dagger_kernel` does; for a square f the kernel of f is
+        then another basis than ``dagger_kernel(f)`` gives."""
         kd, k = _kernel_pair(f.dagger(), self.tolerance.rank_tol)
         return k, kd
 
@@ -703,9 +693,6 @@ class MatrixInstance(DaggerInstance):
 
     def injection(self, dims: tuple, j: int) -> ComplexMatrix:
         return biproduct_injection(dims, j)
-
-    def projection(self, dims: tuple, j: int) -> ComplexMatrix:
-        return biproduct_projection(dims, j)
 
     def zero(self, src: int, tgt: int) -> ComplexMatrix:
         return ComplexMatrix.zeros(src, tgt)

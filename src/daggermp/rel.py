@@ -327,14 +327,12 @@ class RelInstance(DaggerInstance):
         )
 
     def mp(self, f: FiniteRelation) -> FiniteRelation:
-        g = mp_inverse_rel(f)
-        if g is None:
-            zigzag = f.compose(f.converse()).compose(f)
-            raise NoMPInverseError(
-                "relation is not difunctional, so no inverse exists",
-                residual=self.deviation(zigzag, f),
-            )
-        return g
+        fc = f.converse()
+        check(
+            self, f.compose(fc).compose(f), f, NoMPInverseError,
+            "relation is not difunctional, so no inverse exists",
+        )
+        return fc
 
     def split_idempotent(self, e: FiniteRelation) -> FiniteRelation:
         """Each point of e's domain sent to its row, the class it lies in if

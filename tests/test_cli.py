@@ -379,6 +379,19 @@ def test_karoubi_check_all_three_kinds(tmp_path):
         assert doc["karoubi_inverse_matches"]
 
 
+@pytest.mark.parametrize("name", sorted(HARD_INPUTS))
+def test_karoubi_check_accepts_ill_conditioned_input(tmp_path, name):
+    # f and f° are fixed by f f° and f° f because MP1 and MP2 hold, at the
+    # factor-norm bound that certified the pair; Hilbert 8 and Kahan 20
+    # fail a re-check of that at cond 1.
+    path = write_json(tmp_path, "a.json", matrix_to_obj(ComplexMatrix(HARD_INPUTS[name])))
+    code, out, err = run_cli("karoubi", "check", "--in", path)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["mp_all_hold"] and doc["round_trip_matches"]
+    assert doc["karoubi_inverse_matches"]
+
+
 def test_karoubi_check_refuses_relation_without_inverse(tmp_path):
     path = write_json(
         tmp_path, "b.json", {"src": 2, "tgt": 2, "pairs": [[0, 0], [1, 0], [1, 1]]}

@@ -10,6 +10,7 @@ from daggermp import (
     InputError,
     PartialInjection,
     PreconditionError,
+    SplitMorphism,
     compose_split,
     dagger_split,
     embed,
@@ -123,6 +124,16 @@ def test_mp_in_karoubi_rejects_bad_solver(minst):
     f = embed(minst, M([[1, 0], [0, 0]]))
     with pytest.raises(PreconditionError):
         mp_in_karoubi(minst, f, base_mp=lambda _: ComplexMatrix.identity(2))
+
+
+def test_mp_in_karoubi_checks_its_input_is_fixed(minst):
+    # A hand-built formal morphism whose map the domain idempotent moves.
+    dom = split_object(minst, M([[1, 0], [0, 0]]))
+    cod = split_object(minst, ComplexMatrix.identity(2))
+    f = SplitMorphism(dom, cod, M([[1, 2], [3, 4]]))
+    with pytest.raises(InputError, match="not fixed by the chosen idempotents") as err:
+        mp_in_karoubi(minst, f)
+    assert err.value.residual > 0
 
 
 def test_iso_round_trip_matrices(minst):

@@ -4,7 +4,7 @@
 f object, the instance object and its tolerance object it passed for,
 and a later call with all three the same returns without measuring.
 ``verify_mp`` only reports.  ``gsvd_from_mp`` takes the kernels of f and
-of f† from the instance's ``_kernels``, which for matrices runs one SVD
+of f† from the instance's ``kernels``, which for matrices runs one SVD
 of f†; no kernel stores anything on its argument.
 """
 
@@ -146,7 +146,7 @@ def test_both_kernels_of_gsvd_come_from_one_svd(shape, monkeypatch):
     f = ComplexMatrix(seeded_product(21, rows, cols, inner))
     fresh_k, fresh_c = dagger_kernel(f), dagger_kernel(f.dagger())
     svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
-    k, c = inst._kernels(f)
+    k, c = inst.kernels(f)
     assert len(svds) == 1
     assert c.array.tobytes() == fresh_c.array.tobytes()
     if rows != cols:  # the SVD of f and of f† run on the same orientation

@@ -105,7 +105,7 @@ def test_instance_deviation_and_capabilities(pinj_inst):
     with pytest.raises(InputError):
         pinj_inst.deviation(a, PartialInjection(2, 3, (0, 1)))
     with pytest.raises(CapabilityError):
-        pinj_inst.kernel(a)
+        pinj_inst.kernels(a)
     with pytest.raises(CapabilityError):
         pinj_inst.zero(2, 2)
     with pytest.raises(CapabilityError):
