@@ -56,20 +56,27 @@ entry first, as LAPACK's xGEJSV does with row pivoting, so that graded
 rows keep the relative accuracy of Jacobi (Demmel & Veselić, SIMAX
 13(4), 1992).  The same QR splits a dagger idempotent of rank k on its
 own: the first k columns of Q span its range (see
-:meth:`~daggermp.matrix.MatrixInstance.split_idempotent`).
+:meth:`~daggermp.matrix.MatrixInstance.split_idempotent`).  The QR
+stops at the rank its caller keeps: after k reflectors for the split,
+at the null order below for a deflating solver; the reflectors it
+skips would not have touched the first k columns of Q.  A caller that reads only those columns, as
+:func:`~daggermp.matrix.pinv` does, gets them formed from the stored
+reflectors, as xUNGQR does, in place of a rows x rows Q.
 
 A caller that zeroes every eigenvalue or singular value below the
-default cutoff lets the solvers drop those trailing rows of R outright,
-by one rule, :func:`_null_order`: the eigensolver then runs Jacobi only
-on the leading block of Q† p Q, the SVD only on the leading rows of R,
-and the dropped values come back as exact zeros (see
-:func:`hermitian_jacobi` and :func:`one_sided_svd`).  On the rank-8
-gram of an 8x64 input that leaves a problem of order 8, where resolving
-the rounding noise of the other 56 eigenvalues took 567 steps of
-order 64; the SVD of a rank-24 48x48 product runs at order 24, not 48.
-Rows of R below about 1e-154 of the first, whose squared norms
-underflow, fall in the dropped block at that cutoff, so row-graded
-inputs that the full solve cannot converge on factor there.
+default cutoff lets the solvers drop the trailing rows of R outright,
+by one rule, the null order that :func:`_qrcp` stops at: the first
+step k whose remaining block has sqrt(2) ‖R[k:, :]‖_F <= cut / 2,
+read off the squared column norms that pivoting computes anyway.  The
+eigensolver then runs Jacobi only on the leading block of Q† p Q, the
+SVD only on the leading rows of R, and the dropped values come back as
+exact zeros (see :func:`hermitian_jacobi` and :func:`one_sided_svd`).
+On the rank-8 gram of an 8x64 input that leaves a problem of order 8,
+where resolving the rounding noise of the other 56 eigenvalues took 567
+steps of order 64; the SVD of a rank-24 48x48 product runs at order
+24, not 48.  Rows of R below about 1e-154 of the first, whose squared
+norms underflow, fall in the dropped block at that cutoff, so
+row-graded inputs that the full solve cannot converge on factor there.
 
 Both solvers run until a full sweep after the QR, over the whole
 matrix or over its leading block, triggers no rotation.
@@ -122,7 +129,7 @@ def _with_identity(w: np.ndarray) -> np.ndarray:
     return x
 
 
-def _qrcp(a: np.ndarray):
+def _qrcp(a: np.ndarray, rank: int | None = None, deflate: bool = False, thin: bool = False):
     """Householder QR with column pivoting: (q, r, perm) with a[:, perm] = q r.
 
     q is rows x rows unitary, r rows x cols upper trapezoidal with
@@ -139,22 +146,50 @@ def _qrcp(a: np.ndarray):
     with a real head gets no reflector, and neither does the last row,
     so real diagonal inputs, and triangular ones already in pivot order,
     come out exact.
+
+    A caller that keeps only the leading k columns of q stops the QR
+    there.  ``rank`` stops it after that many reflectors.  ``deflate`` stops it at the null order, the first step
+    j whose remaining block meets sqrt(2) ‖R[j:, :]‖_F <= cut / 2 with
+    cut = min(rows, cols) eps ‖R[0, :]‖₂ (j = 0 only for a zero a).
+    With either, or with ``thin``, r is R[:k], k the rows computed:
+    min(rows, cols) unless a stop came first.  q is still rows x rows,
+    its first k columns those of the full QR (later reflectors never
+    touch them), unless ``thin`` asks for q[:, :k] alone: then the
+    reflectors are stored and applied backward to the first k columns
+    of I, as xUNGQR does, instead of being accumulated into a rows x
+    rows q.
     """
     rows, cols = a.shape
-    if rows == 1:
-        r = np.asarray(a, dtype=np.complex128)
-        return np.ones((1, 1), dtype=np.complex128), r, np.arange(cols)
-    # Rows of t: the columns of the row-sorted Π a, then those of Πᵀ.
-    # The reflectors apply to both, so with Π a[:, perm] = Q̂ r the last
-    # rows end as the columns of (Πᵀ Q̂)† = q†.
+    k = min(rows, cols) if rank is None else min(rows, cols, rank)
+    # Rows of t: the columns of the row-sorted Π a, then those of Πᵀ
+    # unless thin.  The reflectors apply to both, so with Π a[:, perm] =
+    # Q̂ r the last rows end as the columns of (Πᵀ Q̂)† = q†.
     order = (-np.abs(a).max(axis=1)).argsort(kind="stable")
-    t = np.zeros((cols + rows, rows), dtype=np.complex128)
+    t = np.zeros((cols + (0 if thin else rows), rows), dtype=np.complex128)
     t[:cols] = a[order].T
-    t[cols + order, np.arange(rows)] = 1.0
+    if not thin:
+        t[cols + order, np.arange(rows)] = 1.0
+    reflectors = []
     perm = list(range(cols))
-    for j in range(min(rows - 1, cols)):
+    # The null order's bound on ‖R[j:, :]‖_F, 0 until row 0 of R is known.
+    # It is compared with a sum of squares: after the callers'
+    # power-of-two prescale ‖R[0, :]‖₂ >= 0.5, so the bound is at least
+    # eps / 6, about 4e-17, and its square about 1e-33, far above where
+    # squares underflow; an entry whose square underflows (below about
+    # 1e-154) adds at most about 1e-308 to the sum.
+    limit = 0.0
+    for j in range(k):
         tail = t[j:cols, j:]
         norms = np.einsum("ij,ij->i", tail.conj(), tail).real
+        if deflate:
+            if j == 1:
+                head = float(np.hypot.reduce(np.abs(t[:cols, 0])))
+                limit = min(rows, cols) * _EPS * head / (2.0 * math.sqrt(2.0))
+            if math.sqrt(float(norms.sum())) <= limit:
+                k = j
+                break
+        if j == rows - 1:
+            break
         pick = int(norms.argmax())
         if pick:
             row = t[j].copy()
@@ -164,6 +199,7 @@ def _qrcp(a: np.ndarray):
         x = t[j, j:]
         alpha = complex(x[0])
         if alpha.imag == 0.0 and not np.count_nonzero(x[1:]):
+            reflectors.append(None)
             continue
         # ‖x‖ by hypot: a sum of squares can underflow to 0 for x != 0.
         norm = float(np.hypot.reduce(np.abs(x)))
@@ -183,7 +219,22 @@ def _qrcp(a: np.ndarray):
         x[1:] = 0.0
         rest = t[j + 1 :, j:]
         rest -= (rest @ (v.conj() * tau.conjugate()))[:, None] * v
-    return t[cols:].conj(), t[:cols].T, np.array(perm)
+        reflectors.append((v, tau))
+    r = t[:cols].T
+    if rank is not None or deflate or thin:
+        r = r[:k]
+    if not thin:
+        return t[cols:].conj(), r, np.array(perm)
+    q = np.zeros((rows, k), dtype=np.complex128)
+    np.fill_diagonal(q, 1.0)
+    for j in reversed(range(len(reflectors))):
+        if reflectors[j] is not None:
+            v, tau = reflectors[j]
+            block = q[j:, j:]
+            block -= np.outer(tau * v, v.conj() @ block)
+    out = np.empty_like(q)
+    out[order] = q
+    return out, r, np.array(perm)
 
 
 @functools.lru_cache(maxsize=64)
@@ -336,7 +387,9 @@ def _complete_columns(u: np.ndarray, k: int) -> None:
         resid -= col.real * col.real + col.imag * col.imag
 
 
-def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool = False):
+def one_sided_svd(
+    a: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool = False, _thin: bool = False
+):
     """Factor a tall matrix: returns (u, sigma, v) with a = u Σ v†.
 
     Requires rows >= cols >= 1.  u is rows x rows unitary, sigma the
@@ -350,21 +403,27 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool = 
 
     ``_deflate`` is private to the callers that cut every singular
     value at most the default cutoff max(rows, cols) eps max(sigma).
-    Then Jacobi runs only on the leading k rows of R, k =
-    :func:`_null_order` of R[:cols] as for :func:`hermitian_jacobi`, so
-    that sqrt(2) ‖R[k:, :]‖_F <= cut / 2 with cut = cols eps ‖R[0, :]‖₂,
-    at most the callers' cutoff for a 2**e (‖R[0, :]‖₂ = ‖(a 2**e P)† Q e₀‖₂
-    is at most its largest singular value).  The dropped block E = R[k:, :]
-    has ‖E‖₂ <= ‖E‖_F, so by Weyl's bound the cols - k singular values
+    Then the QR stops at its null order k, so that
+    sqrt(2) ‖R[k:, :]‖_F <= cut / 2 with cut = cols eps ‖R[0, :]‖₂, at
+    most the callers' cutoff for a 2**e (‖R[0, :]‖₂ = ‖(a 2**e P)† Q e₀‖₂
+    is at most its largest singular value), and Jacobi runs only on the
+    leading k rows of R.  The dropped block E = R[k:, :] has
+    ‖E‖₂ <= ‖E‖_F, so by Weyl's bound the cols - k singular values
     returned as exact 0, with the trailing columns of Q as left vectors
     and :func:`_complete_columns` completing the right ones, and the
     shift of every other one are below cut / 2, a shift at the level of
     rounding.
+
+    ``_thin`` is private to the callers that read only the leading
+    singular pairs: u is then rows x k, k the columns Jacobi ran on
+    (cols, or the null order with ``_deflate``), and Q₁ is formed from
+    the stored reflectors without the rows x rows Q.
     """
     n, m = a.shape
     e = _pow2_exponent(a)
-    u, r, perm = _qrcp(a * 2.0**e)
-    k = _null_order(r[:m]) if _deflate else m
+    u, r, perm = _qrcp(a * 2.0**e, deflate=_deflate, thin=_thin)
+    r = r[:m]
+    k = len(r)
     # Row i of x is column i of w = R[:k]†, then column i of V.
     x = _with_identity(r[:k].conj())
     wt = x[:, :m]
@@ -412,21 +471,6 @@ def one_sided_svd(a: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool = 
     return u, _unscale(sigma, e), v
 
 
-def _null_order(r: np.ndarray) -> int:
-    """Smallest k with sqrt(2) ‖r[k:, :]‖_F <= cut / 2 (rows(r) if none).
-
-    cut = n eps ‖r[0, :]‖₂, n = rows(r).  Row norms are taken by hypot
-    and the tails accumulated by hypot, so nothing is squared and no
-    tail underflows to 0 or overflows.
-    """
-    n = r.shape[0]
-    rows = np.hypot.reduce(np.abs(r), axis=1)
-    tails = np.hypot.accumulate(rows[::-1])[::-1]
-    cut = n * _EPS * float(rows[0])
-    below = tails <= cut / (2.0 * math.sqrt(2.0))
-    return int(below.argmax()) if below.any() else n
-
-
 def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool = False):
     """Diagonalize a Hermitian matrix: returns (q, lam).
 
@@ -441,11 +485,12 @@ def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool
     full relative accuracy.
 
     ``_deflate`` is private to the callers that zero every eigenvalue
-    of modulus at most the default cutoff n eps max|lam|.  Then Jacobi
-    runs only on the leading k x k block of B, k the smallest order
-    with sqrt(2) ‖R[k:, :]‖_F <= cut / 2, where cut = n eps ‖R[0, :]‖₂
-    is known before the solve and at most the callers' cutoff
-    (‖R[0, :]‖₂ = ‖s Q e₀‖₂ <= ‖s‖₂ = max|lam|).  Rows k: of B are
+    of modulus at most the default cutoff n eps max|lam|.  Then the QR
+    stops at its null order k, the first step with
+    sqrt(2) ‖R[k:, :]‖_F <= cut / 2, where cut = n eps ‖R[0, :]‖₂ is
+    known before the solve and at most the callers' cutoff
+    (‖R[0, :]‖₂ = ‖s Q e₀‖₂ <= ‖s‖₂ = max|lam|), and Jacobi runs only
+    on the leading k x k block of B.  Rows k: of B are
     rows k: of R times a unitary and B is Hermitian, so the rest of B,
     E, has ‖E‖₂ <= sqrt(2) ‖R[k:, :]‖_F, and by Weyl's bound the n - k
     eigenvalues returned as exact 0, with the trailing columns of Q as
@@ -458,10 +503,8 @@ def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool
     e = _pow2_exponent(p)
     scaled = p * 2.0**e
     scaled = (scaled + scaled.conj().T) / 2.0
-    qh, rh, _ = _qrcp(scaled)
-    k = n
-    if _deflate:
-        k = _null_order(rh)
+    qh, rh, _ = _qrcp(scaled, deflate=_deflate)
+    k = len(rh)
     lead = qh[:, :k]
     b = lead.conj().T @ scaled @ lead
     # Rows of vt: the conjugated eigenvectors of B, with I on the

@@ -283,7 +283,7 @@ def cmd_karoubi_check(args) -> tuple[dict, int]:
     forward, backward = iso_from_mp(inst, f, f_mp)
     f_back, g_back = mp_from_iso(inst, forward, backward)
     round_trip = inst.equals(f_back, f) and inst.equals(g_back, f_mp)
-    housed = mp_in_karoubi(inst, embed(inst, f))
+    housed = mp_in_karoubi(inst, embed(inst, f), base_mp=lambda _: f_mp)
     karoubi_matches = inst.equals(housed.f, f_mp)
     out = {
         "instance": kind,

@@ -322,11 +322,11 @@ def svd(
     the unit scale: its first entry of modulus above
     ``max(rows, cols) * machine_eps`` is real and nonnegative, so the
     factors do not depend on the scale of ``a`` or on ``rank_tol``.
-    ``_deflate`` is private to :func:`pinv` and :func:`numeric_rank` at
-    their default cutoff; the kernels deflate there too, through
-    :func:`_raw_svd` (see :func:`~daggermp._jacobi.one_sided_svd`).  A
-    rank_tol that :class:`Tolerance` refuses raises InputError before
-    the solve.
+    ``_deflate`` runs the SVD that the kernels take at their default
+    cutoff through :func:`_raw_svd` (see
+    :func:`~daggermp._jacobi.one_sided_svd`), whose trailing columns of u
+    are then their basis.  A rank_tol that :class:`Tolerance` refuses
+    raises InputError before the solve.
     """
     Tolerance(rank_tol=rank_tol)
     n, m = a.rows, a.cols
@@ -344,12 +344,14 @@ def svd(
     return SVDResult(_computed(u), tuple(float(x) for x in s), _computed(v), rank)
 
 
-def _raw_svd(a: ComplexMatrix, deflate: bool) -> tuple:
+def _raw_svd(a: ComplexMatrix, deflate: bool, thin: bool = False) -> tuple:
     """(u, sigma, v) with a = u Σ v†, from :func:`~daggermp._jacobi.one_sided_svd`
-    on the taller orientation of a nonempty a; phases not yet fixed."""
+    on the taller orientation of a nonempty a; phases not yet fixed.
+    With thin, the factor on the taller side keeps only its leading
+    columns (u for a tall a, v for a wide one)."""
     if a.rows >= a.cols:
-        return _jacobi.one_sided_svd(a.array, _deflate=deflate)
-    vb, s, ub = _jacobi.one_sided_svd(a.array.conj().T, _deflate=deflate)
+        return _jacobi.one_sided_svd(a.array, _deflate=deflate, _thin=thin)
+    vb, s, ub = _jacobi.one_sided_svd(a.array.conj().T, _deflate=deflate, _thin=thin)
     return ub, s, vb
 
 
@@ -362,30 +364,44 @@ def _svd_rank(s: np.ndarray, rows: int, cols: int, rank_tol: Optional[float]) ->
 
 
 def pinv(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
-    """Moore-Penrose inverse via the SVD, singular values cut at rank_tol.
+    """Moore-Penrose inverse V_k Σ_k⁻¹ U_k†, singular values cut at rank_tol.
 
-    At the default cutoff the SVD returns as exact 0 the singular values
-    of the null space that its pivoted QR reveals below half the cutoff,
-    and every other singular value moves by less than half the cutoff,
-    a shift at the level of rounding.  With an explicit rank_tol every
+    The SVD runs on the taller orientation and forms only the leading
+    columns of the factor on the taller side (see
+    :func:`~daggermp._jacobi.one_sided_svd`); as the inverse does not
+    depend on the phase of a singular pair, no phase is fixed.  At the
+    default cutoff the SVD returns as exact 0 the singular values of the
+    null space that its pivoted QR reveals below half the cutoff, and
+    every other singular value moves by less than half the cutoff, a
+    shift at the level of rounding.  With an explicit rank_tol every
     singular value is resolved before the cut.
     """
-    res = svd(a, rank_tol=rank_tol, _deflate=rank_tol is None)
-    k = res.rank
+    u, s, v, k = _thin_svd(a, rank_tol)
     if k == 0:
         return ComplexMatrix.zeros(a.cols, a.rows)
-    vk, uk = res.v.array[:, :k], res.u.array[:, :k]
     with np.errstate(over="ignore", invalid="ignore"):  # NumericError on overflow
-        return _computed((vk / np.asarray(res.sigma[:k])) @ uk.conj().T)
+        return _computed((v[:, :k] / s[:k]) @ u[:, :k].conj().T)
 
 
 def numeric_rank(a: ComplexMatrix, rank_tol: Optional[float] = None) -> int:
     """Count of singular values above the cutoff; 0 for the zero matrix.
 
-    At the default cutoff the SVD skips the null space its pivoted QR
-    reveals, as for :func:`pinv`.
+    The singular values come from the SVD of :func:`pinv`, which at the
+    default cutoff skips the null space its pivoted QR reveals.
     """
-    return svd(a, rank_tol=rank_tol, _deflate=rank_tol is None).rank
+    return _thin_svd(a, rank_tol)[3]
+
+
+def _thin_svd(a: ComplexMatrix, rank_tol: Optional[float]) -> tuple:
+    """(u, sigma, v, rank) of :func:`_raw_svd` with thin factors, deflated
+    at the default cutoff; rank 0 and no factors for an empty a.  A
+    rank_tol that :class:`Tolerance` refuses raises InputError before
+    the solve."""
+    Tolerance(rank_tol=rank_tol)
+    if min(a.rows, a.cols) == 0:
+        return None, None, None, 0
+    u, s, v = _raw_svd(a, rank_tol is None, thin=True)
+    return u, s, v, _svd_rank(s, a.rows, a.cols, rank_tol)
 
 
 def _transpose_ranks(
@@ -666,7 +682,7 @@ class MatrixInstance(DaggerInstance):
         r = np.zeros((e.rows, 0), dtype=np.complex128)
         if k:
             scaled = e.array * 2.0 ** _jacobi._pow2_exponent(e.array)
-            r = _jacobi._qrcp(scaled)[0][:, :k]
+            r = _jacobi._qrcp(scaled, rank=k)[0][:, :k]
             r *= _phases(r, e.rows * _EPS)
         return _computed(r)
 

@@ -68,6 +68,14 @@ def graded_columns(seed=2):
     return b * np.array([1e-120, 1e-60, 1.0, 1e60, 1e120])
 
 
+def row_graded(seed, span):
+    """diag(10^linspace(-span, span, 7)) B, B complex 7 x 5 standard normal
+    from default_rng(seed): ROADMAP defect 3."""
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
+    return np.logspace(-span, span, 7)[:, None] * b
+
+
 # Valid inputs that are hard on the numeric kernels.
 HARD_INPUTS = {
     "hilbert8": hilbert(8),

@@ -14,13 +14,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from conftest import SCALING, products, seeded_product, uniform_complex
+from conftest import SCALING, kahan, products, row_graded, seeded_product, uniform_complex
 from daggermp import NumericError
 from daggermp._jacobi import (
     _ARRAY_PAIRS,
     _EPS,
     _array_step,
     _complete_columns,
+    _pow2_exponent,
     _qrcp,
     _scalar_step,
     _schedule,
@@ -230,6 +231,68 @@ def test_qrcp_reflects_a_column_whose_norm_is_subnormal():
     assert abs(r[1, 1]) == np.hypot(3e-318, 4e-318)
     assert np.array_equal(q @ r, a)
     assert _unitarity_error(q) <= 1e-15 * 3
+
+
+def _hypot_null_order(r):
+    """The null order of a whole R, every norm taken by hypot: the
+    smallest k with sqrt(2) ‖r[k:, :]‖_F <= cut / 2 (rows(r) if none),
+    cut = rows(r) eps ‖r[0, :]‖₂."""
+    n = r.shape[0]
+    rows = np.hypot.reduce(np.abs(r), axis=1)
+    tails = np.hypot.accumulate(rows[::-1])[::-1]
+    below = tails <= n * _EPS * float(rows[0]) / (2.0 * math.sqrt(2.0))
+    return int(below.argmax()) if below.any() else n
+
+
+def _stop_inputs():
+    rng = np.random.default_rng(12)
+    product = seeded_product(0, 48, 48, 24)
+    yield "zero", np.zeros((5, 3), dtype=np.complex128)
+    yield "1x6", uniform_complex(rng, 1, 6)
+    yield "6x1", uniform_complex(rng, 6, 1)
+    yield "rank24", product
+    yield "rank24-gram", product.conj().T @ product
+    yield "kahan20", kahan(20, 0.5).astype(np.complex128)
+    for span in (150, 200):
+        for seed in range(6):
+            yield f"rowgraded{span}-{seed}", row_graded(seed, span)
+
+
+@pytest.mark.parametrize("name, a", list(_stop_inputs()), ids=lambda x: x if isinstance(x, str) else "")
+def test_qrcp_stops_at_the_null_order_of_the_full_r(name, a):
+    a = a * 2.0**_pow2_exponent(a)  # the callers' prescale
+    rows, cols = a.shape
+    q, r, perm = _qrcp(a)
+    k = _hypot_null_order(r[: min(rows, cols)])
+    q_k, r_k, perm_k = _qrcp(a, deflate=True)
+    assert r_k.shape == (k, cols) and q_k.shape == (rows, rows)
+    # The first k steps are those of the full run, bit for bit; later
+    # pivots only reorder the trailing columns of R[:k].
+    assert q_k[:, :k].tobytes() == q[:, :k].tobytes()
+    assert _unpivoted(r_k, perm_k).tobytes() == _unpivoted(r[:k], perm).tobytes()
+    thin, r_t, _ = _qrcp(a, deflate=True, thin=True)
+    assert thin.shape == (rows, k) and r_t.tobytes() == r_k.tobytes()
+    assert np.abs(thin - q[:, :k]).max(initial=0.0) <= 1e-14 * rows
+
+
+def _unpivoted(r, perm):
+    """r with its columns back in the order of the input."""
+    return r[:, np.argsort(perm)]
+
+
+@pytest.mark.parametrize(
+    "a", list(_qrcp_inputs()), ids=lambda a: "x".join(map(str, a.shape))
+)
+def test_qrcp_stopped_at_a_rank_keeps_the_leading_columns(a):
+    q, r, perm = _qrcp(a)
+    for k in range(min(a.shape) + 1):
+        q_k, r_k, perm_k = _qrcp(a, rank=k)
+        assert q_k[:, :k].tobytes() == q[:, :k].tobytes()
+        assert _unpivoted(r_k, perm_k).tobytes() == _unpivoted(r[:k], perm).tobytes()
+        assert _unitarity_error(q_k) <= 1e-14 * a.shape[0]
+        thin, _, _ = _qrcp(a, rank=k, thin=True)
+        assert thin.shape == (a.shape[0], k)
+        assert np.abs(thin - q[:, :k]).max(initial=0.0) <= 1e-14 * a.shape[0]
 
 
 @pytest.mark.parametrize("tiny", [1e-170, 1e-160])

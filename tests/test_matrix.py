@@ -18,6 +18,7 @@ from conftest import (
     SCALING,
     graded_columns,
     products,
+    row_graded,
     seeded_product,
     uniform_complex,
 )
@@ -173,6 +174,43 @@ def test_pinv_against_numpy_oracle():
         got = pinv(a)
         ref = np.linalg.pinv(a.array)
         assert np.allclose(got.array, ref, atol=1e-9 * max(1.0, a.norm()))
+
+
+# Tall, wide and rank-deficient shapes up to 256 x 8: (rows, cols, inner).
+THIN_SHAPES = [
+    (256, 8, 8), (128, 4, 4), (256, 8, 3), (9, 1, 1), (8, 64, 8), (4, 24, 4),
+    (8, 64, 5), (1, 9, 1), (48, 48, 24), (16, 16, 16), (16, 16, 7), (6, 5, 0),
+]
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-9])
+@pytest.mark.parametrize("shape", THIN_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_pinv_of_the_thin_svd_against_numpy_oracle(shape, rank_tol):
+    # The bound of test_pinv_against_numpy_oracle; numpy's default cutoff
+    # and 1e-9 both fall between the kept and the noise-level values.
+    a = ComplexMatrix(seeded_product(sum(shape), *shape))
+    ref = np.linalg.pinv(a.array)
+    got = pinv(a, rank_tol=rank_tol)
+    assert np.allclose(got.array, ref, atol=1e-9 * max(1.0, a.norm()))
+    assert numeric_rank(a, rank_tol=rank_tol) == np.linalg.matrix_rank(a.array)
+
+
+@pytest.mark.parametrize("shape", [(256, 8), (8, 256)])
+def test_pinv_asks_the_kernel_for_the_leading_columns_only(shape, monkeypatch):
+    kernel = _jacobi.one_sided_svd
+    widths = []
+
+    def recording(a, **kw):
+        out = kernel(a, **kw)
+        widths.append(out[0].shape[1])
+        return out
+
+    monkeypatch.setattr(_jacobi, "one_sided_svd", recording)
+    a = ComplexMatrix(uniform_complex(np.random.default_rng(8), *shape))
+    pinv(a)
+    pinv(a, rank_tol=1e-9)
+    numeric_rank(a)
+    assert widths and max(widths) <= 8
 
 
 def test_pinv_frozen_examples():
@@ -402,6 +440,24 @@ def test_split_of_computed_projectors_has_the_rank_of_f(f, k):
         assert within(_frobenius(r @ r.conj().T - e.array), e.norm(), EQ_TOL_DEFAULT)
         eye_dev = _frobenius(r.conj().T @ r - np.eye(rank))
         assert within(eye_dev, np.sqrt(rank), EQ_TOL_DEFAULT)
+
+
+def test_split_keeps_the_columns_of_the_untruncated_qr():
+    # The QR stops after k = trace(e) reflectors; the later ones never
+    # touch the first k columns of Q, so r keeps its bytes.  Every
+    # corpus shape, full rank and a product of rank min(rows, cols) // 2.
+    inst = MatrixInstance()
+    for seed, (rows, cols, half) in enumerate(
+        (n, m, half) for n in range(1, 9) for m in range(1, 9) for half in (False, True)
+    ):
+        inner = min(rows, cols) // 2 if half else max(rows, cols)
+        f = ComplexMatrix(seeded_product(seed, rows, cols, inner))
+        for e in (f @ pinv(f), pinv(f) @ f):
+            k = round(float(np.trace(e.array).real))
+            scaled = e.array * 2.0 ** _jacobi._pow2_exponent(e.array)
+            q = _jacobi._qrcp(scaled)[0][:, :k]
+            q *= _phases(q, e.rows * np.finfo(float).eps)
+            assert inst.split_idempotent(e).array.tobytes() == q.tobytes()
 
 
 def test_split_runs_no_eigensolver(monkeypatch):
@@ -794,10 +850,7 @@ def test_pinv_commutes_with_power_of_two_scaling(f, k):
 
 
 def _row_graded(seed, span):
-    """diag(10^linspace(-span, span, 7)) B, B complex 7 x 5 standard normal."""
-    rng = np.random.default_rng(seed)
-    b = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-    return ComplexMatrix(np.logspace(-span, span, 7)[:, None] * b)
+    return ComplexMatrix(row_graded(seed, span))
 
 
 _ROW_GRADED = [(span, seed) for span in (150, 200) for seed in range(6)]
@@ -815,6 +868,16 @@ def test_row_graded_input_has_a_verified_inverse_and_kernel(span, seed):
     assert k.shape == (7 - numeric_rank(f), 7)
     assert np.allclose(k @ k.conj().T, np.eye(k.shape[0]), atol=1e-12)
     assert _frobenius(k @ f.array) <= 1e-12 * f.norm()
+
+
+@pytest.mark.parametrize("span, seed", _ROW_GRADED)
+def test_herm_mp_of_row_graded_input_is_verified(span, seed):
+    # f f† for rows graded over 10^±(span / 2) has entries graded over
+    # 10^±span; the eigensolver's QR stops at the null order there too.
+    f = row_graded(seed, span / 2)
+    p = f @ f.conj().T
+    p = ComplexMatrix((p + p.conj().T) / 2)
+    assert verify_mp(MatrixInstance(), p, herm_mp(p)).all_hold
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,12 +1,19 @@
-"""One verification per M-P pair and one SVD for both kernels of gsvd.
+"""One verification per M-P pair, one SVD for both kernels of gsvd, and
+one solve per ``karoubi check``.
 
 ``core.require_mp`` certifies a pair that passes: the candidate keeps the
 f object, the instance object and its tolerance object it passed for,
 and a later call with all three the same returns without measuring.
 ``verify_mp`` only reports.  ``gsvd_from_mp`` takes the kernels of f and
 of f† from the instance's ``kernels``, which for matrices runs one SVD
-of f†; no kernel stores anything on its argument.
+of f†; no kernel stores anything on its argument.  The CLI's ``karoubi
+check`` hands the inverse it reports to ``mp_in_karoubi`` as its base
+solver.
 """
+
+import contextlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -25,14 +32,14 @@ from daggermp import (
     dagger_kernel,
     pinv,
 )
-from daggermp import _jacobi, core, engine
+from daggermp import _jacobi, cli, core, engine
 
 CERT = "_mp_cert"
 
 
 def _counted(monkeypatch, owner, name):
-    """Wrap owner.name, and its alias in engine if there is one, with a
-    call counter; call it through owner."""
+    """Wrap owner.name, and its alias in engine or cli if there is one,
+    with a call counter; call it through owner."""
     original = getattr(owner, name)
     calls = []
 
@@ -40,7 +47,7 @@ def _counted(monkeypatch, owner, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for module in (owner, engine):
+    for module in (owner, engine, cli):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
@@ -198,3 +205,33 @@ def test_a_self_inverse_candidate_stores_no_certificate():
     e = ComplexMatrix.from_rows([[1, 0], [0, 0]])
     assert engine.mp_of_dagger_idempotent(inst, e) is e
     assert CERT not in vars(e)
+
+
+def _karoubi_check(tmp_path, obj):
+    """Exit code and stdout document of ``daggermp karoubi check`` on obj."""
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["karoubi", "check", "--in", str(path)])
+    return code, json.loads(out.getvalue())
+
+
+def test_karoubi_check_solves_a_matrix_once(tmp_path, monkeypatch):
+    # One SVD in pinv; verify_mp once for the report and once for the
+    # certificate that iso_from_mp takes, which mp_in_karoubi then reads.
+    f = ComplexMatrix(seeded_product(11, 6, 5, 2))
+    svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
+    measured = _counted(monkeypatch, core, "verify_mp")
+    code, doc = _karoubi_check(tmp_path, dm.matrix_to_obj(f))
+    assert code == 0
+    assert doc["mp_all_hold"] and doc["round_trip_matches"]
+    assert doc["karoubi_inverse_matches"]
+    assert len(svds) == 1 and len(measured) == 2
+
+
+def test_karoubi_check_solves_a_relation_once(tmp_path, monkeypatch):
+    solves = _counted(monkeypatch, RelInstance, "mp")
+    code, doc = _karoubi_check(tmp_path, {"src": 2, "tgt": 3, "pairs": [[0, 1], [1, 2]]})
+    assert code == 0 and doc["karoubi_inverse_matches"]
+    assert len(solves) == 1
