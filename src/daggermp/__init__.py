@@ -11,8 +11,7 @@ invertible map in :mod:`daggermp.decomp`.
 The package exports resolve on first use (PEP 562): ``import daggermp``
 loads no submodule, and ``daggermp.pinv`` imports :mod:`daggermp.matrix`
 (and numpy) the first time it is read, then caches the value here.  The
-exact instances, relations and partial injections, never load numpy
-unless the relation oracle :func:`brute_force_mp` runs.
+exact instances, relations and partial injections, never load numpy.
 """
 
 import importlib

@@ -417,7 +417,12 @@ def one_sided_svd(
     ``_thin`` is private to the callers that read only the leading
     singular pairs: u is then rows x k, k the columns Jacobi ran on
     (cols, or the null order with ``_deflate``), and Q₁ is formed from
-    the stored reflectors without the rows x rows Q.
+    the stored reflectors without the rows x rows Q.  With ``_deflate``
+    as well, v is cols x g, g the count of singular values above
+    max(rows, cols) eps max(sigma), taken before they are unscaled, and
+    no right vector is completed.  Unscaling is exact, so the same cut
+    of the returned sigma keeps g values, unless a value leaves the
+    normal range there (see :func:`~daggermp.matrix._thin_svd`).
     """
     n, m = a.shape
     e = _pow2_exponent(a)
@@ -461,11 +466,13 @@ def one_sided_svd(
     sigma = np.concatenate((sigma[order], np.zeros(m - k)))
     zero_tol = max(n, m) * _EPS * float(sigma[0])
     good = int(np.count_nonzero(sigma > zero_tol))
+    width = good if _thin and _deflate else m
     # uw is filled column-major, so its columns are contiguous rows of uw.T.
-    uw = np.zeros((m, m), dtype=np.complex128).T
+    uw = np.zeros((width, m), dtype=np.complex128).T
     uw[:, :good] = wt[order[:good]].T / sigma[:good]
-    _complete_columns(uw, good)
-    v = np.empty((m, m), dtype=np.complex128)
+    if width == m:
+        _complete_columns(uw, good)
+    v = np.empty((m, width), dtype=np.complex128)
     v[perm] = uw
     u[:, :k] = u[:, :k] @ x[order, m:].T
     return u, _unscale(sigma, e), v

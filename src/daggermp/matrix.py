@@ -396,12 +396,20 @@ def _thin_svd(a: ComplexMatrix, rank_tol: Optional[float]) -> tuple:
     """(u, sigma, v, rank) of :func:`_raw_svd` with thin factors, deflated
     at the default cutoff; rank 0 and no factors for an empty a.  A
     rank_tol that :class:`Tolerance` refuses raises InputError before
-    the solve."""
+    the solve.
+
+    At the default cutoff the factor on the smaller side holds only the
+    vectors of the singular values the kernel kept above that cutoff
+    before unscaling them.  Unscaled values that fall below the normal
+    range are rounded, which can move the count at the cutoff; the rank
+    is then capped at the vectors formed, the count of the exact values.
+    """
     Tolerance(rank_tol=rank_tol)
     if min(a.rows, a.cols) == 0:
         return None, None, None, 0
     u, s, v = _raw_svd(a, rank_tol is None, thin=True)
-    return u, s, v, _svd_rank(s, a.rows, a.cols, rank_tol)
+    rank = _svd_rank(s, a.rows, a.cols, rank_tol)
+    return u, s, v, min(rank, u.shape[1], v.shape[1])
 
 
 def _transpose_ranks(

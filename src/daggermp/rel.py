@@ -5,11 +5,9 @@ one bitmask per source element, so composition is a few integer ORs and
 every comparison is exact.  The dagger is the converse.  A relation has
 a Moore-Penrose inverse precisely when it is difunctional (zig-zag
 closed), and then the inverse is the converse; :func:`brute_force_mp`
-checks that equivalence from the other side by scanning every candidate
-relation at small sizes, held as numpy arrays of row bitmasks.  The
-oracle and its cached candidate table are the only code here that uses
-numpy, and they import it themselves, so the rest of the module runs
-without loading it.
+checks that equivalence from the other side by testing every candidate
+relation at small sizes at once, one bit of a Python int per candidate.
+Nothing here uses numpy.
 
 Symmetric idempotents here are partial equivalence relations; they split
 through their set of equivalence classes (:func:`split_per`), and the
@@ -165,85 +163,106 @@ def mp_inverse_rel(r: FiniteRelation) -> Optional[FiniteRelation]:
 
 
 @functools.lru_cache(maxsize=8)
-def _candidate_grid(rows: int, cols: int):
-    """All 2^(rows*cols) relations rows -> cols, one uint16 array per row.
+def _candidate_grid(rows: int, cols: int) -> tuple[tuple[int, ...], ...]:
+    """All 2^(rows*cols) relations rows -> cols, bit-sliced: one int per cell.
 
-    Entry c of array i is the bitmask of row i of the relation whose
-    code c has bit (i*cols + j) set iff (i, j) is related.  The arrays
-    are read-only, as the cache hands the same ones to every caller.
+    Candidate c relates i to j iff bit (i*cols + j) of c is set, and bit
+    c of entry [i][j] is that bit, so one int holds cell (i, j) of every
+    candidate at once.  The entry of bit p repeats 2^p zeros then 2^p
+    ones, built by doubling.  Ints are immutable, so the cache hands the
+    same tables to every caller.
     """
-    import numpy as np
+    total = 1 << (rows * cols)
+    cells = []
+    for p in range(rows * cols):
+        span = 2 << p
+        acc = ((1 << (1 << p)) - 1) << (1 << p)
+        while span < total:
+            acc |= acc << span
+            span <<= 1
+        cells.append(acc)
+    return tuple(tuple(cells[i * cols : (i + 1) * cols]) for i in range(rows))
 
-    codes = np.arange(1 << (rows * cols), dtype=np.uint32)
-    mask = (1 << cols) - 1
-    grid = tuple(
-        ((codes >> (i * cols)) & mask).astype(np.uint16) for i in range(rows)
-    )
-    for row in grid:
-        row.setflags(write=False)
-    return grid
+
+def _union(cells, index) -> int:
+    """OR of cells[k] over the k in index."""
+    acc = 0
+    for k in index:
+        acc |= cells[k]
+    return acc
+
+
+def _asymmetric(sq) -> int:
+    """Bit c set iff the square relation sq, one int per cell, differs from
+    its converse in candidate c."""
+    bad = 0
+    for i in range(len(sq)):
+        for j in range(i):
+            bad |= sq[i][j] ^ sq[j][i]
+    return bad
 
 
 def brute_force_mp(r: FiniteRelation) -> Optional[FiniteRelation]:
     """Scan every relation tgt -> src for one satisfying all four axioms.
 
     Independent of the difunctionality theory: plain exhaustive search
-    over the whole candidate stack, each candidate g held as tgt row
-    bitmasks.  f g ORs g's rows over each row of f; g f and f g f look
-    rows up in the table of unions of f's rows.  MP1 (f g f = f) runs on
-    every candidate, and the two symmetries and MP2 (g f g = g) on the
-    ones that pass it.  Sizes are capped at src*tgt <= 16 (65536
-    candidates).  Raises ConsistencyError if two distinct candidates
-    pass, since verified inverses are unique.
+    over the whole candidate set, bit-sliced (Biham, FSE 1997): bit c of
+    every int below speaks for candidate g number c of
+    :func:`_candidate_grid`, so each cell of f g, f g f, g f and g f g
+    is a few ORs and ANDs of ints.  Each axiom in turn clears the
+    candidates that fail it from the mask ``alive``: MP1 (f g f = f),
+    the symmetry of f g, then of g f, then MP2 (g f g = g), and the
+    scan returns None once none is left.  Sizes are capped at
+    src*tgt <= 16 (65536 candidates).  Raises ConsistencyError if two
+    distinct candidates pass, since verified inverses are unique.
     """
-    import numpy as np
-
     if r.src * r.tgt > BRUTE_FORCE_LIMIT:
         raise InputError(
             f"brute force capped at src*tgt <= {BRUTE_FORCE_LIMIT}, "
             f"got {r.src}x{r.tgt}"
         )
-    grid = _candidate_grid(r.tgt, r.src)
-    n = 1 << (r.src * r.tgt)
-    # unions[m] = union of the rows of f over the source points in mask m
-    unions = np.zeros(1, dtype=np.uint16)
-    for row in r.rows:
-        unions = np.concatenate((unions, unions | row))
-    fg = []                              # rows of f g : src -> src
-    for row in r.rows:
-        acc = np.zeros(n, dtype=np.uint16)
-        for j in range(r.tgt):
-            if (row >> j) & 1:
-                acc |= grid[j]
-        fg.append(acc)
-    regular_f = np.ones(n, dtype=bool)  # MP1 on every candidate
-    for acc, row in zip(fg, r.rows):
-        regular_f &= unions[acc] == row
-    keep = np.flatnonzero(regular_f)
-    g = [row[keep] for row in grid]
-    fg = [acc[keep] for acc in fg]
-    gf = [unions[row] for row in g]      # rows of g f : tgt -> tgt
-    # on MP1's survivors: f g and g f symmetric, and MP2
-    ok = np.ones(len(keep), dtype=bool)
-    for sq in (fg, gf):
-        for i in range(len(sq)):
-            for j in range(i):
-                ok &= ((sq[i] >> j) & 1) == ((sq[j] >> i) & 1)
-    for acc, row in zip(gf, g):
-        gfg = np.zeros(len(keep), dtype=np.uint16)
-        for j in range(r.tgt):
-            gfg |= g[j] * ((acc >> j) & 1)
-        ok &= gfg == row
-    hits = keep[ok]
-    if len(hits) == 0:
+    grid = _candidate_grid(r.tgt, r.src)  # grid[k][i]: g relates k to i
+    gcols = [tuple(row[i] for row in grid) for i in range(r.src)]
+    image = [[k for k in range(r.tgt) if (row >> k) & 1] for row in r.rows]
+    preimage = [[i for i, row in enumerate(r.rows) if (row >> k) & 1] for k in range(r.tgt)]
+    alive = (1 << (1 << (r.src * r.tgt))) - 1
+    fg = [[_union(gcol, ks) for gcol in gcols] for ks in image]  # src -> src
+    bad = 0
+    for row, fg_row in zip(r.rows, fg):  # MP1
+        for k, sources in enumerate(preimage):
+            fgf = _union(fg_row, sources)
+            if (row >> k) & 1:
+                alive &= fgf
+            else:
+                bad |= fgf
+    alive &= ~bad
+    if not alive:
         return None
-    if len(hits) > 1:
+    alive &= ~_asymmetric(fg)
+    if not alive:
+        return None
+    gf = [[_union(g_row, sources) for sources in preimage] for g_row in grid]  # tgt -> tgt
+    alive &= ~_asymmetric(gf)
+    if not alive:
+        return None
+    bad = 0
+    for gf_row, g_row in zip(gf, grid):  # MP2, one row of g f g at a time
+        for cell, gcol in zip(g_row, gcols):
+            gfg = 0
+            for a, b in zip(gf_row, gcol):
+                gfg |= a & b
+            bad |= gfg ^ cell
+        if not alive & ~bad:
+            return None
+    alive &= ~bad
+    if alive & (alive - 1):
         raise ConsistencyError(
-            f"{len(hits)} distinct candidates satisfy the axioms for {r!r}; "
+            f"{alive.bit_count()} distinct candidates satisfy the axioms for {r!r}; "
             "inverses must be unique"
         )
-    code = int(hits[0])
-    return _relation(r.tgt, r.src, tuple(int(row[code]) for row in grid))
+    code = alive.bit_length() - 1
+    rows = tuple(sum(((cell >> code) & 1) << i for i, cell in enumerate(g)) for g in grid)
+    return _relation(r.tgt, r.src, rows)
 
 
 def split_per(e: FiniteRelation) -> FiniteRelation:

@@ -25,18 +25,10 @@ SRC = pathlib.Path(daggermp.__file__).parent
 NUMPY_MODULES = {"_jacobi.py", "matrix.py"}
 
 
-def _module_level(tree):
-    """Nodes run at import time: everything outside function bodies."""
-    stack = list(tree.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-
-
-def imports_numpy_at_module_level(source):
-    for node in _module_level(ast.parse(source)):
+def imports_numpy(source):
+    """True if any import statement in source, function bodies included,
+    names numpy or one of its submodules."""
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -48,25 +40,24 @@ def imports_numpy_at_module_level(source):
     return False
 
 
-def test_the_module_level_scan_catches_each_form():
-    assert imports_numpy_at_module_level("import numpy as np")
-    assert imports_numpy_at_module_level("from numpy import zeros")
-    assert imports_numpy_at_module_level("import numpy.linalg")
-    assert imports_numpy_at_module_level("try:\n    import numpy\nexcept ImportError:\n    pass")
-    assert imports_numpy_at_module_level("class A:\n    import numpy")
-    assert not imports_numpy_at_module_level("def f():\n    import numpy as np")
-    assert not imports_numpy_at_module_level("from .matrix import pinv")
-    assert not imports_numpy_at_module_level("import numbers")
+def test_the_import_scan_catches_each_form():
+    assert imports_numpy("import numpy as np")
+    assert imports_numpy("from numpy import zeros")
+    assert imports_numpy("import numpy.linalg")
+    assert imports_numpy("try:\n    import numpy\nexcept ImportError:\n    pass")
+    assert imports_numpy("class A:\n    import numpy")
+    assert imports_numpy("def f():\n    import numpy as np")
+    assert imports_numpy("def f():\n    def g():\n        from numpy import zeros")
+    assert imports_numpy("class A:\n    def m(self):\n        import numpy")
+    assert not imports_numpy("from .matrix import pinv")
+    assert not imports_numpy("def f():\n    from .matrix import pinv")
+    assert not imports_numpy("import numbers")
 
 
-def test_only_the_matrix_stack_imports_numpy_at_module_level():
+def test_only_the_matrix_stack_imports_numpy():
     files = sorted(SRC.glob("*.py"))
     assert files
-    found = {
-        f.name
-        for f in files
-        if imports_numpy_at_module_level(f.read_text(encoding="utf-8"))
-    }
+    found = {f.name for f in files if imports_numpy(f.read_text(encoding="utf-8"))}
     assert found == NUMPY_MODULES
 
 
@@ -109,6 +100,7 @@ INPUTS = {
 # Commands on relations and partial injections, with their input keys.
 EXACT_COMMANDS = {
     "rel-mp": ("rel mp", "r"),
+    "rel-oracle": ("rel oracle", "r"),
     "rel-difunctional": ("rel difunctional", "r"),
     "rel-split-per": ("rel split-per", "e"),
     "rel-gcsvd": ("rel gcsvd", "r"),

@@ -24,6 +24,7 @@ from conftest import (
 )
 from daggermp import (
     _jacobi,
+    matrix,
     ComplexMatrix,
     DaggerError,
     InputError,
@@ -211,6 +212,34 @@ def test_pinv_asks_the_kernel_for_the_leading_columns_only(shape, monkeypatch):
     pinv(a, rank_tol=1e-9)
     numeric_rank(a)
     assert widths and max(widths) <= 8
+
+
+@pytest.mark.parametrize("shape", [(48, 48, 24), (256, 8, 3), (8, 64, 5), (6, 5, 0)])
+def test_the_deflated_thin_svd_completes_no_right_vector(shape, monkeypatch):
+    # At the default cutoff the factor on the smaller side holds exactly
+    # the rank's vectors, with no completion to an orthonormal basis.
+    def refuse(u, k):
+        raise AssertionError("completed a right vector")
+
+    monkeypatch.setattr(_jacobi, "_complete_columns", refuse)
+    a = ComplexMatrix(seeded_product(sum(shape), *shape))
+    u, _, v, rank = matrix._thin_svd(a, None)
+    assert rank == numeric_rank(a) == shape[2]
+    assert (v if a.rows >= a.cols else u).shape[1] == rank
+    if rank:
+        ref = np.linalg.pinv(a.array)
+        assert np.allclose(pinv(a).array, ref, atol=1e-9 * a.norm())
+
+
+@pytest.mark.parametrize("shape", [(48, 48, 24), (256, 8, 3), (8, 64, 5)])
+def test_the_default_rank_is_capped_at_the_vectors_formed(shape, monkeypatch):
+    # Unscaling values into the subnormal range can round one above the
+    # cutoff it was below; counting every value stands in for that.
+    a = ComplexMatrix(seeded_product(sum(shape), *shape))
+    ref = pinv(a).array
+    monkeypatch.setattr(matrix, "_svd_rank", lambda s, rows, cols, tol: len(s))
+    assert numeric_rank(a) == shape[2]
+    assert np.array_equal(pinv(a).array, ref)
 
 
 def test_pinv_frozen_examples():

@@ -178,12 +178,31 @@ def test_brute_force_matches_theory_at_the_mask_width(src, tgt):
             assert got is None, r
 
 
-def test_candidate_tables_are_read_only():
-    grid = _candidate_grid(2, 2)
-    with pytest.raises(ValueError):
-        grid[0][:] = 0
-    assert all(not row.flags.writeable for row in grid)
-    assert brute_force_mp(FiniteRelation.identity(2)) == FiniteRelation.identity(2)
+TABLE_SHAPES = [(1, 1), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 8), (8, 2), (1, 16), (16, 1)]
+
+
+@pytest.mark.parametrize("rows, cols", TABLE_SHAPES)
+def test_candidate_tables_hold_one_bit_per_candidate(rows, cols):
+    grid = _candidate_grid(rows, cols)
+    assert _candidate_grid(rows, cols) is grid
+    assert type(grid) is tuple and len(grid) == rows
+    assert all(type(row) is tuple and len(row) == cols for row in grid)
+    assert all(type(cell) is int for row in grid for cell in row)
+    n = rows * cols
+    assert all(0 <= cell < 1 << (1 << n) for row in grid for cell in row)
+    rng = np.random.default_rng(127 + n)
+    for c in [0, (1 << n) - 1] + [int(c) for c in rng.integers(0, 1 << n, 8)]:
+        for i in range(rows):
+            for j in range(cols):
+                assert (grid[i][j] >> c) & 1 == (c >> (i * cols + j)) & 1, (c, i, j)
+
+
+def test_two_passing_candidates_break_the_uniqueness_guard(monkeypatch):
+    # Both codes of the 1x1 table relate 0 to 0, so the identity has two
+    # inverses among the candidates.
+    monkeypatch.setattr("daggermp.rel._candidate_grid", lambda rows, cols: ((0b11,),))
+    with pytest.raises(ConsistencyError, match="2 distinct candidates"):
+        brute_force_mp(FiniteRelation.identity(1))
 
 
 def test_split_per_examples():
