@@ -59,9 +59,10 @@ own: the first k columns of Q span its range (see
 :meth:`~daggermp.matrix.MatrixInstance.split_idempotent`).  The QR
 stops at the rank its caller keeps: after k reflectors for the split,
 at the null order below for a deflating solver; the reflectors it
-skips would not have touched the first k columns of Q.  A caller that reads only those columns, as
-:func:`~daggermp.matrix.pinv` does, gets them formed from the stored
-reflectors, as xUNGQR does, in place of a rows x rows Q.
+skips would not have touched the first k columns of Q.  A caller that
+reads only those columns, as :func:`~daggermp.matrix.pinv` does, gets
+them formed from the stored reflectors, as xUNGQR does, in place of a
+rows x rows Q.
 
 A caller that zeroes every eigenvalue or singular value below the
 default cutoff lets the solvers drop the trailing rows of R outright,
@@ -148,16 +149,16 @@ def _qrcp(a: np.ndarray, rank: int | None = None, deflate: bool = False, thin: b
     come out exact.
 
     A caller that keeps only the leading k columns of q stops the QR
-    there.  ``rank`` stops it after that many reflectors.  ``deflate`` stops it at the null order, the first step
-    j whose remaining block meets sqrt(2) ‖R[j:, :]‖_F <= cut / 2 with
-    cut = min(rows, cols) eps ‖R[0, :]‖₂ (j = 0 only for a zero a).
-    With either, or with ``thin``, r is R[:k], k the rows computed:
-    min(rows, cols) unless a stop came first.  q is still rows x rows,
-    its first k columns those of the full QR (later reflectors never
-    touch them), unless ``thin`` asks for q[:, :k] alone: then the
-    reflectors are stored and applied backward to the first k columns
-    of I, as xUNGQR does, instead of being accumulated into a rows x
-    rows q.
+    there.  ``rank`` stops it after that many reflectors.  ``deflate``
+    stops it at the null order, the first step j whose remaining block
+    meets sqrt(2) ‖R[j:, :]‖_F <= cut / 2 with cut = min(rows, cols) eps
+    ‖R[0, :]‖₂ (j = 0 only for a zero a).  With either, or with
+    ``thin``, r is R[:k], k the rows computed: min(rows, cols) unless a
+    stop came first.  q is still rows x rows, its first k columns those
+    of the full QR (later reflectors never touch them), unless ``thin``
+    asks for q[:, :k] alone: then the reflectors are stored and applied
+    backward to the first k columns of I, as xUNGQR does, instead of
+    being accumulated into a rows x rows q.
     """
     rows, cols = a.shape
     k = min(rows, cols) if rank is None else min(rows, cols, rank)

@@ -391,21 +391,25 @@ def verify_mp(inst: DaggerInstance, f: Any, g: Any) -> MPReport:
 
     ``g`` must have the dual type of ``f`` (source(g) = target(f) and
     target(g) = source(f)); anything else raises :class:`InputError`.
-    A report stores nothing: :func:`require_mp` certifies.
+    A report stores nothing: :func:`require_mp` certifies.  When g is f,
+    g f is f g and MP2 and MP4 are MP1 and MP3 to the byte, so f g and
+    (f g) f are formed once and their residuals read twice.  Swapping f
+    and g swaps MP1 with MP2 and MP3 with MP4, byte for byte: the same
+    products, at the same scales and conds.
     """
     if inst.source(g) != inst.target(f) or inst.target(g) != inst.source(f):
         raise InputError("candidate inverse must have the dual type of f")
+    self_pair = g is f
     fg = inst.compose(f, g)
-    gf = inst.compose(g, f)
+    gf = fg if self_pair else inst.compose(g, f)
     # Factor-norm bounds, as |fl(AB) - AB| <= c|A||B|; |f||g| is MP1's and MP2's cond.
     nf, ng = inst.norm(f), inst.norm(g)
     nfg = nf * ng
-    (r1, ok1), (r2, ok2), (r3, ok3), (r4, ok4) = (
-        inst.compare(inst.compose(fg, f), f, nf, nfg),
-        inst.compare(inst.compose(gf, g), g, ng, nfg),
-        inst.compare(inst.dagger(fg), fg, nfg),
-        inst.compare(inst.dagger(gf), gf, nfg),
-    )
+    mp1 = inst.compare(inst.compose(fg, f), f, nf, nfg)
+    mp2 = mp1 if self_pair else inst.compare(inst.compose(gf, g), g, ng, nfg)
+    mp3 = inst.compare(inst.dagger(fg), fg, nfg)
+    mp4 = mp3 if self_pair else inst.compare(inst.dagger(gf), gf, nfg)
+    (r1, ok1), (r2, ok2), (r3, ok3), (r4, ok4) = mp1, mp2, mp3, mp4
     return MPReport(ok1, ok2, ok3, ok4, (r1, r2, r3, r4))
 
 
@@ -424,27 +428,46 @@ def check(
     return dev
 
 
+def _certified(obj: Any, inst: DaggerInstance, *partner: Any, attr: str = "_cert") -> bool:
+    """True if obj holds the certificate ``(*partner, inst, inst.tolerance)``
+    as attr, compared object by object.
+
+    :func:`_certify` stores it once every equation of obj (with its
+    partner, if any) has passed at that tolerance.  Morphisms and the
+    records built from them are immutable and a tolerance is frozen, so
+    those equations would pass again.  Any other object (an equal copy,
+    another instance, a tolerance reassigned on the instance) misses.
+    """
+    cert = getattr(obj, attr, None)
+    if cert is None:
+        return False
+    key = (*partner, inst, inst.tolerance)
+    return len(cert) == len(key) and all(a is b for a, b in zip(cert, key))
+
+
+def _certify(obj: Any, inst: DaggerInstance, *partner: Any, attr: str = "_cert") -> Any:
+    """Store the certificate that :func:`_certified` reads on obj, as a
+    matrix stores its norm, and return obj."""
+    object.__setattr__(obj, attr, (*partner, inst, inst.tolerance))
+    return obj
+
+
 def require_mp(inst: DaggerInstance, f: Any, g: Any, error: type, what: str) -> Any:
     """Return g if it is the M-P inverse of f, else raise ``error``.
 
     The error names the first failing identity and carries its residual.
     A pair that passes is certified: g keeps ``(f, inst, inst.tolerance)``
-    as ``_mp_cert``, set as a matrix sets its stored norm, and a later
-    call with the same f object, instance object and tolerance object
-    returns g without measuring.  Morphisms are immutable, so the pair
-    would pass again.  A failed pair, and a g that is f (which would
-    refer to itself), store nothing; :func:`verify_mp` only reports.
+    as ``_mp_cert`` (:func:`_certify`), and a later call with the same f
+    object, instance object and tolerance object returns g without
+    measuring.  A failed pair, and a g that is f (which would refer to
+    itself), store nothing; :func:`verify_mp` only reports.
     """
-    cert = getattr(g, "_mp_cert", None)
-    if (
-        cert is not None
-        and cert[0] is f and cert[1] is inst and cert[2] is inst.tolerance
-    ):
+    if _certified(g, inst, f, attr="_mp_cert"):
         return g
     report = verify_mp(inst, f, g)
     if not report.all_hold:
         i = (report.mp1, report.mp2, report.mp3, report.mp4).index(False)
         raise error(f"{what}: MP{i + 1} fails", residual=report.residuals[i])
     if g is not f:
-        object.__setattr__(g, "_mp_cert", (f, inst, inst.tolerance))
+        _certify(g, inst, f, attr="_mp_cert")
     return g

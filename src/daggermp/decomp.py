@@ -19,6 +19,18 @@ equations are algebraic consequences of the axioms, but at aggressive
 tolerances or borderline numerical rank the verification can genuinely
 miss.  Loosen the instance's eq_tol to accept more rounding error, or
 treat the refusal as the answer.
+
+A record that a constructor returns is certified: it keeps
+``(inst, inst.tolerance)``, set as :func:`~daggermp.core.require_mp`
+sets its certificate.  Handed back with the same instance object and
+tolerance object, its consumer skips the equations the constructor
+measured: :func:`mp_from_gcsvd` the four factor equations,
+:func:`mp_from_gsvd` the unitarity of u and v and d's two-sided
+inverse, :func:`induced_gcsvd` the unitarity of u and v, and
+:func:`mp_from_polar` h = h†, the pair (h, h°) and u u† u = u.  A
+hand-built or ``dataclasses.replace``d record, another instance, or a
+tolerance reassigned on the instance is measured in full.  Each
+consumer still verifies the inverse it reassembles.
 """
 
 from __future__ import annotations
@@ -31,6 +43,8 @@ from .core import (
     DecompositionError,
     InputError,
     PreconditionError,
+    _certified,
+    _certify,
     check,
     require_mp,
 )
@@ -104,20 +118,38 @@ def gcsvd_from_mp(
     instance capability and its exceptions propagate (an instance that
     cannot split reports that here).  Its output is not checked on its
     own: the compact-form equations certify it, and refuse a wrong one.
+    The record returned is certified for inst at its tolerance.
     """
+    return _compact(inst, f, f_mp, splitter)[0]
+
+
+def _compact(
+    inst: DaggerInstance,
+    f: Any,
+    f_mp: Any,
+    splitter: Optional[Callable[[Any], Any]] = None,
+) -> tuple[GCSVDTriple, Any, Any]:
+    """:func:`gcsvd_from_mp`'s record, and the projections f f° and f° f
+    it split, which :func:`gsvd_from_mp` reuses."""
     require_mp(inst, f, f_mp, PreconditionError, "compact form needs an M-P pair")
     split = splitter if splitter is not None else inst.split_idempotent
-    r = split(inst.compose(f, f_mp))
-    s = inst.dagger(split(inst.compose(f_mp, f)))
+    ffmp = inst.compose(f, f_mp)
+    r = split(ffmp)
+    fmpf = inst.compose(f_mp, f)
+    s = inst.dagger(split(fmpf))
     d = inst.compose(inst.dagger(r), f, inst.dagger(s))
     d_inv = inst.compose(s, f_mp, r)
     residuals = _compact_residuals(inst, r, d, s, d_inv, DecompositionError, f)
-    return GCSVDTriple(r, d, s, d_inv, residuals)
+    return _certify(GCSVDTriple(r, d, s, d_inv, residuals), inst), ffmp, fmpf
 
 
 def mp_from_gcsvd(inst: DaggerInstance, t: GCSVDTriple) -> Any:
-    """Recover the M-P inverse from compact factors: s-dagger . d_inv . r-dagger."""
-    _compact_residuals(inst, t.r, t.d, t.s, t.d_inv, InputError)
+    """Recover the M-P inverse from compact factors: s-dagger . d_inv . r-dagger.
+
+    The factor equations are measured unless t is certified for inst.
+    """
+    if not _certified(t, inst):
+        _compact_residuals(inst, t.r, t.d, t.s, t.d_inv, InputError)
     f = inst.compose(t.r, t.d, t.s)
     candidate = inst.compose(inst.dagger(t.s), t.d_inv, inst.dagger(t.r))
     return require_mp(
@@ -186,10 +218,10 @@ def gsvd_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> GSVDTriple:
     kernel block of u comes from that SVD, and nothing is stored on f.
     Both kernels, like the splits, are certified by the equations below.
     """
-    compact = gcsvd_from_mp(inst, f, f_mp)
+    compact, ffmp, fmpf = _compact(inst, f, f_mp)
     k, c = inst.kernels(f)
-    cover_src = inst.add(inst.compose(f, f_mp), inst.compose(inst.dagger(k), k))
-    cover_tgt = inst.add(inst.compose(f_mp, f), inst.compose(inst.dagger(c), c))
+    cover_src = inst.add(ffmp, inst.compose(inst.dagger(k), k))
+    cover_tgt = inst.add(fmpf, inst.compose(inst.dagger(c), c))
     residuals = _residuals(inst, DecompositionError, "range and kernel projections", {
         "kernel_source": (cover_src, inst.identity(inst.source(f))),
         "kernel_target": (cover_tgt, inst.identity(inst.target(f))),
@@ -211,7 +243,7 @@ def gsvd_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> GSVDTriple:
         inst, _full_map(inst, u, compact.d, v, dims), f, DecompositionError,
         "full form: reconstruction equation fails",
     )
-    return GSVDTriple(u, compact.d, v, compact.d_inv, dims, residuals)
+    return _certify(GSVDTriple(u, compact.d, v, compact.d_inv, dims, residuals), inst)
 
 
 def _check_outer_factors(inst: DaggerInstance, t: GSVDTriple) -> None:
@@ -220,13 +252,19 @@ def _check_outer_factors(inst: DaggerInstance, t: GSVDTriple) -> None:
 
 
 def mp_from_gsvd(inst: DaggerInstance, t: GSVDTriple) -> Any:
-    """Recover the inverse by transposing the picture: v' . (d_inv + 0) . u'."""
-    _check_outer_factors(inst, t)
+    """Recover the inverse by transposing the picture: v' . (d_inv + 0) . u'.
+
+    The unitarity of u and v and d's two-sided inverse are measured
+    unless t is certified for inst.
+    """
+    if not _certified(t, inst):
+        _check_outer_factors(inst, t)
+        x, _, y, _ = t.dims
+        _residuals(inst, InputError, "full-form triple", {
+            "invertible_left": (inst.compose(t.d, t.d_inv), inst.identity(x)),
+            "invertible_right": (inst.compose(t.d_inv, t.d), inst.identity(y)),
+        })
     x, z, y, w = t.dims
-    _residuals(inst, InputError, "full-form triple", {
-        "invertible_left": (inst.compose(t.d, t.d_inv), inst.identity(x)),
-        "invertible_right": (inst.compose(t.d_inv, t.d), inst.identity(y)),
-    })
     f = _full_map(inst, t.u, t.d, t.v, t.dims)
     candidate = inst.compose(
         inst.dagger(t.v),
@@ -239,8 +277,14 @@ def mp_from_gsvd(inst: DaggerInstance, t: GSVDTriple) -> Any:
 
 
 def induced_gcsvd(inst: DaggerInstance, t: GSVDTriple) -> GCSVDTriple:
-    """Restrict the full form back to rank blocks: a compact factorization."""
-    _check_outer_factors(inst, t)  # d's invertibility is a compact-form equation
+    """Restrict the full form back to rank blocks: a compact factorization.
+
+    The unitarity of u and v is measured unless t is certified for inst;
+    the compact-form equations of the result, d's invertibility among
+    them, always are.
+    """
+    if not _certified(t, inst):
+        _check_outer_factors(inst, t)
     x, z, y, w = t.dims
     r = inst.compose(t.u, inst.dagger(inst.injection((x, z), 0)))
     s = inst.compose(inst.injection((y, w), 0), t.v)
@@ -321,16 +365,21 @@ def polar_from_mp(
         "range_projector": (inst.compose(ud, u), inst.compose(h, h_mp)),
         "reconstruction": (inst.compose(u, h), f),
     }))
-    return PolarPair(u, h, h_mp, residuals)
+    return _certify(PolarPair(u, h, h_mp, residuals), inst)
 
 
 def mp_from_polar(inst: DaggerInstance, pair: PolarPair) -> Any:
-    """Recover the inverse from polar factors: h° . u-dagger."""
+    """Recover the inverse from polar factors: h° . u-dagger.
+
+    h = h†, the pair (h, h°) and u u† u = u are measured unless pair is
+    certified for inst.
+    """
     what = "pair does not satisfy the polar-form invariants"
     u, h, ud = pair.u, pair.h, inst.dagger(pair.u)
-    check(inst, inst.dagger(h), h, InputError, what)
-    require_mp(inst, h, pair.h_mp, InputError, what)
-    check(inst, inst.compose(u, ud, u), u, InputError, what)
+    if not _certified(pair, inst):
+        check(inst, inst.dagger(h), h, InputError, what)
+        require_mp(inst, h, pair.h_mp, InputError, what)
+        check(inst, inst.compose(u, ud, u), u, InputError, what)
     candidate = inst.compose(pair.h_mp, ud)
     return require_mp(
         inst, inst.compose(u, h), candidate, DecompositionError,

@@ -120,7 +120,17 @@ class DerivedIdentitiesReport:
 def derived_identities_check(
     inst: DaggerInstance, f: Any, f_mp: Any
 ) -> DerivedIdentitiesReport:
-    """Evaluate the ten consequences of the axioms for a verified pair."""
+    """Evaluate the ten consequences of the axioms for a verified pair.
+
+    ``double_mp`` is read from the pair's certificate, not measured:
+    ``verify_mp(f°, f)`` forms the same products as ``verify_mp(f, f°)``
+    and measures the same four equations at the same scales and conds,
+    MP1 and MP2 swapped and MP3 and MP4 swapped, and :func:`require_mp`
+    has just passed or read exactly those.  f f†, f† f, f† f°† and
+    f°† f† are each formed once and shared by the identities that use
+    them, as are f f°, f° f and f° f°†, each in the association the
+    identity is stated in.
+    """
     require_mp(
         inst, f, f_mp, PreconditionError, "derived identities need a verified M-P pair"
     )
@@ -132,7 +142,7 @@ def derived_identities_check(
     ffmp = comp(f, f_mp)
     fmpf = comp(f_mp, f)
 
-    double_mp = verify_mp(inst, f_mp, f).all_hold
+    double_mp = True
     dagger_mp_swap = verify_mp(inst, fd, fmd).all_hold
     projector_idempotents = (
         is_dagger_idempotent(inst, ffmp)
@@ -140,14 +150,17 @@ def derived_identities_check(
         and verify_mp(inst, ffmp, ffmp).all_hold
         and verify_mp(inst, fmpf, fmpf).all_hold
     )
+    ffd, fdf = comp(f, fd), comp(fd, f)
+    fdfmd, fmdfd = comp(fd, fmd), comp(fmd, fd)
+    fmpfmd = comp(f_mp, fmd)
     gram_inverses = (
-        verify_mp(inst, comp(f, fd), comp(fmd, f_mp)).all_hold
-        and verify_mp(inst, comp(fd, f), comp(f_mp, fmd)).all_hold
+        verify_mp(inst, ffd, comp(fmd, f_mp)).all_hold
+        and verify_mp(inst, fdf, fmpfmd).all_hold
     )
-    projector_alternatives = eq(ffmp, comp(fmd, fd)) and eq(fmpf, comp(fd, fmd))
-    f_absorption = eq(f, comp(f, fd, fmd)) and eq(f, comp(fmd, fd, f))
-    mp_absorption = eq(f_mp, comp(f_mp, fmd, fd)) and eq(f_mp, comp(fd, fmd, f_mp))
-    dagger_absorption = eq(fd, comp(fd, f, f_mp)) and eq(fd, comp(f_mp, f, fd))
+    projector_alternatives = eq(ffmp, fmdfd) and eq(fmpf, fdfmd)
+    f_absorption = eq(f, comp(ffd, fmd)) and eq(f, comp(fmdfd, f))
+    mp_absorption = eq(f_mp, comp(fmpfmd, fd)) and eq(f_mp, comp(fdfmd, f_mp))
+    dagger_absorption = eq(fd, comp(fdf, f_mp)) and eq(fd, comp(fmpf, fd))
 
     endo = inst.source(f) == inst.target(f)
     if endo and is_self_adjoint(inst, f):

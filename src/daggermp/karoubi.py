@@ -22,6 +22,8 @@ from .core import (
     DaggerInstance,
     InputError,
     PreconditionError,
+    _certified,
+    _certify,
     check,
     require_dagger_idempotent,
     require_mp,
@@ -140,12 +142,15 @@ def iso_from_mp(
     (target, f° f), and f° the other way, composing to the two split
     identities.  That f and f° are fixed by these projections follows
     from MP1 and MP2, which :func:`~daggermp.core.require_mp` certifies
-    at the factor-norm bound; it is not measured again.
+    at the factor-norm bound; it is not measured again.  backward keeps
+    ``(forward, inst, inst.tolerance)`` as its certificate, which
+    :func:`mp_from_iso` reads.
     """
     require_mp(inst, f, f_mp, PreconditionError, "needs a verified M-P pair")
     dom = SplitObject(inst.source(f), inst.compose(f, f_mp))
     cod = SplitObject(inst.target(f), inst.compose(f_mp, f))
-    return SplitMorphism(dom, cod, f), SplitMorphism(cod, dom, f_mp)
+    forward = SplitMorphism(dom, cod, f)
+    return forward, _certify(SplitMorphism(cod, dom, f_mp), inst, forward)
 
 
 def mp_from_iso(
@@ -157,8 +162,12 @@ def mp_from_iso(
     split identities; then the underlying base maps already satisfy all
     four axioms, which is verified before returning them unless
     :func:`~daggermp.core.require_mp` has already certified the pair for
-    the same f object and instance (as :func:`iso_from_mp` does).
+    the same f object and instance.  A backward that :func:`iso_from_mp`
+    returned with this forward, for this instance at its tolerance, is
+    certified, and then nothing is measured.
     """
+    if _certified(backward, inst, forward):
+        return forward.f, backward.f
     for a, b in ((forward.dom, backward.cod), (forward.cod, backward.dom)):
         _require_same_object(inst, a, b, "maps do not go between the same two pairs")
     check(

@@ -311,9 +311,7 @@ def _phases(cols: np.ndarray, cutoff: float) -> np.ndarray:
     return z
 
 
-def svd(
-    a: ComplexMatrix, rank_tol: Optional[float] = None, _deflate: bool = False
-) -> SVDResult:
+def svd(a: ComplexMatrix, rank_tol: Optional[float] = None) -> SVDResult:
     """One-sided Jacobi SVD, run on the taller orientation.
 
     ``rank_tol`` overrides the cutoff used for the rank count; the
@@ -322,17 +320,14 @@ def svd(
     the unit scale: its first entry of modulus above
     ``max(rows, cols) * machine_eps`` is real and nonnegative, so the
     factors do not depend on the scale of ``a`` or on ``rank_tol``.
-    ``_deflate`` runs the SVD that the kernels take at their default
-    cutoff through :func:`_raw_svd` (see
-    :func:`~daggermp._jacobi.one_sided_svd`), whose trailing columns of u
-    are then their basis.  A rank_tol that :class:`Tolerance` refuses
-    raises InputError before the solve.
+    Every singular value is resolved, at any cutoff.  A rank_tol that
+    :class:`Tolerance` refuses raises InputError before the solve.
     """
     Tolerance(rank_tol=rank_tol)
     n, m = a.rows, a.cols
     if min(n, m) == 0:
         return SVDResult(ComplexMatrix.identity(n), (), ComplexMatrix.identity(m), 0)
-    u, s, v = _raw_svd(a, _deflate)
+    u, s, v = _raw_svd(a, False)
     k = len(s)
     unit_tol = max(n, m) * _EPS
     phases = _phases(u, unit_tol)

@@ -154,12 +154,16 @@ def _relation(src: int, tgt: int, rows: tuple[int, ...]) -> FiniteRelation:
 
 def is_difunctional(r: FiniteRelation) -> bool:
     """True iff r . converse(r) . r == r (zig-zag closed)."""
-    return r.compose(r.converse()).compose(r) == r
+    return mp_inverse_rel(r) is not None
 
 
 def mp_inverse_rel(r: FiniteRelation) -> Optional[FiniteRelation]:
-    """Converse when r is difunctional, else None: the only possible inverse."""
-    return r.converse() if is_difunctional(r) else None
+    """Converse when r is difunctional, else None: the only possible inverse.
+
+    The converse is formed once, for the zig-zag test and the answer.
+    """
+    conv = r.converse()
+    return conv if r.compose(conv).compose(r) == r else None
 
 
 @functools.lru_cache(maxsize=8)

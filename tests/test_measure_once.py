@@ -1,0 +1,273 @@
+"""Each equation is measured once per call.
+
+The factorization constructors certify the records they return:
+``gcsvd_from_mp``, ``gsvd_from_mp`` and ``polar_from_mp`` store
+``(inst, inst.tolerance)`` on their record, and ``iso_from_mp`` stores
+``(forward, inst, inst.tolerance)`` on its backward morphism.  A consumer
+handed a record certified for the same instance object and tolerance
+object skips the record's own equations; any other record (hand-built,
+``dataclasses.replace``d, another instance, a reassigned tolerance) is
+measured in full and meets the same verdict.  ``verify_mp`` of a pair
+(f, f) forms f f and (f f) f once, and ``derived_identities_check``
+reads (f°)° = f from the certificate, as ``verify_mp(f°, f)`` measures
+the four equations of ``verify_mp(f, f°)`` swapped.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import daggermp as dm
+from conftest import (
+    all_partial_injections,
+    all_relations,
+    random_partial_injection,
+    seeded_product,
+    uniform_complex,
+)
+from daggermp import (
+    ComplexMatrix,
+    DaggerError,
+    FiniteRelation,
+    MatrixInstance,
+    PInjInstance,
+    RelInstance,
+    Tolerance,
+    core,
+    pinv,
+)
+from daggermp.karoubi import SplitMorphism
+
+GUARD_SHAPES = [(6, 5, 2), (5, 7, 2), (6, 6, 3)]
+
+
+def _hex(residuals):
+    return [r.hex() for r in residuals]
+
+
+def _swapped(report):
+    """The verdicts and residuals of a report with f and g exchanged."""
+    r1, r2, r3, r4 = report.residuals
+    return (report.mp2, report.mp1, report.mp4, report.mp3), _hex((r2, r1, r4, r3))
+
+
+def _as_swapped(report):
+    return (report.mp1, report.mp2, report.mp3, report.mp4), _hex(report.residuals)
+
+
+def _corpus_pairs():
+    """pinv and a candidate off by a factor of 2 on every corpus shape:
+    1-8 per side, once full rank and once of rank min(rows, cols) // 2."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 9):
+        for m in range(1, 9):
+            for k in (min(n, m), min(n, m) // 2):
+                f = ComplexMatrix(uniform_complex(rng, n, k) @ uniform_complex(rng, k, m))
+                g = pinv(f)
+                yield f, g
+                yield f, ComplexMatrix(g.array * 2.0)
+
+
+def test_swapping_the_pair_swaps_the_residuals_byte_for_byte():
+    inst = MatrixInstance(Tolerance(eq_tol=1e-9))
+    for f, g in _corpus_pairs():
+        assert _as_swapped(core.verify_mp(inst, g, f)) == _swapped(core.verify_mp(inst, f, g))
+
+
+def test_swapping_an_exact_pair_swaps_the_residuals():
+    rel, pinj = RelInstance(), PInjInstance()
+    full = FiniteRelation(3, 3, (7, 7, 7))
+    difunctional = 0
+    for r in all_relations(3, 3):
+        g = dm.mp_inverse_rel(r)
+        if g is None:
+            continue
+        difunctional += 1
+        for cand in (g, full):
+            assert _as_swapped(core.verify_mp(rel, cand, r)) == _swapped(
+                core.verify_mp(rel, r, cand)
+            )
+    assert difunctional == 128
+    rng = np.random.default_rng(9)
+    for src in range(1, 5):
+        for tgt in range(1, 5):
+            for f in all_partial_injections(src, tgt):
+                for g in (f.dagger(), random_partial_injection(rng, tgt, src)):
+                    assert _as_swapped(core.verify_mp(pinj, g, f)) == _swapped(
+                        core.verify_mp(pinj, f, g)
+                    )
+
+
+def _count_products(monkeypatch, cls):
+    calls = []
+    original = cls.compose2
+
+    def counted(self, f, g):
+        calls.append((f, g))
+        return original(self, f, g)
+
+    monkeypatch.setattr(cls, "compose2", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_self_pair_forms_two_products(seed, monkeypatch):
+    inst = MatrixInstance()
+    projector = ComplexMatrix(seeded_product(seed, 5, 5, 2))
+    projector = pinv(projector) @ projector  # a dagger idempotent, to rounding
+    square = ComplexMatrix(seeded_product(seed, 4, 4, 4))  # not its own inverse
+    for e in (projector, square):
+        twin = ComplexMatrix(e.array)  # the same entries, another object
+        full = core.verify_mp(inst, e, twin)
+        products = _count_products(monkeypatch, MatrixInstance)
+        report = core.verify_mp(inst, e, e)
+        assert len(products) == 2
+        monkeypatch.undo()
+        assert report.mp1 == report.mp2 and report.mp3 == report.mp4
+        r1, r2, r3, r4 = report.residuals
+        assert r1.hex() == r2.hex() and r3.hex() == r4.hex()
+        assert _as_swapped(report) == _as_swapped(full)
+
+
+def _record_equations(monkeypatch, cls):
+    """Every (lhs bytes, rhs bytes, scale, cond) that cls.compare measures."""
+    seen = []
+    original = cls.compare
+
+    def recorded(self, f, g, scale=None, cond=1.0):
+        resolved = max(self.norm(f), self.norm(g)) if scale is None else scale
+        seen.append((
+            f.array.shape, f.array.tobytes(), g.array.shape, g.array.tobytes(),
+            resolved, cond,
+        ))
+        return original(self, f, g, scale, cond)
+
+    monkeypatch.setattr(cls, "compare", recorded)
+    return seen
+
+
+ROUTES = {
+    "gcsvd": lambda inst, a, g: dm.mp_from_gcsvd(inst, dm.gcsvd_from_mp(inst, a, g)),
+    "gsvd": lambda inst, a, g: dm.mp_from_gsvd(inst, dm.gsvd_from_mp(inst, a, g)),
+    "polar": lambda inst, a, g: dm.mp_from_polar(inst, dm.polar_from_mp(inst, a, g)),
+    "iso": lambda inst, a, g: dm.mp_from_iso(inst, *dm.iso_from_mp(inst, a, g)),
+    "gram": lambda inst, a, g: dm.mp_via_gram(
+        inst, a, lambda p: dm.herm_mp(p, eq_tol=inst.tolerance.eq_tol)
+    ),
+    "derived": dm.derived_identities_check,
+}
+
+
+@pytest.mark.parametrize("shape", GUARD_SHAPES)
+@pytest.mark.parametrize("route", sorted(ROUTES))
+@pytest.mark.parametrize("certified_first", [False, True])
+def test_no_route_measures_an_equation_twice(shape, route, certified_first, monkeypatch):
+    a = ComplexMatrix(seeded_product(51, *shape))
+    inst = MatrixInstance(Tolerance(eq_tol=1e-9))
+    g = pinv(a)
+    if certified_first:  # as in a corpus case, where an earlier route certified (a, g)
+        core.require_mp(inst, a, g, DaggerError, "pair")
+    seen = _record_equations(monkeypatch, MatrixInstance)
+    ROUTES[route](inst, a, g)
+    assert len(set(seen)) == len(seen)
+
+
+def _count_deviations(monkeypatch, cls):
+    calls = []
+    original = cls.deviation
+
+    def counted(self, f, g):
+        calls.append(1)
+        return original(self, f, g)
+
+    monkeypatch.setattr(cls, "deviation", counted)
+    return calls
+
+
+def _outcome(fn):
+    """The returned matrix's bytes, or the error's type, message and residual."""
+    try:
+        out = fn()
+    except DaggerError as err:
+        return type(err), str(err), err.residual
+    return out.array.tobytes()
+
+
+def _perturbed(m):
+    return ComplexMatrix(m.array * (1.0 + 1e-6))
+
+
+RECORDS = {
+    "gcsvd": (dm.gcsvd_from_mp, dm.mp_from_gcsvd, "r"),
+    "gsvd": (dm.gsvd_from_mp, dm.mp_from_gsvd, "u"),
+    "induced": (dm.gsvd_from_mp, lambda inst, t: dm.induced_gcsvd(inst, t).r, "v"),
+    "polar": (dm.polar_from_mp, dm.mp_from_polar, "u"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RECORDS))
+def test_a_record_is_measured_unless_certified_for_the_instance(kind, monkeypatch):
+    build, consume, factor = RECORDS[kind]
+    a = ComplexMatrix(seeded_product(52, 6, 5, 2))
+    inst = MatrixInstance(Tolerance(eq_tol=1e-9))
+    rec = build(inst, a, pinv(a))
+    twin = dataclasses.replace(rec)  # the same fields, no certificate
+    deviations = _count_deviations(monkeypatch, MatrixInstance)
+
+    def measured(i, t):
+        deviations.clear()
+        outcome = _outcome(lambda: consume(i, t))
+        return outcome, len(deviations)
+
+    certified, n_certified = measured(inst, rec)
+    full, n_full = measured(inst, twin)
+    assert certified == full and n_certified < n_full
+    # Two fresh instances: measuring (h, h°) certifies it for the instance.
+    foreign = measured(MatrixInstance(inst.tolerance), rec)
+    assert foreign == measured(MatrixInstance(inst.tolerance), twin)
+    bad = dataclasses.replace(rec, **{factor: _perturbed(getattr(rec, factor))})
+    refused = _outcome(lambda: consume(inst, bad))
+    assert refused[0] is dm.InputError and refused[2] > 0.0
+    inst.tolerance = Tolerance(eq_tol=1e-30)
+    strict = measured(inst, rec)
+    assert strict == measured(inst, twin) and isinstance(strict[0], tuple)
+
+
+def test_a_backward_morphism_is_certified_for_its_own_forward(monkeypatch):
+    a = ComplexMatrix(seeded_product(53, 5, 7, 2))
+    b = ComplexMatrix(seeded_product(54, 5, 7, 2))
+    inst = MatrixInstance(Tolerance(eq_tol=1e-9))
+    fwd, bwd = dm.iso_from_mp(inst, a, pinv(a))
+    fwd_b, bwd_b = dm.iso_from_mp(inst, b, pinv(b))
+    deviations = _count_deviations(monkeypatch, MatrixInstance)
+    assert dm.mp_from_iso(inst, fwd, bwd) == (a, bwd.f) and not deviations
+    hand_built = SplitMorphism(bwd.dom, bwd.cod, bwd.f)
+    dm.mp_from_iso(inst, fwd, hand_built)
+    assert deviations
+    deviations.clear()
+    dm.mp_from_iso(MatrixInstance(inst.tolerance), fwd, bwd)
+    assert deviations
+    with pytest.raises(dm.InputError):  # a backward from another pair is measured
+        dm.mp_from_iso(inst, fwd_b, bwd)
+    deviations.clear()
+    inst.tolerance = Tolerance(eq_tol=1e-9)  # equal, but another object
+    assert dm.mp_from_iso(inst, fwd_b, bwd_b) == (b, bwd_b.f) and deviations
+
+
+def test_the_derived_check_reads_double_mp_from_the_certificate(monkeypatch):
+    a = ComplexMatrix(seeded_product(55, 6, 5, 2))
+    inst = MatrixInstance(Tolerance(eq_tol=1e-9))
+    g = pinv(a)
+    pairs = []
+    original = core.verify_mp
+
+    def recorded(i, f, h):
+        pairs.append((f, h))
+        return original(i, f, h)
+
+    monkeypatch.setattr(dm.engine, "verify_mp", recorded)
+    assert dm.derived_identities_check(inst, a, g).double_mp
+    assert (g, a) not in pairs
+    with pytest.raises(dm.PreconditionError):
+        dm.derived_identities_check(inst, a, ComplexMatrix(g.array * 2.0))

@@ -2,8 +2,9 @@
 
 The ``split_idempotent`` capability of each instance only builds its
 candidate r.  ``core.split`` checks e = e†, r r† = e and r† r = 1 for
-the callers that hand a split to the user, and ``decomp.gcsvd_from_mp``
-and ``rel.gcsvd_rel`` take the raw candidate because their compact-form
+the callers that hand a split to the user, and ``decomp._compact`` (the
+compact form of ``gcsvd_from_mp`` and ``gsvd_from_mp``) and
+``rel.gcsvd_rel`` take the raw candidate because their compact-form
 equations certify it.
 So the capability is read nowhere else in ``src/``, and no
 ``split_idempotent`` method, nor any function of its module that it
@@ -18,7 +19,7 @@ import daggermp
 
 SRC = pathlib.Path(daggermp.__file__).parent
 CAPABILITY = "split_idempotent"
-READERS = {("core.py", "split"), ("decomp.py", "gcsvd_from_mp"), ("rel.py", "gcsvd_rel")}
+READERS = {("core.py", "split"), ("decomp.py", "_compact"), ("rel.py", "gcsvd_rel")}
 CHECKS = {"check", "compare", "equals", "verify_mp", "require_mp"}
 REFUSALS = {"PreconditionError", "ConsistencyError"}
 

@@ -35,6 +35,7 @@ from daggermp import (
 from daggermp import _jacobi, cli, core, engine
 
 CERT = "_mp_cert"
+EPS = np.finfo(float).eps
 
 
 def _counted(monkeypatch, owner, name):
@@ -124,9 +125,10 @@ def test_exact_candidates_take_the_same_path(kind, monkeypatch):
 
 def test_the_corpus_routes_verify_each_pair_once_and_run_two_svds(monkeypatch):
     # The route sequence of one ``corpus`` case on a 6x5 rank-2 input:
-    # one SVD in pinv and one for both of gsvd's kernels; 14 verify_mp
+    # one SVD in pinv and one for both of gsvd's kernels; 13 verify_mp
     # calls, as the routes after the first certified (f, f°) skip it,
-    # and polar's inverse check skips the (h, h°) its constructor proved.
+    # polar's inverse check skips the (h, h°) its constructor proved, and
+    # the derived check reads (f°)° = f from the certificate.
     a = ComplexMatrix(seeded_product(11, 6, 5, 2))
     inst = MatrixInstance(Tolerance(eq_tol=1e-9))
     svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
@@ -140,7 +142,7 @@ def test_the_corpus_routes_verify_each_pair_once_and_run_two_svds(monkeypatch):
     assert dm.derived_identities_check(inst, a, g).all_hold
     dm.mp_from_iso(inst, *dm.iso_from_mp(inst, a, g))
     assert len(svds) == 2
-    assert len(measured) == 14
+    assert len(measured) == 13
     assert set(vars(a)) <= {"array", "_norm"}
 
 
@@ -164,13 +166,36 @@ def test_both_kernels_of_gsvd_come_from_one_svd(shape, monkeypatch):
     assert set(vars(f)) <= {"array", "_norm"}
 
 
+def _first_entries_real(k, unit_tol):
+    """The phase rule of svd on the rows of a kernel: each row's first
+    entry of modulus above unit_tol is real and positive, to rounding."""
+    for row in k.array:
+        first = row[np.abs(row) > unit_tol][0]
+        assert first.real > 0.0 and abs(first.imag) <= 4 * EPS * abs(first)
+
+
 @pytest.mark.parametrize("rank_tol", [None, 1e-9])
 def test_a_kernel_follows_the_rank_and_phase_rule_of_svd(rank_tol):
+    # At an explicit cutoff the kernel is svd()'s trailing columns of u,
+    # byte for byte.  At the default one the SVD skips the null block its
+    # QR reveals, so the kernel is another orthonormal basis of the same
+    # space, phased by the same rule.
+    inst = MatrixInstance()
     for seed, shape in enumerate([(5, 7, 2), (7, 5, 2), (6, 6, 3), (4, 4, 4)]):
         f = ComplexMatrix(seeded_product(30 + seed, *shape))
-        res = dm.svd(f, rank_tol=rank_tol, _deflate=rank_tol is None)
+        res = dm.svd(f, rank_tol=rank_tol)
         k = dagger_kernel(f, rank_tol=rank_tol)
-        assert k.array.tobytes() == res.u.array[:, res.rank:].conj().T.tobytes()
+        trailing = res.u.array[:, res.rank:]
+        if rank_tol is not None:
+            assert k.array.tobytes() == trailing.conj().T.tobytes()
+        else:
+            z = trailing.shape[1]
+            assert k.rows == z
+            projector = ComplexMatrix(np.ascontiguousarray(trailing @ trailing.conj().T))
+            assert inst.equals(k.dagger() @ k, projector)
+            assert inst.equals(k @ k.dagger(), ComplexMatrix.identity(z))
+            assert inst.compare(k @ f, ComplexMatrix.zeros(z, f.cols), f.norm())[1]
+            _first_entries_real(k, max(f.rows, f.cols) * EPS)
         assert set(vars(f)) <= {"array", "_norm"}
     for rows, cols in [(0, 3), (3, 0), (0, 0)]:
         empty = ComplexMatrix.zeros(rows, cols)

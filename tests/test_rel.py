@@ -107,6 +107,26 @@ def test_mp_inverse_rel_is_converse_or_nothing():
     assert mp_inverse_rel(R(2, 2, [(0, 0), (1, 0), (1, 1)])) is None
 
 
+def test_mp_inverse_rel_forms_one_converse(monkeypatch):
+    relations = list(all_relations(3, 3))
+    expected = [
+        r.converse() if r.compose(r.converse()).compose(r) == r else None
+        for r in relations
+    ]
+    original = FiniteRelation.converse
+    formed = []
+
+    def counted(self):
+        formed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(FiniteRelation, "converse", counted)
+    for r, want in zip(relations, expected):
+        formed.clear()
+        assert mp_inverse_rel(r) == want
+        assert formed == [r]
+
+
 def test_brute_force_matches_theory_exhaustively():
     for src, tgt in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
         for r in all_relations(src, tgt):
