@@ -28,12 +28,12 @@ from .core import (
 class PartialInjection:
     """Injective partial map; mapping[i] is the image of i or None.
 
-    ``PartialInjection(src, tgt, mapping)`` and the classmethods validate
-    outside input and raise InputError: plain nonnegative int endpoints,
-    a tuple of one entry per source point, each None or a plain int
-    below tgt, no image hit twice.  The composites and daggers the
-    package computes from valid maps are built by :func:`_injection`
-    instead, which checks nothing.
+    ``PartialInjection(src, tgt, mapping)`` and :meth:`from_pairs`
+    validate outside input and raise InputError: plain nonnegative int
+    endpoints, a tuple of one entry per source point, each None or a
+    plain int below tgt, no image hit twice.  :meth:`identity` checks
+    only its size.  The identities, composites and daggers the package
+    builds are built by :func:`_injection`, which checks nothing.
     """
 
     src: int
@@ -71,7 +71,7 @@ class PartialInjection:
     @classmethod
     def identity(cls, n: int) -> "PartialInjection":
         check_sizes(n)
-        return cls(n, n, tuple(range(n)))
+        return _injection(n, n, tuple(range(n)))
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -123,14 +123,10 @@ def verify_inverse_category_laws(
     """
     if (f.src, f.tgt) != (g.src, g.tgt):
         raise InputError("maps must be parallel")
-    regular = (
-        f.compose(f.dagger()).compose(f) == f
-        and g.compose(g.dagger()).compose(g) == g
-    )
     p = f.compose(f.dagger())
     q = g.compose(g.dagger())
-    projections_commute = p.compose(q) == q.compose(p)
-    return regular, projections_commute
+    regular = p.compose(f) == f and q.compose(g) == g
+    return regular, p.compose(q) == q.compose(p)
 
 
 class PInjInstance(DaggerInstance):
@@ -161,6 +157,8 @@ class PInjInstance(DaggerInstance):
             raise InputError(
                 f"cannot compare {f.src}->{f.tgt} with {g.src}->{g.tgt}"
             )
+        if f.mapping == g.mapping:
+            return 0.0
         return float(
             sum(a != b for a, b in zip(f.mapping, g.mapping))
         )

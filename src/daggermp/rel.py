@@ -10,9 +10,10 @@ relation at small sizes at once, one bit of a Python int per candidate.
 Nothing here uses numpy.
 
 Symmetric idempotents here are partial equivalence relations; they split
-through their set of equivalence classes (:func:`split_per`), and the
+through their set of equivalence classes (:func:`split_per`).  The
 compact decomposition of a difunctional relation (:func:`gcsvd_rel`) is
-made of two such splits.
+the generic :func:`~daggermp.decomp.gcsvd_from_mp`, made of two such
+splits and certified by its compact-form equations.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .core import (
     DaggerInstance,
     InputError,
     NoMPInverseError,
-    PreconditionError,
     Tolerance,
     check,
     check_sizes,
@@ -35,6 +35,7 @@ from .core import (
     pairs_from_obj,
     split,
 )
+from .decomp import gcsvd_from_mp
 
 BRUTE_FORCE_LIMIT = 16  # max src*tgt for the exhaustive candidate scan
 
@@ -43,13 +44,14 @@ BRUTE_FORCE_LIMIT = 16  # max src*tgt for the exhaustive candidate scan
 class FiniteRelation:
     """Relation src -> tgt; bit j of rows[i] set iff (i, j) related.
 
-    ``FiniteRelation(src, tgt, rows)`` and the classmethods validate
+    ``FiniteRelation(src, tgt, rows)`` and :meth:`from_pairs` validate
     outside input and raise InputError: plain nonnegative int endpoints,
     a tuple of one row per source point, each row a plain int bitmask
-    below 2^tgt.  Every relation the package computes from valid ones
-    (:meth:`compose`, :meth:`converse`, :func:`split_per`,
-    :func:`gcsvd_rel`, :func:`brute_force_mp`) is built by
-    :func:`_relation` instead, which checks nothing.
+    below 2^tgt.  :meth:`identity`, :meth:`empty` and :meth:`full` check
+    only their sizes.  Every relation the package builds (those three,
+    :meth:`compose`, :meth:`converse`, :func:`split_per`,
+    :func:`brute_force_mp`, and so the factors of :func:`gcsvd_rel`) is
+    built by :func:`_relation`, which checks nothing.
     """
 
     src: int
@@ -82,17 +84,17 @@ class FiniteRelation:
     @classmethod
     def identity(cls, n: int) -> "FiniteRelation":
         check_sizes(n)
-        return cls(n, n, tuple(1 << i for i in range(n)))
+        return _relation(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
     def empty(cls, src: int, tgt: int) -> "FiniteRelation":
         check_sizes(src, tgt)
-        return cls(src, tgt, (0,) * src)
+        return _relation(src, tgt, (0,) * src)
 
     @classmethod
     def full(cls, src: int, tgt: int) -> "FiniteRelation":
         check_sizes(src, tgt)
-        return cls(src, tgt, ((1 << tgt) - 1,) * src)
+        return _relation(src, tgt, ((1 << tgt) - 1,) * src)
 
     @property
     def pairs(self) -> list[tuple[int, int]]:
@@ -287,34 +289,16 @@ def gcsvd_rel(
 ) -> tuple[FiniteRelation, FiniteRelation, FiniteRelation]:
     """Exact compact decomposition r = mem . d . s of a difunctional relation.
 
-    mem : src -> X is the class membership of r.converse-composite on the
-    source side (a coisometry), s : Y -> tgt the converse membership on
-    the target side (an isometry), and d : X -> Y a bijection between
-    the two class sets.  A difunctional r makes r r° and r° r partial
-    equivalence relations, so the memberships are
-    :meth:`RelInstance.split_idempotent`, unchecked.  Each equation is
-    checked by :func:`~daggermp.core.check` on a :class:`RelInstance`:
-    r r° r = r (else PreconditionError), then d d° = 1, d° d = 1 and
-    mem d s = r (else ConsistencyError), the refusal carrying the
-    deviation.
+    :func:`~daggermp.decomp.gcsvd_from_mp` on a :class:`RelInstance`
+    with the converse as inverse.  mem : src -> X sends each source
+    point to its class of r r° (a coisometry), s : Y -> tgt is the
+    converse membership of r° r (an isometry), and d : X -> Y is a
+    bijection between the two class sets.  A relation that is not
+    difunctional raises PreconditionError; a failing compact-form
+    equation raises DecompositionError, each carrying the deviation.
     """
-    inst = RelInstance()
-    rc = r.converse()
-    left = r.compose(rc)
-    check(inst, left.compose(r), r, PreconditionError, "relation is not difunctional")
-    mem_src = inst.split_idempotent(left)
-    mem_tgt = inst.split_idempotent(rc.compose(r))
-    d = mem_src.converse().compose(r).compose(mem_tgt)
-    dc = d.converse()
-    what = "middle factor of a difunctional relation not a bijection"
-    check(inst, d.compose(dc), inst.identity(d.src), ConsistencyError, what)
-    check(inst, dc.compose(d), inst.identity(d.tgt), ConsistencyError, what)
-    s = mem_tgt.converse()
-    check(
-        inst, mem_src.compose(d).compose(s), r, ConsistencyError,
-        "compact factors do not recompose the relation",
-    )
-    return mem_src, d, s
+    t = gcsvd_from_mp(RelInstance(), r, r.converse())
+    return t.r, t.d, t.s
 
 
 class RelInstance(DaggerInstance):
@@ -345,6 +329,8 @@ class RelInstance(DaggerInstance):
             raise InputError(
                 f"cannot compare {f.src}->{f.tgt} with {g.src}->{g.tgt}"
             )
+        if f.rows == g.rows:
+            return 0.0
         return float(
             sum((a ^ b).bit_count() for a, b in zip(f.rows, g.rows))
         )
@@ -359,8 +345,9 @@ class RelInstance(DaggerInstance):
 
     def split_idempotent(self, e: FiniteRelation) -> FiniteRelation:
         """Each point of e's domain sent to its row, the class it lies in if
-        e is a partial equivalence relation; unchecked, as :func:`split_per`
-        and :func:`gcsvd_rel` certify it."""
+        e is a partial equivalence relation; unchecked, as
+        :func:`~daggermp.core.split` and the compact form of
+        :func:`~daggermp.decomp.gcsvd_from_mp` certify it."""
         index: dict[int, int] = {}
         for row in e.rows:
             if row:

@@ -1,13 +1,15 @@
 """The two constructors of each morphism type.
 
 ``ComplexMatrix(...)``, ``FiniteRelation(...)``, ``PartialInjection(...)``
-and their classmethods validate outside input and raise InputError.
-Every morphism the package computes is built without that check: a
-matrix by ``matrix._computed`` (which reports a non-finite entry as the
-overflow it must be, NumericError) or ``matrix._wrap``, a relation by
-``rel._relation``, a partial injection by ``pinj._injection``.  The scan
-keeps computed results from drifting back to the public constructors;
-the runtime checks see the same from outside.
+and their ``from_rows`` / ``from_pairs`` validate outside input and raise
+InputError; ``identity``, ``zeros``, ``empty`` and ``full`` check only
+their sizes.  Every morphism the package builds is built without the
+full check: a matrix by ``matrix._computed`` (which reports a non-finite
+entry as the overflow it must be, NumericError) or ``matrix._wrap``, a
+relation by ``rel._relation``, a partial injection by
+``pinj._injection``.  The scan keeps computed results from drifting back
+to the public constructors; the runtime checks see the same from
+outside.
 """
 
 import ast
@@ -92,9 +94,6 @@ def test_only_the_input_boundary_calls_the_public_constructor():
         "from_rows": ["matrix.py"],
         "matrix_from_obj": ["matrix.py"],
         "from_pairs": ["pinj.py", "rel.py"],
-        "identity": ["pinj.py", "rel.py"],
-        "empty": ["rel.py"],
-        "full": ["rel.py"],
     }
 
 

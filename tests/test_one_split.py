@@ -3,9 +3,8 @@
 The ``split_idempotent`` capability of each instance only builds its
 candidate r.  ``core.split`` checks e = e†, r r† = e and r† r = 1 for
 the callers that hand a split to the user, and ``decomp._compact`` (the
-compact form of ``gcsvd_from_mp`` and ``gsvd_from_mp``) and
-``rel.gcsvd_rel`` take the raw candidate because their compact-form
-equations certify it.
+compact form of ``gcsvd_from_mp``, ``gsvd_from_mp`` and ``rel.gcsvd_rel``)
+takes the raw candidate because its compact-form equations certify it.
 So the capability is read nowhere else in ``src/``, and no
 ``split_idempotent`` method, nor any function of its module that it
 calls, checks an equation or raises a refusal.  The scans read the
@@ -19,7 +18,7 @@ import daggermp
 
 SRC = pathlib.Path(daggermp.__file__).parent
 CAPABILITY = "split_idempotent"
-READERS = {("core.py", "split"), ("decomp.py", "_compact"), ("rel.py", "gcsvd_rel")}
+READERS = {("core.py", "split"), ("decomp.py", "_compact")}
 CHECKS = {"check", "compare", "equals", "verify_mp", "require_mp"}
 REFUSALS = {"PreconditionError", "ConsistencyError"}
 

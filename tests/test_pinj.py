@@ -89,6 +89,22 @@ def test_inverse_category_laws_exhaustively():
             assert regular and commute, (f, g)
 
 
+def test_inverse_category_laws_form_each_projection_once(monkeypatch):
+    maps = list(all_partial_injections(2, 3))
+    original = PartialInjection.dagger
+    formed = []
+
+    def counted(self):
+        formed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PartialInjection, "dagger", counted)
+    for f, g in itertools.product(maps, repeat=2):
+        formed.clear()
+        assert verify_inverse_category_laws(f, g) == (True, True)
+        assert formed == [f, g]
+
+
 def test_inverse_category_laws_require_parallel_maps():
     f = PartialInjection(2, 2, (0, 1))
     g = PartialInjection(2, 3, (0, 1))

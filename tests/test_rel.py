@@ -1,13 +1,15 @@
 """Finite relations: exact theory cross-checked against exhaustive search."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from conftest import all_relations, random_relation
+from conftest import all_partial_injections, all_relations, random_relation
 from daggermp import (
     ConsistencyError,
+    DecompositionError,
     FiniteRelation,
     InputError,
     NoMPInverseError,
@@ -292,20 +294,24 @@ def test_gcsvd_rel_empty_relation():
 
 
 def test_gcsvd_rel_refuses_nondifunctional():
-    with pytest.raises(PreconditionError, match="not difunctional") as err:
+    with pytest.raises(
+        PreconditionError, match="compact form needs an M-P pair: MP1 fails"
+    ) as err:
         gcsvd_rel(R(2, 2, [(0, 0), (1, 0), (1, 1)]))
     assert err.value.residual == 1.0  # r r° r relates 0 to 1 as well
 
 
 @pytest.mark.parametrize("mem, what, residual", [
-    (FiniteRelation(2, 2, (1, 0)), "not a bijection", 1.0),  # class 1 empty
-    (FiniteRelation(2, 1, (1, 1)), "do not recompose", 2.0),  # one class for both
+    (FiniteRelation(2, 2, (1, 0)), "coisometry", 1.0),  # class 1 empty
+    (FiniteRelation(2, 1, (1, 1)), "reconstruction", 2.0),  # one class for both
 ])
 def test_gcsvd_rel_certifies_its_splits(mem, what, residual, monkeypatch):
     # gcsvd_rel takes the memberships from the split capability unchecked;
-    # its own equations refuse a wrong one, carrying the deviation.
+    # the compact-form equations refuse a wrong one, carrying the deviation.
     monkeypatch.setattr(RelInstance, "split_idempotent", lambda self, e: mem)
-    with pytest.raises(ConsistencyError, match=what) as err:
+    with pytest.raises(
+        DecompositionError, match=f"compact form: {what} equation fails"
+    ) as err:
         gcsvd_rel(FiniteRelation.identity(2))
     assert err.value.residual == residual
 
@@ -318,6 +324,18 @@ def test_gcsvd_rel_all_small_difunctionals(rel_inst):
             mem, d, s = gcsvd_rel(r)
             assert mem.compose(d).compose(s) == r
             assert is_unitary(rel_inst, d)
+
+
+def test_gcsvd_rel_is_the_generic_compact_form(rel_inst):
+    shapes = [(a, b) for a in range(4) for b in range(4)] + [(2, 4), (4, 2)]
+    seen = 0
+    for r in (r for shape in shapes for r in all_relations(*shape)):
+        if not is_difunctional(r):
+            continue
+        t = gcsvd_from_mp(rel_inst, r, r.converse())
+        assert gcsvd_rel(r) == (t.r, t.d, t.s), r
+        seen += 1
+    assert seen == 433
 
 
 def test_generic_compact_pipeline_matches_rel_construction(rel_inst):
@@ -367,6 +385,19 @@ def test_rel_deviation_counts_disagreeing_pairs(rel_inst):
     assert rel_inst.deviation(a, b) == 2.0
     assert rel_inst.equals(a, a)
     assert not rel_inst.equals(a, b)
+
+
+def test_exact_deviations_count_every_pair_exhaustively(rel_inst, pinj_inst):
+    # Equal and unequal morphisms both: the equal ones take the early return.
+    rels = list(all_relations(2, 2))
+    for a, b in itertools.product(rels, repeat=2):
+        assert rel_inst.deviation(a, b) == len(set(a.pairs) ^ set(b.pairs))
+    # A partial injection's deviation counts the source points whose
+    # images differ, each named once by the differing pairs.
+    maps = list(all_partial_injections(2, 3))
+    for a, b in itertools.product(maps, repeat=2):
+        differ = {i for i, _ in set(a.pairs) ^ set(b.pairs)}
+        assert pinj_inst.deviation(a, b) == len(differ)
 
 
 def test_verify_mp_exact_for_difunctionals(rel_inst):
