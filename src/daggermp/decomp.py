@@ -26,8 +26,10 @@ sets its certificate.  Handed back with the same instance object and
 tolerance object, its consumer skips the equations the constructor
 measured: :func:`mp_from_gcsvd` the four factor equations,
 :func:`mp_from_gsvd` the unitarity of u and v and d's two-sided
-inverse, :func:`induced_gcsvd` the unitarity of u and v, and
-:func:`mp_from_polar` h = h†, the pair (h, h°) and u u† u = u.  A
+inverse, :func:`induced_gcsvd` the unitarity of u and v and the four
+factor equations of the compact form it returns (those of the compact
+form the full one was built from), and :func:`mp_from_polar` h = h†,
+the pair (h, h°) and u u† u = u.  A
 hand-built or ``dataclasses.replace``d record, another instance, or a
 tolerance reassigned on the instance is measured in full.  Each
 consumer still verifies the inverse it reassembles.
@@ -87,11 +89,15 @@ def _compact_residuals(
         "invertible_right": (inst.compose(d_inv, d), inst.identity(mid_cod)),
     })
     if f is not None:
-        residuals["reconstruction"] = check(
-            inst, inst.compose(r, d, s), f, DecompositionError,
-            "compact form: reconstruction equation fails",
-        )
+        residuals["reconstruction"] = _reconstruction(inst, r, d, s, f)
     return residuals
+
+
+def _reconstruction(inst: DaggerInstance, r: Any, d: Any, s: Any, f: Any) -> float:
+    return check(
+        inst, inst.compose(r, d, s), f, DecompositionError,
+        "compact form: reconstruction equation fails",
+    )
 
 
 @dataclass(frozen=True)
@@ -279,18 +285,26 @@ def mp_from_gsvd(inst: DaggerInstance, t: GSVDTriple) -> Any:
 def induced_gcsvd(inst: DaggerInstance, t: GSVDTriple) -> GCSVDTriple:
     """Restrict the full form back to rank blocks: a compact factorization.
 
-    The unitarity of u and v is measured unless t is certified for inst;
-    the compact-form equations of the result, d's invertibility among
-    them, always are.
+    The unitarity of u and v and the four factor equations of the result
+    are measured unless t is certified for inst.  A certified t was built
+    by :func:`gsvd_from_mp` from a compact form whose factor equations it
+    measured: r and s here are that form's r and s in value, and d and
+    d_inv are its own, so the residuals hold the reconstruction alone.
+    The reconstruction r d s = u (d + 0) v is always measured.  The
+    record returned is certified for inst at its tolerance.
     """
-    if not _certified(t, inst):
+    certified = _certified(t, inst)
+    if not certified:
         _check_outer_factors(inst, t)
     x, z, y, w = t.dims
     r = inst.compose(t.u, inst.dagger(inst.injection((x, z), 0)))
     s = inst.compose(inst.injection((y, w), 0), t.v)
     f = _full_map(inst, t.u, t.d, t.v, t.dims)
-    residuals = _compact_residuals(inst, r, t.d, s, t.d_inv, InputError, f)
-    return GCSVDTriple(r, t.d, s, t.d_inv, residuals)
+    if certified:
+        residuals = {"reconstruction": _reconstruction(inst, r, t.d, s, f)}
+    else:
+        residuals = _compact_residuals(inst, r, t.d, s, t.d_inv, InputError, f)
+    return _certify(GCSVDTriple(r, t.d, s, t.d_inv, residuals), inst)
 
 
 def gsvd_intertwiners(

@@ -130,6 +130,37 @@ def derived_identities_check(
     f°† f† are each formed once and shared by the identities that use
     them, as are f f°, f° f and f° f°†, each in the association the
     identity is stated in.
+
+    In an inverse category f° = f†: a difunctional relation's inverse is
+    its converse, a partial injection's its dagger.  When the tolerance's
+    ``eq_tol`` is 0 and f° equals f†, an identity that only repeats a
+    computation already passed for the pair is read, not measured again.
+    At eq_tol 0 :func:`~daggermp.core.within` passes deviation 0 alone,
+    whatever the scale and cond, and every instance operation is a
+    function of its operands' values, so an equation formed by the same
+    compose and dagger calls on equal operands has the same deviation.
+    With f† = f°, and so f°† = f, each side below is formed in the
+    association written:
+
+    ==========================  =========================================
+    identity                    repeats
+    ==========================  =========================================
+    dagger_mp_swap              verify_mp(f°, f), the certified pair swapped
+    f_absorption                MP1: (f f†) f°† and (f°† f†) f are (f f°) f
+    dagger_mp_partial_isometry  MP1: (f f†) f is (f f°) f
+    mp_absorption               MP2: (f° f°†) f† and (f† f°†) f° are (f° f) f°
+    dagger_absorption           MP2: (f† f) f° and (f° f) f† are (f° f) f°
+    projector_alternatives      f°† f† is f f° and f† f°† is f° f: each is
+                                compared with itself, at deviation 0
+    gram_inverses               verify_mp(e, e) for e = f f° and e = f° f,
+                                as (f f†, f°† f°) and (f† f, f° f°†) are
+                                (e, e): measured once, for both identities
+    ==========================  =========================================
+
+    ``projector_idempotents`` is measured for both e: e = e† and e e = e,
+    and that shared ``verify_mp(e, e)``.  ``self_adjoint_transfer`` is
+    evaluated as on every other pair.  Any other tolerance or pair is
+    evaluated in full.
     """
     require_mp(
         inst, f, f_mp, PreconditionError, "derived identities need a verified M-P pair"
@@ -138,39 +169,52 @@ def derived_identities_check(
     comp = inst.compose
     eq = inst.equals
     fd = dg(f)
-    fmd = dg(f_mp)
     ffmp = comp(f, f_mp)
     fmpf = comp(f_mp, f)
-
-    double_mp = True
-    dagger_mp_swap = verify_mp(inst, fd, fmd).all_hold
-    projector_idempotents = (
-        is_dagger_idempotent(inst, ffmp)
-        and is_dagger_idempotent(inst, fmpf)
-        and verify_mp(inst, ffmp, ffmp).all_hold
-        and verify_mp(inst, fmpf, fmpf).all_hold
-    )
-    ffd, fdf = comp(f, fd), comp(fd, f)
-    fdfmd, fmdfd = comp(fd, fmd), comp(fmd, fd)
-    fmpfmd = comp(f_mp, fmd)
-    gram_inverses = (
-        verify_mp(inst, ffd, comp(fmd, f_mp)).all_hold
-        and verify_mp(inst, fdf, fmpfmd).all_hold
-    )
-    projector_alternatives = eq(ffmp, fmdfd) and eq(fmpf, fdfmd)
-    f_absorption = eq(f, comp(ffd, fmd)) and eq(f, comp(fmdfd, f))
-    mp_absorption = eq(f_mp, comp(fmpfmd, fd)) and eq(f_mp, comp(fdfmd, f_mp))
-    dagger_absorption = eq(fd, comp(fdf, f_mp)) and eq(fd, comp(fmpf, fd))
+    mp_is_dagger = eq(f_mp, fd)
 
     endo = inst.source(f) == inst.target(f)
     if endo and is_self_adjoint(inst, f):
         self_adjoint_transfer = is_self_adjoint(inst, f_mp) and eq(fmpf, ffmp)
     else:
         self_adjoint_transfer = True
-    if eq(f_mp, fd):
-        dagger_mp_partial_isometry = is_partial_isometry(inst, f)
+
+    double_mp = True
+    if inst.tolerance.eq_tol == 0.0 and mp_is_dagger:  # read as tabulated above
+        dagger_mp_swap = projector_alternatives = f_absorption = True
+        mp_absorption = dagger_absorption = dagger_mp_partial_isometry = True
+        gram_inverses = (
+            verify_mp(inst, ffmp, ffmp).all_hold
+            and verify_mp(inst, fmpf, fmpf).all_hold
+        )
+        projector_idempotents = (
+            is_dagger_idempotent(inst, ffmp)
+            and is_dagger_idempotent(inst, fmpf)
+            and gram_inverses
+        )
     else:
-        dagger_mp_partial_isometry = True
+        fmd = dg(f_mp)
+        dagger_mp_swap = verify_mp(inst, fd, fmd).all_hold
+        projector_idempotents = (
+            is_dagger_idempotent(inst, ffmp)
+            and is_dagger_idempotent(inst, fmpf)
+            and verify_mp(inst, ffmp, ffmp).all_hold
+            and verify_mp(inst, fmpf, fmpf).all_hold
+        )
+        ffd, fdf = comp(f, fd), comp(fd, f)
+        fdfmd, fmdfd = comp(fd, fmd), comp(fmd, fd)
+        fmpfmd = comp(f_mp, fmd)
+        gram_inverses = (
+            verify_mp(inst, ffd, comp(fmd, f_mp)).all_hold
+            and verify_mp(inst, fdf, fmpfmd).all_hold
+        )
+        projector_alternatives = eq(ffmp, fmdfd) and eq(fmpf, fdfmd)
+        f_absorption = eq(f, comp(ffd, fmd)) and eq(f, comp(fmdfd, f))
+        mp_absorption = eq(f_mp, comp(fmpfmd, fd)) and eq(f_mp, comp(fdfmd, f_mp))
+        dagger_absorption = eq(fd, comp(fdf, f_mp)) and eq(fd, comp(fmpf, fd))
+        dagger_mp_partial_isometry = (
+            is_partial_isometry(inst, f) if mp_is_dagger else True
+        )
 
     return DerivedIdentitiesReport(
         double_mp,

@@ -10,7 +10,9 @@ object skips the record's own equations; any other record (hand-built,
 measured in full and meets the same verdict.  ``verify_mp`` of a pair
 (f, f) forms f f and (f f) f once, and ``derived_identities_check``
 reads (f°)° = f from the certificate, as ``verify_mp(f°, f)`` measures
-the four equations of ``verify_mp(f, f°)`` swapped.
+the four equations of ``verify_mp(f, f°)`` swapped.  At eq_tol 0, a
+pair with f° = f† (an inverse category's) has its other repeats read
+from the certificate too.
 """
 
 import dataclasses
@@ -156,6 +158,9 @@ ROUTES = {
         inst, a, lambda p: dm.herm_mp(p, eq_tol=inst.tolerance.eq_tol)
     ),
     "derived": dm.derived_identities_check,
+    "induced": lambda inst, a, g: dm.mp_from_gcsvd(
+        inst, dm.induced_gcsvd(inst, dm.gsvd_from_mp(inst, a, g))
+    ),
 }
 
 
@@ -271,3 +276,70 @@ def test_the_derived_check_reads_double_mp_from_the_certificate(monkeypatch):
     assert (g, a) not in pairs
     with pytest.raises(dm.PreconditionError):
         dm.derived_identities_check(inst, a, ComplexMatrix(g.array * 2.0))
+
+
+# The derived check's products on the full path: f f° and f° f, verify_mp of
+# (f†, f°†), of (f f°, f f°) and (f° f, f° f) and of the two gram pairs, the
+# two idempotency squares, the shared f f†, f† f, f† f°†, f°† f†, f° f°† and
+# f°† f°, the six absorption composites and f f† f.
+FULL_PATH_PRODUCTS = 34
+# With f° = f† at eq_tol 0: f f° and f° f, then for each e of the two, e e
+# in is_dagger_idempotent and e e and (e e) e in verify_mp(e, e).
+SHORT_PATH_PRODUCTS = 8
+
+
+def _inverse_category_pairs(kind):
+    """(fresh instance, f, f°) with f° = f†: every difunctional relation of
+    shapes up to 3x3, 2x4 and 4x2 (433), or every partial injection up to
+    4x4 (499)."""
+    if kind == "rel":
+        shapes = [(a, b) for a in range(4) for b in range(4)] + [(2, 4), (4, 2)]
+        for r in (r for shape in shapes for r in all_relations(*shape)):
+            g = dm.mp_inverse_rel(r)
+            if g is not None:
+                yield RelInstance(), r, g
+    else:
+        for src in range(5):
+            for tgt in range(5):
+                for f in all_partial_injections(src, tgt):
+                    yield PInjInstance(), f, f.dagger()
+
+
+@pytest.mark.parametrize("kind, count", [("rel", 433), ("pinj", 499)])
+def test_an_inverse_category_pair_reads_its_repeats_from_the_certificate(
+    kind, count, monkeypatch
+):
+    pairs = list(_inverse_category_pairs(kind))
+    assert len(pairs) == count
+    cls = RelInstance if kind == "rel" else PInjInstance
+    for inst, f, g in pairs:
+        core.require_mp(inst, f, g, DaggerError, "pair")
+        products = _count_products(monkeypatch, cls)
+        report = dm.derived_identities_check(inst, f, g)
+        monkeypatch.undo()
+        assert report.all_hold and len(products) <= SHORT_PATH_PRODUCTS, f
+        inst.tolerance = Tolerance(eq_tol=1e-300)  # misses the certificate: full path
+        assert dm.derived_identities_check(inst, f, g) == report, f
+
+
+# Partial permutations with entries ±1 and ±i: every product is exact, and
+# f† is f°; the square one is self-adjoint.
+UNIT_PARTIAL_PERMUTATIONS = [
+    [[0, 1j, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1j]],
+    [[0, -1j, 0], [1j, 0, 0], [0, 0, 0]],
+]
+
+
+@pytest.mark.parametrize("entries", UNIT_PARTIAL_PERMUTATIONS)
+def test_a_matrix_pair_skips_its_repeats_only_at_eq_tol_zero(entries, monkeypatch):
+    f = ComplexMatrix(np.array(entries, dtype=complex))
+    fd = f.dagger()
+    reports = []
+    for eq_tol, expected in ((1e-9, FULL_PATH_PRODUCTS), (0.0, SHORT_PATH_PRODUCTS)):
+        inst = MatrixInstance(Tolerance(eq_tol=eq_tol))
+        core.require_mp(inst, f, fd, DaggerError, "pair")
+        products = _count_products(monkeypatch, MatrixInstance)
+        reports.append(dm.derived_identities_check(inst, f, fd))
+        monkeypatch.undo()
+        assert len(products) == expected, eq_tol
+    assert reports[0] == reports[1] and reports[0].all_hold
