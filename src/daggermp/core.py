@@ -330,9 +330,16 @@ def is_self_adjoint(inst: DaggerInstance, f: Any) -> bool:
 def require_dagger_idempotent(inst: DaggerInstance, e: Any) -> None:
     """PreconditionError unless e = e† and e e = e, carrying the deviation
     of the first that fails; InputError unless e is an endomorphism."""
+    _dagger_idempotent_square(inst, e)
+
+
+def _dagger_idempotent_square(inst: DaggerInstance, e: Any) -> Any:
+    """The e e that :func:`require_dagger_idempotent`'s rule measured, once it passed."""
     _require_endo(inst, e, "dagger idempotency")
     check(inst, inst.dagger(e), e, PreconditionError, "not a dagger idempotent")
-    check(inst, inst.compose(e, e), e, PreconditionError, "not a dagger idempotent")
+    ee = inst.compose(e, e)
+    check(inst, ee, e, PreconditionError, "not a dagger idempotent")
+    return ee
 
 
 def is_dagger_idempotent(inst: DaggerInstance, f: Any) -> bool:
@@ -395,13 +402,26 @@ def verify_mp(inst: DaggerInstance, f: Any, g: Any) -> MPReport:
     g f is f g and MP2 and MP4 are MP1 and MP3 to the byte, so f g and
     (f g) f are formed once and their residuals read twice.  Swapping f
     and g swaps MP1 with MP2 and MP3 with MP4, byte for byte: the same
-    products, at the same scales and conds.
+    products, at the same scales and conds.  The four equations are
+    measured by the private ``_mp_report``, which also measures them for
+    callers that hold f g and g f already (``_mp_projections``, and the
+    derived-identities check), so those products are not formed twice.
     """
+    return _mp_report(inst, f, g, *_mp_products(inst, f, g))
+
+
+def _mp_products(inst: DaggerInstance, f: Any, g: Any) -> tuple[Any, Any]:
+    """(f g, g f), after :func:`verify_mp`'s dual-type check; g f is f g when g is f."""
     if inst.source(g) != inst.target(f) or inst.target(g) != inst.source(f):
         raise InputError("candidate inverse must have the dual type of f")
-    self_pair = g is f
     fg = inst.compose(f, g)
-    gf = fg if self_pair else inst.compose(g, f)
+    return fg, fg if g is f else inst.compose(g, f)
+
+
+def _mp_report(inst: DaggerInstance, f: Any, g: Any, fg: Any, gf: Any) -> MPReport:
+    """:func:`verify_mp`'s report of (f, g), measured with the given
+    fg = f g and gf = g f (gf is fg when g is f)."""
+    self_pair = g is f
     # Factor-norm bounds, as |fl(AB) - AB| <= c|A||B|; |f||g| is MP1's and MP2's cond.
     nf, ng = inst.norm(f), inst.norm(g)
     nfg = nf * ng
@@ -411,6 +431,17 @@ def verify_mp(inst: DaggerInstance, f: Any, g: Any) -> MPReport:
     mp4 = mp3 if self_pair else inst.compare(inst.dagger(gf), gf, nfg)
     (r1, ok1), (r2, ok2), (r3, ok3), (r4, ok4) = mp1, mp2, mp3, mp4
     return MPReport(ok1, ok2, ok3, ok4, (r1, r2, r3, r4))
+
+
+def _is_self_mp_projector(inst: DaggerInstance, e: Any) -> bool:
+    """e is a dagger idempotent and its own M-P inverse: the rule of
+    :func:`require_dagger_idempotent`, then the four identities of (e, e),
+    whose f g is the e e that rule formed."""
+    try:
+        ee = _dagger_idempotent_square(inst, e)
+    except PreconditionError:
+        return False
+    return _mp_report(inst, e, e, ee, ee).all_hold
 
 
 def check(
@@ -462,12 +493,35 @@ def require_mp(inst: DaggerInstance, f: Any, g: Any, error: type, what: str) -> 
     measuring.  A failed pair, and a g that is f (which would refer to
     itself), store nothing; :func:`verify_mp` only reports.
     """
-    if _certified(g, inst, f, attr="_mp_cert"):
-        return g
-    report = verify_mp(inst, f, g)
+    if not _certified(g, inst, f, attr="_mp_cert"):
+        _certify_mp(inst, f, g, verify_mp(inst, f, g), error, what)
+    return g
+
+
+def _mp_projections(
+    inst: DaggerInstance, f: Any, g: Any, error: type, what: str
+) -> tuple[Any, Any]:
+    """The projections (f g, g f) of the M-P pair (f, g), each formed once.
+
+    A pair that :func:`require_mp` would return at once (certified for f,
+    inst and its tolerance) has them formed and nothing measured.  Any
+    other pair has its four identities measured with these very products
+    and is refused or certified as :func:`require_mp` does it, with the
+    same error, message and residual.
+    """
+    fg, gf = _mp_products(inst, f, g)
+    if not _certified(g, inst, f, attr="_mp_cert"):
+        _certify_mp(inst, f, g, _mp_report(inst, f, g, fg, gf), error, what)
+    return fg, gf
+
+
+def _certify_mp(
+    inst: DaggerInstance, f: Any, g: Any, report: MPReport, error: type, what: str
+) -> None:
+    """Raise ``error`` naming report's first failing identity, with its
+    residual; else certify g for f, unless g is f."""
     if not report.all_hold:
         i = (report.mp1, report.mp2, report.mp3, report.mp4).index(False)
         raise error(f"{what}: MP{i + 1} fails", residual=report.residuals[i])
     if g is not f:
         _certify(g, inst, f, attr="_mp_cert")
-    return g

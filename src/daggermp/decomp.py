@@ -47,6 +47,7 @@ from .core import (
     PreconditionError,
     _certified,
     _certify,
+    _mp_projections,
     check,
     require_mp,
 )
@@ -136,12 +137,17 @@ def _compact(
     splitter: Optional[Callable[[Any], Any]] = None,
 ) -> tuple[GCSVDTriple, Any, Any]:
     """:func:`gcsvd_from_mp`'s record, and the projections f f° and f° f
-    it split, which :func:`gsvd_from_mp` reuses."""
-    require_mp(inst, f, f_mp, PreconditionError, "compact form needs an M-P pair")
+    it split, which :func:`gsvd_from_mp` reuses.
+
+    The projections are those that certify the pair
+    (:func:`~daggermp.core._mp_projections`): an uncertified pair has its
+    four identities measured with them, a certified one only forms them.
+    """
+    ffmp, fmpf = _mp_projections(
+        inst, f, f_mp, PreconditionError, "compact form needs an M-P pair"
+    )
     split = splitter if splitter is not None else inst.split_idempotent
-    ffmp = inst.compose(f, f_mp)
     r = split(ffmp)
-    fmpf = inst.compose(f_mp, f)
     s = inst.dagger(split(fmpf))
     d = inst.compose(inst.dagger(r), f, inst.dagger(s))
     d_inv = inst.compose(s, f_mp, r)

@@ -22,8 +22,10 @@ from .core import (
     InputError,
     NoMPInverseError,
     PreconditionError,
+    _is_self_mp_projector,
+    _mp_projections,
+    _mp_report,
     check,
-    is_dagger_idempotent,
     is_partial_isometry,
     is_self_adjoint,
     require_dagger_idempotent,
@@ -122,29 +124,39 @@ def derived_identities_check(
 ) -> DerivedIdentitiesReport:
     """Evaluate the ten consequences of the axioms for a verified pair.
 
-    ``double_mp`` is read from the pair's certificate, not measured:
-    ``verify_mp(f°, f)`` forms the same products as ``verify_mp(f, f°)``
-    and measures the same four equations at the same scales and conds,
-    MP1 and MP2 swapped and MP3 and MP4 swapped, and :func:`require_mp`
-    has just passed or read exactly those.  f f†, f† f, f† f°† and
-    f°† f† are each formed once and shared by the identities that use
-    them, as are f f°, f° f and f° f°†, each in the association the
-    identity is stated in.
+    The pair is certified first, and its projections f f° and f° f are
+    the products that certification measures with (an uncertified pair)
+    or only forms (a certified one).  ``double_mp`` is read from the
+    certificate: ``verify_mp(f°, f)`` forms the same products as
+    ``verify_mp(f, f°)`` and measures the same four equations at the
+    same scales and conds, MP1 and MP2 swapped and MP3 and MP4 swapped.
+    f f†, f† f, f† f°† and f°† f† are each formed once and shared by the
+    identities that use them (f† f°† and f°† f† with
+    ``verify_mp(f†, f°†)``), as are f f°, f° f and f° f°†, each in the
+    association the identity is stated in.  ``projector_idempotents``
+    measures, for each e of f f° and f° f, e = e† and e e = e, then
+    ``verify_mp(e, e)`` with that same e e.
 
-    In an inverse category f° = f†: a difunctional relation's inverse is
-    its converse, a partial injection's its dagger.  When the tolerance's
-    ``eq_tol`` is 0 and f° equals f†, an identity that only repeats a
-    computation already passed for the pair is read, not measured again.
-    At eq_tol 0 :func:`~daggermp.core.within` passes deviation 0 alone,
-    whatever the scale and cond, and every instance operation is a
-    function of its operands' values, so an equation formed by the same
-    compose and dagger calls on equal operands has the same deviation.
-    With f† = f°, and so f°† = f, each side below is formed in the
+    When the tolerance's ``eq_tol`` is 0, an identity that only repeats
+    a computation already passed for the pair is read, not measured
+    again.  At eq_tol 0 :func:`~daggermp.core.within` passes deviation 0
+    alone, whatever the scale and cond, and every instance operation is
+    a function of its operands' values: an equation formed by the same
+    compose and dagger calls on equal operands has the same deviation,
+    and an equation that passed holds by value.  With e = f f° or f° f,
+    ``projector_idempotents`` is read so on every pair, and the other
+    identities below when f° also equals f†, and so f°† = f, as in an
+    inverse category: a difunctional relation's inverse is its converse,
+    a partial injection's its dagger.  Each side below is formed in the
     association written:
 
     ==========================  =========================================
     identity                    repeats
     ==========================  =========================================
+    projector_idempotents       e = e† is MP3 or MP4 of the pair, and
+                                e e = e alone is measured.  With e = e†
+                                it makes (e e) e = e and (e e)† = e e by
+                                value, so verify_mp(e, e) holds
     dagger_mp_swap              verify_mp(f°, f), the certified pair swapped
     f_absorption                MP1: (f f†) f°† and (f°† f†) f are (f f°) f
     dagger_mp_partial_isometry  MP1: (f f†) f is (f f°) f
@@ -152,25 +164,21 @@ def derived_identities_check(
     dagger_absorption           MP2: (f† f) f° and (f° f) f† are (f° f) f°
     projector_alternatives      f°† f† is f f° and f† f°† is f° f: each is
                                 compared with itself, at deviation 0
-    gram_inverses               verify_mp(e, e) for e = f f° and e = f° f,
-                                as (f f†, f°† f°) and (f† f, f° f°†) are
-                                (e, e): measured once, for both identities
+    gram_inverses               verify_mp(e, e), as (f f†, f°† f°) and
+                                (f† f, f° f°†) are (e, e): read where
+                                e e = e passed, measured where it failed
     ==========================  =========================================
 
-    ``projector_idempotents`` is measured for both e: e = e† and e e = e,
-    and that shared ``verify_mp(e, e)``.  ``self_adjoint_transfer`` is
-    evaluated as on every other pair.  Any other tolerance or pair is
-    evaluated in full.
+    ``self_adjoint_transfer`` is evaluated as on every other pair.  Any
+    other tolerance or pair is evaluated in full.
     """
-    require_mp(
+    ffmp, fmpf = _mp_projections(
         inst, f, f_mp, PreconditionError, "derived identities need a verified M-P pair"
     )
     dg = inst.dagger
     comp = inst.compose
     eq = inst.equals
     fd = dg(f)
-    ffmp = comp(f, f_mp)
-    fmpf = comp(f_mp, f)
     mp_is_dagger = eq(f_mp, fd)
 
     endo = inst.source(f) == inst.target(f)
@@ -180,29 +188,24 @@ def derived_identities_check(
         self_adjoint_transfer = True
 
     double_mp = True
-    if inst.tolerance.eq_tol == 0.0 and mp_is_dagger:  # read as tabulated above
+    exact = inst.tolerance.eq_tol == 0.0
+    if exact:  # read as tabulated above
+        projector_idempotents = eq(comp(ffmp, ffmp), ffmp) and eq(comp(fmpf, fmpf), fmpf)
+    else:
+        projector_idempotents = (
+            _is_self_mp_projector(inst, ffmp) and _is_self_mp_projector(inst, fmpf)
+        )
+    if exact and mp_is_dagger:
         dagger_mp_swap = projector_alternatives = f_absorption = True
         mp_absorption = dagger_absorption = dagger_mp_partial_isometry = True
-        gram_inverses = (
-            verify_mp(inst, ffmp, ffmp).all_hold
-            and verify_mp(inst, fmpf, fmpf).all_hold
-        )
-        projector_idempotents = (
-            is_dagger_idempotent(inst, ffmp)
-            and is_dagger_idempotent(inst, fmpf)
-            and gram_inverses
+        gram_inverses = projector_idempotents or (
+            verify_mp(inst, ffmp, ffmp).all_hold and verify_mp(inst, fmpf, fmpf).all_hold
         )
     else:
         fmd = dg(f_mp)
-        dagger_mp_swap = verify_mp(inst, fd, fmd).all_hold
-        projector_idempotents = (
-            is_dagger_idempotent(inst, ffmp)
-            and is_dagger_idempotent(inst, fmpf)
-            and verify_mp(inst, ffmp, ffmp).all_hold
-            and verify_mp(inst, fmpf, fmpf).all_hold
-        )
-        ffd, fdf = comp(f, fd), comp(fd, f)
         fdfmd, fmdfd = comp(fd, fmd), comp(fmd, fd)
+        dagger_mp_swap = _mp_report(inst, fd, fmd, fdfmd, fmdfd).all_hold
+        ffd, fdf = comp(f, fd), comp(fd, f)
         fmpfmd = comp(f_mp, fmd)
         gram_inverses = (
             verify_mp(inst, ffd, comp(fmd, f_mp)).all_hold

@@ -24,6 +24,7 @@ from .core import (
     PreconditionError,
     _certified,
     _certify,
+    _mp_projections,
     check,
     require_dagger_idempotent,
     require_mp,
@@ -141,14 +142,19 @@ def iso_from_mp(
     Returns (forward, backward): f itself from (source, f f°) to
     (target, f° f), and f° the other way, composing to the two split
     identities.  That f and f° are fixed by these projections follows
-    from MP1 and MP2, which :func:`~daggermp.core.require_mp` certifies
-    at the factor-norm bound; it is not measured again.  backward keeps
+    from MP1 and MP2, which certify the pair at the factor-norm bound
+    as :func:`~daggermp.core.require_mp` does; it is not measured again.
+    The projections are the products that certification measures with
+    (:func:`~daggermp.core._mp_projections`), and a pair already
+    certified only has them formed.  backward keeps
     ``(forward, inst, inst.tolerance)`` as its certificate, which
     :func:`mp_from_iso` reads.
     """
-    require_mp(inst, f, f_mp, PreconditionError, "needs a verified M-P pair")
-    dom = SplitObject(inst.source(f), inst.compose(f, f_mp))
-    cod = SplitObject(inst.target(f), inst.compose(f_mp, f))
+    ffmp, fmpf = _mp_projections(
+        inst, f, f_mp, PreconditionError, "needs a verified M-P pair"
+    )
+    dom = SplitObject(inst.source(f), ffmp)
+    cod = SplitObject(inst.target(f), fmpf)
     forward = SplitMorphism(dom, cod, f)
     return forward, _certify(SplitMorphism(cod, dom, f_mp), inst, forward)
 

@@ -370,6 +370,10 @@ def pinv(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
     every other singular value moves by less than half the cutoff, a
     shift at the level of rounding.  With an explicit rank_tol every
     singular value is resolved before the cut.
+
+    The result is an unverified candidate: nothing here checks the four
+    identities, and at a tiny explicit cutoff it can fail them.  Pass it
+    to :func:`~daggermp.core.require_mp` to have it certified or refused.
     """
     u, s, v, k = _thin_svd(a, rank_tol)
     if k == 0:

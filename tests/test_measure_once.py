@@ -10,9 +10,12 @@ object skips the record's own equations; any other record (hand-built,
 measured in full and meets the same verdict.  ``verify_mp`` of a pair
 (f, f) forms f f and (f f) f once, and ``derived_identities_check``
 reads (f°)° = f from the certificate, as ``verify_mp(f°, f)`` measures
-the four equations of ``verify_mp(f, f°)`` swapped.  At eq_tol 0, a
-pair with f° = f† (an inverse category's) has its other repeats read
-from the certificate too.
+the four equations of ``verify_mp(f, f°)`` swapped.  At eq_tol 0 the
+check measures only e e = e of the projections e = f f° and f° f, and
+a pair with f° = f† (an inverse category's) has its other repeats read
+from the certificate too.  ``core._mp_projections`` hands the compact
+form, the derived check and ``iso_from_mp`` the projections f f° and
+f° f, formed once: the products an uncertified pair is measured with.
 """
 
 import dataclasses
@@ -102,6 +105,7 @@ def test_swapping_an_exact_pair_swaps_the_residuals():
 
 
 def _count_products(monkeypatch, cls):
+    """The operands of each cls.compose2 call, and one entry a cls.deviation call."""
     calls = []
     original = cls.compose2
 
@@ -110,7 +114,7 @@ def _count_products(monkeypatch, cls):
         return original(self, f, g)
 
     monkeypatch.setattr(cls, "compose2", counted)
-    return calls
+    return calls, _count_deviations(monkeypatch, cls)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -122,9 +126,9 @@ def test_a_self_pair_forms_two_products(seed, monkeypatch):
     for e in (projector, square):
         twin = ComplexMatrix(e.array)  # the same entries, another object
         full = core.verify_mp(inst, e, twin)
-        products = _count_products(monkeypatch, MatrixInstance)
+        products, deviations = _count_products(monkeypatch, MatrixInstance)
         report = core.verify_mp(inst, e, e)
-        assert len(products) == 2
+        assert len(products) == 2 and len(deviations) == 2
         monkeypatch.undo()
         assert report.mp1 == report.mp2 and report.mp3 == report.mp4
         r1, r2, r3, r4 = report.residuals
@@ -260,32 +264,58 @@ def test_a_backward_morphism_is_certified_for_its_own_forward(monkeypatch):
     assert dm.mp_from_iso(inst, fwd_b, bwd_b) == (b, bwd_b.f) and deviations
 
 
+def _record_reports(monkeypatch):
+    """The (f, g, fg, gf) of every measurement of the four identities: each
+    runs in core._mp_report, which engine also calls by its own name."""
+    calls = []
+    original = core._mp_report
+
+    def recorded(inst, f, g, fg, gf):
+        calls.append((f, g, fg, gf))
+        return original(inst, f, g, fg, gf)
+
+    for module in (core, dm.engine):
+        monkeypatch.setattr(module, "_mp_report", recorded)
+    return calls
+
+
 def test_the_derived_check_reads_double_mp_from_the_certificate(monkeypatch):
     a = ComplexMatrix(seeded_product(55, 6, 5, 2))
     inst = MatrixInstance(Tolerance(eq_tol=1e-9))
     g = pinv(a)
-    pairs = []
-    original = core.verify_mp
-
-    def recorded(i, f, h):
-        pairs.append((f, h))
-        return original(i, f, h)
-
-    monkeypatch.setattr(dm.engine, "verify_mp", recorded)
+    reports = _record_reports(monkeypatch)
     assert dm.derived_identities_check(inst, a, g).double_mp
-    assert (g, a) not in pairs
+    assert (a, g) in [r[:2] for r in reports] and (g, a) not in [r[:2] for r in reports]
     with pytest.raises(dm.PreconditionError):
         dm.derived_identities_check(inst, a, ComplexMatrix(g.array * 2.0))
 
 
-# The derived check's products on the full path: f f° and f° f, verify_mp of
-# (f†, f°†), of (f f°, f f°) and (f° f, f° f) and of the two gram pairs, the
-# two idempotency squares, the shared f f†, f† f, f† f°†, f°† f†, f° f°† and
-# f°† f°, the six absorption composites and f f† f.
-FULL_PATH_PRODUCTS = 34
-# With f° = f† at eq_tol 0: f f° and f° f, then for each e of the two, e e
-# in is_dagger_idempotent and e e and (e e) e in verify_mp(e, e).
-SHORT_PATH_PRODUCTS = 8
+# The derived check's products on the full path, with the pair certified:
+# f f° and f° f, verify_mp of (f†, f°†) on the shared f† f°† and f°† f†,
+# for each e of f f° and f° f the e e of e = e† and e e = e and the (e e) e
+# of verify_mp(e, e), the two gram pairs of verify_mp, the shared f f†, f† f,
+# f† f°† and f°† f†, f° f°† and f°† f°, the six absorption composites and
+# f f† f.
+FULL_PATH_PRODUCTS = 30
+# With f° = f† at eq_tol 0: f f° and f° f, then e e for each e of the two.
+SHORT_PATH_PRODUCTS = 4
+# Uncertified, the pair's certification adds (f f°) f and (f° f) f°.
+UNCERTIFIED_SHORT_PATH_PRODUCTS = 6
+
+
+# Deviations of the check on a certified pair with f° = f†, besides those of
+# self_adjoint_transfer: on the full path 30, on the short path f° = f† and
+# e e = e for both e.
+FULL_PATH_DEVIATIONS = 30
+SHORT_PATH_DEVIATIONS = 3
+
+
+def _transfer_deviations(inst, f):
+    """self_adjoint_transfer's deviations: on an endomorphism f = f†, then
+    f° = f°† and f° f = f f° if that held."""
+    if inst.source(f) != inst.target(f):
+        return 0
+    return 3 if inst.equals(inst.dagger(f), f) else 1
 
 
 def _inverse_category_pairs(kind):
@@ -313,13 +343,43 @@ def test_an_inverse_category_pair_reads_its_repeats_from_the_certificate(
     assert len(pairs) == count
     cls = RelInstance if kind == "rel" else PInjInstance
     for inst, f, g in pairs:
-        core.require_mp(inst, f, g, DaggerError, "pair")
-        products = _count_products(monkeypatch, cls)
+        expected = SHORT_PATH_DEVIATIONS + _transfer_deviations(inst, f)
+        products, deviations = _count_products(monkeypatch, cls)
+        first = dm.derived_identities_check(inst, f, g)  # certifies the pair
+        assert len(products) == UNCERTIFIED_SHORT_PATH_PRODUCTS, f
+        assert len(deviations) == expected + 4, f  # and MP1-MP4
+        products.clear()
+        deviations.clear()
         report = dm.derived_identities_check(inst, f, g)
         monkeypatch.undo()
-        assert report.all_hold and len(products) <= SHORT_PATH_PRODUCTS, f
+        assert report == first and report.all_hold, f
+        assert len(products) == SHORT_PATH_PRODUCTS and len(deviations) == expected, f
         inst.tolerance = Tolerance(eq_tol=1e-300)  # misses the certificate: full path
         assert dm.derived_identities_check(inst, f, g) == report, f
+
+
+class _SquaresToTheIdentity(PInjInstance):
+    """Partial injections whose composite of an endomorphism with itself,
+    the same object, is the identity: not a category, so a pair passes
+    MP1-MP4 while its projection e = f f° fails e e = e."""
+
+    def compose2(self, f, g):
+        if f is g and f.src == f.tgt:
+            return dm.PartialInjection.identity(f.src)
+        return super().compose2(f, g)
+
+
+def test_gram_inverses_is_measured_where_a_projector_is_not_idempotent():
+    # f f° is the identity on {0, 2} of 3 points, so its square is not it;
+    # verify_mp(e, e) still passes, as (e e) e = e and (e e)† = e e.
+    inst = _SquaresToTheIdentity()
+    f = dm.PartialInjection.from_pairs(3, 2, [(0, 1), (2, 0)])
+    g = f.dagger()
+    core.require_mp(inst, f, g, DaggerError, "pair")
+    report = dm.derived_identities_check(inst, f, g)
+    assert not report.projector_idempotents and report.gram_inverses
+    e = inst.compose(f, g)
+    assert core.verify_mp(inst, e, e).all_hold
 
 
 # Partial permutations with entries ±1 and ±i: every product is exact, and
@@ -335,11 +395,126 @@ def test_a_matrix_pair_skips_its_repeats_only_at_eq_tol_zero(entries, monkeypatc
     f = ComplexMatrix(np.array(entries, dtype=complex))
     fd = f.dagger()
     reports = []
-    for eq_tol, expected in ((1e-9, FULL_PATH_PRODUCTS), (0.0, SHORT_PATH_PRODUCTS)):
+    for eq_tol, expected, deviations_expected in (
+        (1e-9, FULL_PATH_PRODUCTS, FULL_PATH_DEVIATIONS),
+        (0.0, SHORT_PATH_PRODUCTS, SHORT_PATH_DEVIATIONS),
+    ):
         inst = MatrixInstance(Tolerance(eq_tol=eq_tol))
         core.require_mp(inst, f, fd, DaggerError, "pair")
-        products = _count_products(monkeypatch, MatrixInstance)
+        products, deviations = _count_products(monkeypatch, MatrixInstance)
         reports.append(dm.derived_identities_check(inst, f, fd))
         monkeypatch.undo()
         assert len(products) == expected, eq_tol
+        deviations_expected += _transfer_deviations(inst, f)
+        assert len(deviations) == deviations_expected, eq_tol
     assert reports[0] == reports[1] and reports[0].all_hold
+
+
+# The three callers of core._mp_projections, each with the message it refuses with.
+PROJECTION_SITES = {
+    "compact": (dm.gcsvd_from_mp, "compact form needs an M-P pair"),
+    "derived": (dm.derived_identities_check, "derived identities need a verified M-P pair"),
+    "iso": (dm.iso_from_mp, "needs a verified M-P pair"),
+}
+
+
+def _a_3x2():
+    return ComplexMatrix(uniform_complex(np.random.default_rng(57), 3, 2))
+
+
+def _projection_pair(kind):
+    """(fresh instance, f, f°) of an M-P pair of each instance."""
+    if kind == "matrix":
+        a = _a_3x2()
+        return MatrixInstance(Tolerance(eq_tol=1e-9)), a, pinv(a)
+    if kind == "rel":
+        f = FiniteRelation.from_pairs(3, 3, [(0, 0), (1, 0), (2, 1), (2, 2)])
+        return RelInstance(), f, f.converse()
+    f = random_partial_injection(np.random.default_rng(7), 5, 4)
+    return PInjInstance(), f, f.dagger()
+
+
+def _failing_pair(kind):
+    """(fresh instance, f, g) with g not the M-P inverse of f."""
+    if kind == "matrix":
+        a = _a_3x2()
+        return MatrixInstance(), a, ComplexMatrix(pinv(a).array + 1e-3)
+    if kind == "rel":
+        f = FiniteRelation.from_pairs(2, 2, [(0, 0), (1, 0), (1, 1)])
+        return RelInstance(), f, f.converse()
+    f = dm.PartialInjection.from_pairs(3, 2, [(0, 1), (2, 0)])
+    g = dm.PartialInjection.from_pairs(2, 3, [(0, 2), (1, 1)])  # f† sends 1 to 0
+    return PInjInstance(), f, g
+
+
+INSTANCE_KINDS = ["matrix", "rel", "pinj"]
+
+
+def _run_site(site, inst, f, g):
+    """A call site's outcome; the partial injections cannot split, so the
+    compact form raises CapabilityError after the pair is certified."""
+    try:
+        PROJECTION_SITES[site][0](inst, f, g)
+    except dm.CapabilityError:
+        assert isinstance(inst, PInjInstance) and site == "compact"
+
+
+@pytest.mark.parametrize("site", sorted(PROJECTION_SITES))
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_a_call_site_forms_the_projections_once_and_measures_them_once(
+    kind, site, monkeypatch
+):
+    inst, f, g = _projection_pair(kind)
+    cls = type(inst)
+    for certified in (False, True):  # the first call certifies the pair
+        products, _ = _count_products(monkeypatch, cls)
+        reports = _record_reports(monkeypatch)
+        _run_site(site, inst, f, g)
+        monkeypatch.undo()
+        assert sum(a is f and b is g for a, b in products) == 1
+        assert sum(a is g and b is f for a, b in products) == 1
+        pair_reports = [r for r in reports if r[:2] == (f, g)]
+        assert len(pair_reports) == (0 if certified else 1)
+        assert core._certified(g, inst, f, attr="_mp_cert")
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_the_projections_are_the_products_the_pair_is_measured_with(kind, monkeypatch):
+    inst, f, g = _projection_pair(kind)
+    products, deviations = _count_products(monkeypatch, type(inst))
+    reports = _record_reports(monkeypatch)
+    fg, gf = core._mp_projections(inst, f, g, DaggerError, "pair")
+    assert len(reports) == 1 and len(deviations) == 4
+    assert reports[0][2] is fg and reports[0][3] is gf
+    assert inst.deviation(fg, inst.compose(f, g)) == 0.0
+    assert inst.deviation(gf, inst.compose(g, f)) == 0.0
+    products.clear()
+    deviations.clear()
+    reports.clear()
+    again = core._mp_projections(inst, f, g, DaggerError, "pair")
+    assert len(products) == 2 and not deviations and not reports
+    assert [inst.deviation(a, b) for a, b in zip(again, (fg, gf))] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("site", [None] + sorted(PROJECTION_SITES))
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_a_failing_pair_is_refused_as_require_mp_refuses_it(kind, site):
+    inst, f, g = _failing_pair(kind)
+    if site is None:
+        error, what = DaggerError, "pair"
+
+        def call():
+            return core._mp_projections(inst, f, g, error, what)
+    else:
+        error, what = dm.PreconditionError, PROJECTION_SITES[site][1]
+
+        def call():
+            return PROJECTION_SITES[site][0](inst, f, g)
+
+    with pytest.raises(DaggerError) as refused:
+        call()
+    with pytest.raises(DaggerError) as reference:
+        core.require_mp(inst, f, g, error, what)
+    outcome = [(type(e.value), str(e.value), e.value.residual) for e in (refused, reference)]
+    assert outcome[0] == outcome[1] and outcome[0][0] is error
+    assert outcome[0][2] > 0.0 and "_mp_cert" not in vars(g)

@@ -128,11 +128,14 @@ def test_the_corpus_routes_verify_each_pair_once_and_run_two_svds(monkeypatch):
     # one SVD in pinv and one for both of gsvd's kernels; 13 verify_mp
     # calls, as the routes after the first certified (f, f°) skip it,
     # polar's inverse check skips the (h, h°) its constructor proved, and
-    # the derived check reads (f°)° = f from the certificate.
+    # the derived check reads (f°)° = f from the certificate.  Every
+    # measurement of the four identities runs in core._mp_report, which
+    # verify_mp calls and which the certifying helper and the derived
+    # check call with the products they share.
     a = ComplexMatrix(seeded_product(11, 6, 5, 2))
     inst = MatrixInstance(Tolerance(eq_tol=1e-9))
     svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
-    measured = _counted(monkeypatch, core, "verify_mp")
+    measured = _counted(monkeypatch, core, "_mp_report")
     g = dm.pinv(a)
     assert core.verify_mp(inst, a, g).all_hold
     dm.mp_via_gram(inst, a, lambda p: dm.herm_mp(p, eq_tol=1e-9))
@@ -243,11 +246,12 @@ def _karoubi_check(tmp_path, obj):
 
 
 def test_karoubi_check_solves_a_matrix_once(tmp_path, monkeypatch):
-    # One SVD in pinv; verify_mp once for the report and once for the
-    # certificate that iso_from_mp takes, which mp_in_karoubi then reads.
+    # One SVD in pinv; the four identities measured once for the report
+    # and once for the certificate that iso_from_mp takes, which
+    # mp_in_karoubi then reads.
     f = ComplexMatrix(seeded_product(11, 6, 5, 2))
     svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
-    measured = _counted(monkeypatch, core, "verify_mp")
+    measured = _counted(monkeypatch, core, "_mp_report")
     code, doc = _karoubi_check(tmp_path, dm.matrix_to_obj(f))
     assert code == 0
     assert doc["mp_all_hold"] and doc["round_trip_matches"]
