@@ -6,11 +6,15 @@ commands); results go to stdout and, with --out, to a file as the same
 bytes.  Output is deterministic: the same inputs always produce the
 same bytes.  It is strict JSON, with no NaN or Infinity.
 
-Only the commands that can take a matrix (pinv, svd, kernel,
-split-idem, rank-transpose, verify-mp, gcsvd, gsvd, polar and karoubi
-check) accept --rank-tol and --eq-tol; verify-mp and karoubi check
-validate them before reading the input's kind.  The rel and pinj
-commands are exact and take neither.
+pinv, split-idem, gcsvd, verify-mp and karoubi check take a matrix, a
+relation or a partial injection, told apart by the input's keys, and
+refuse with exit 2 a capability the input's instance lacks; svd,
+kernel, rank-transpose, gsvd and polar take a matrix.  These commands
+accept --rank-tol and --eq-tol; the first five validate them before
+reading the input's kind, and an exact instance ignores them.  rel mp,
+rel split-per and rel gcsvd run the handlers of pinv, split-idem and
+gcsvd at the default tolerance.  The rel and pinj commands are exact
+and take neither flag.
 
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a property fails or a construction is refused (precondition,
@@ -32,9 +36,11 @@ from .core import (
     CapabilityError,
     DaggerError,
     InputError,
+    NoMPInverseError,
     NumericError,
     Tolerance,
     require_mp,
+    split,
     verify_mp,
 )
 
@@ -74,32 +80,42 @@ def _tolerance(args: argparse.Namespace) -> Tolerance:
 
 
 def _morphism(obj: Any, tol: Tolerance):
-    """(kind, instance, morphism) of a JSON object, its kind told by its keys."""
+    """(kind, instance, morphism, to_obj) of a JSON object, its kind told
+    by its keys; to_obj writes a morphism of that kind back as JSON."""
     if not isinstance(obj, dict):
         raise InputError("input must be a JSON object")
     if "data" in obj:
-        from .matrix import MatrixInstance, matrix_from_obj
+        from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj
 
-        return "matrix", MatrixInstance(tol), matrix_from_obj(obj)
+        return "matrix", MatrixInstance(tol), matrix_from_obj(obj), matrix_to_obj
     if "pairs" in obj:
-        from .rel import RelInstance, rel_from_obj
+        from .rel import RelInstance, rel_from_obj, rel_to_obj
 
-        return "rel", RelInstance(), rel_from_obj(obj)
+        return "rel", RelInstance(), rel_from_obj(obj), rel_to_obj
     if "map" in obj:
-        from .pinj import PInjInstance, pinj_from_obj
+        from .pinj import PInjInstance, pinj_from_obj, pinj_to_obj
 
-        return "pinj", PInjInstance(), pinj_from_obj(obj)
+        return "pinj", PInjInstance(), pinj_from_obj(obj), pinj_to_obj
     raise InputError("cannot tell matrix / relation / partial injection apart")
 
 
-def cmd_pinv(args) -> tuple[dict, int]:
-    from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj
-
+def _one_morphism(args: argparse.Namespace):
+    """:func:`_morphism` of the one --in file, at the command's tolerance,
+    which is validated first."""
+    tol = _tolerance(args)
     (obj,) = _expect_inputs(args, 1)
-    a = matrix_from_obj(obj)
-    inst = MatrixInstance(_tolerance(args))
-    g = require_mp(inst, a, inst.mp(a), NumericError, "pinv")
-    return matrix_to_obj(g), 0
+    return _morphism(obj, tol)
+
+
+def cmd_pinv(args) -> tuple[dict, int]:
+    """pinv and rel mp: the instance's inverse, certified, or
+    {"exists": false} when the instance finds that none exists."""
+    _, inst, f, to_obj = _one_morphism(args)
+    try:
+        g = inst.mp(f)
+    except NoMPInverseError:
+        return {"exists": False}, 1
+    return to_obj(require_mp(inst, f, g, NumericError, "pinv")), 0
 
 
 def cmd_svd(args) -> tuple[dict, int]:
@@ -125,11 +141,9 @@ def cmd_kernel(args) -> tuple[dict, int]:
 
 
 def cmd_split_idem(args) -> tuple[dict, int]:
-    from .matrix import matrix_from_obj, matrix_to_obj, split_dagger_idempotent
-
-    (obj,) = _expect_inputs(args, 1)
-    r = split_dagger_idempotent(matrix_from_obj(obj), eq_tol=_tolerance(args).eq_tol)
-    return matrix_to_obj(r), 0
+    """split-idem and rel split-per: the certified splitting of a dagger idempotent."""
+    _, inst, e, to_obj = _one_morphism(args)
+    return to_obj(split(inst, e)), 0
 
 
 def cmd_rank_transpose(args) -> tuple[dict, int]:
@@ -146,8 +160,8 @@ def cmd_rank_transpose(args) -> tuple[dict, int]:
 def cmd_verify_mp(args) -> tuple[dict, int]:
     tol = _tolerance(args)
     obj_f, obj_g = _expect_inputs(args, 2)
-    kind_f, inst, f = _morphism(obj_f, tol)
-    kind_g, _, g = _morphism(obj_g, tol)
+    kind_f, inst, f, _ = _morphism(obj_f, tol)
+    kind_g, _, g, _ = _morphism(obj_g, tol)
     if kind_f != kind_g:
         raise InputError(f"inputs are different kinds: {kind_f} and {kind_g}")
     report = verify_mp(inst, f, g)
@@ -157,19 +171,17 @@ def cmd_verify_mp(args) -> tuple[dict, int]:
 
 
 def cmd_gcsvd(args) -> tuple[dict, int]:
-    from .decomp import gcsvd_from_mp
-    from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj
+    """gcsvd and rel gcsvd: the compact form through the instance's inverse.
 
-    (obj,) = _expect_inputs(args, 1)
-    inst = MatrixInstance(_tolerance(args))
-    f = matrix_from_obj(obj)
+    Only a matrix's residuals are printed: an exact instance's are 0.
+    """
+    from .decomp import gcsvd_from_mp
+
+    kind, inst, f, to_obj = _one_morphism(args)
     t = gcsvd_from_mp(inst, f, inst.mp(f))
-    out = {
-        "r": matrix_to_obj(t.r),
-        "d": matrix_to_obj(t.d),
-        "s": matrix_to_obj(t.s),
-        "residuals": t.residuals,
-    }
+    out = {"r": to_obj(t.r), "d": to_obj(t.d), "s": to_obj(t.s)}
+    if kind == "matrix":
+        out["residuals"] = t.residuals
     return out, 0
 
 
@@ -216,16 +228,6 @@ def cmd_rel_difunctional(args) -> tuple[dict, int]:
     return {"difunctional": ok}, 0 if ok else 1
 
 
-def cmd_rel_mp(args) -> tuple[dict, int]:
-    from .rel import mp_inverse_rel, rel_from_obj, rel_to_obj
-
-    (obj,) = _expect_inputs(args, 1)
-    g = mp_inverse_rel(rel_from_obj(obj))
-    if g is None:
-        return {"exists": False}, 1
-    return rel_to_obj(g), 0
-
-
 def cmd_rel_oracle(args) -> tuple[dict, int]:
     from .rel import brute_force_mp, rel_from_obj, rel_to_obj
 
@@ -234,21 +236,6 @@ def cmd_rel_oracle(args) -> tuple[dict, int]:
     if g is None:
         return {"exists": False}, 1
     return rel_to_obj(g), 0
-
-
-def cmd_rel_split_per(args) -> tuple[dict, int]:
-    from .rel import rel_from_obj, rel_to_obj, split_per
-
-    (obj,) = _expect_inputs(args, 1)
-    return rel_to_obj(split_per(rel_from_obj(obj))), 0
-
-
-def cmd_rel_gcsvd(args) -> tuple[dict, int]:
-    from .rel import gcsvd_rel, rel_from_obj, rel_to_obj
-
-    (obj,) = _expect_inputs(args, 1)
-    r, d, s = gcsvd_rel(rel_from_obj(obj))
-    return {"r": rel_to_obj(r), "d": rel_to_obj(d), "s": rel_to_obj(s)}, 0
 
 
 def cmd_pinj_verify(args) -> tuple[dict, int]:
@@ -275,9 +262,7 @@ def cmd_pinj_verify(args) -> tuple[dict, int]:
 def cmd_karoubi_check(args) -> tuple[dict, int]:
     from .karoubi import embed, iso_from_mp, mp_from_iso, mp_in_karoubi
 
-    tol = _tolerance(args)
-    (obj,) = _expect_inputs(args, 1)
-    kind, inst, f = _morphism(obj, tol)
+    kind, inst, f, _ = _one_morphism(args)
     f_mp = inst.mp(f)
     report = verify_mp(inst, f, f_mp)
     forward, backward = iso_from_mp(inst, f, f_mp)
@@ -295,24 +280,27 @@ def cmd_karoubi_check(args) -> tuple[dict, int]:
     return out, 0 if ok else 1
 
 
-# (command, handler, whether it can take a matrix, help).  A two-word
-# command is a subcommand of the group named by its first word.
+# (command, handler, whether it takes tolerance flags, help).  A two-word
+# command is a subcommand of the group named by its first word.  rel mp,
+# rel split-per and rel gcsvd share the handlers of pinv, split-idem and
+# gcsvd, and run them at the default tolerance.
 COMMANDS = (
-    ("pinv", cmd_pinv, True, "Moore-Penrose inverse of a matrix"),
+    ("pinv", cmd_pinv, True,
+     "Moore-Penrose inverse (matrix, relation or partial injection)"),
     ("svd", cmd_svd, True, "singular value decomposition of a matrix"),
     ("kernel", cmd_kernel, True, "orthonormal basis of the left null space"),
-    ("split-idem", cmd_split_idem, True, "split a dagger idempotent matrix"),
+    ("split-idem", cmd_split_idem, True, "split a dagger idempotent (matrix or relation)"),
     ("rank-transpose", cmd_rank_transpose, True,
      "existence of an inverse for the plain-transpose dagger"),
     ("verify-mp", cmd_verify_mp, True, "check the four inverse identities (two inputs)"),
-    ("gcsvd", cmd_gcsvd, True, "compact factorization r . d . s"),
+    ("gcsvd", cmd_gcsvd, True, "compact factorization r . d . s (matrix or relation)"),
     ("gsvd", cmd_gsvd, True, "full unitary factorization u . (d + 0) . v"),
     ("polar", cmd_polar, True, "polar factorization u . h"),
     ("rel difunctional", cmd_rel_difunctional, False, "test zig-zag closedness"),
-    ("rel mp", cmd_rel_mp, False, "inverse via the difunctionality criterion"),
+    ("rel mp", cmd_pinv, False, "inverse via the difunctionality criterion"),
     ("rel oracle", cmd_rel_oracle, False, "inverse by exhaustive search (small sizes)"),
-    ("rel split-per", cmd_rel_split_per, False, "classes of a partial equivalence relation"),
-    ("rel gcsvd", cmd_rel_gcsvd, False, "exact compact factorization"),
+    ("rel split-per", cmd_split_idem, False, "classes of a partial equivalence relation"),
+    ("rel gcsvd", cmd_gcsvd, False, "exact compact factorization"),
     ("pinj verify", cmd_pinj_verify, False,
      "dagger-is-inverse identities (one map, optionally a second parallel one)"),
     ("karoubi check", cmd_karoubi_check, True,
@@ -338,6 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--pretty", action="store_true", help="indent the JSON output"
     )
+    common.set_defaults(rank_tol=None, eq_tol=EQ_TOL_DEFAULT)
     numeric = argparse.ArgumentParser(add_help=False, parents=[common])
     numeric.add_argument(
         "--rank-tol",
@@ -356,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     groups = {"": sub}
-    for name, handler, takes_matrix, help_ in COMMANDS:
+    for name, handler, takes_tol, help_ in COMMANDS:
         group, _, leaf = name.rpartition(" ")
         if group not in groups:
             g = sub.add_parser(group, help=GROUPS[group])
             groups[group] = g.add_subparsers(dest=f"{group}_command", required=True)
         p = groups[group].add_parser(
-            leaf, parents=[numeric if takes_matrix else common], help=help_
+            leaf, parents=[numeric if takes_tol else common], help=help_
         )
         p.set_defaults(handler=handler)
     return parser

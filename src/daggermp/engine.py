@@ -22,13 +22,14 @@ from .core import (
     InputError,
     NoMPInverseError,
     PreconditionError,
+    _certify_mp,
+    _dagger_idempotent_square,
     _is_self_mp_projector,
     _mp_projections,
     _mp_report,
     check,
     is_partial_isometry,
     is_self_adjoint,
-    require_dagger_idempotent,
     require_mp,
     verify_mp,
 )
@@ -45,12 +46,17 @@ def mp_of_partial_isometry(inst: DaggerInstance, f: Any) -> Any:
 
 
 def mp_of_dagger_idempotent(inst: DaggerInstance, e: Any) -> Any:
-    """M-P inverse of a dagger idempotent: itself."""
-    require_dagger_idempotent(inst, e)
-    return require_mp(
-        inst, e, e, ConsistencyError,
+    """M-P inverse of a dagger idempotent: itself.
+
+    The four identities of (e, e) are measured with the e e that the
+    dagger-idempotent rule formed, so e e is formed once.
+    """
+    ee = _dagger_idempotent_square(inst, e)
+    _certify_mp(
+        inst, e, e, _mp_report(inst, e, e, ee, ee), ConsistencyError,
         "dagger idempotent constructor produced a candidate failing the axioms",
     )
+    return e
 
 
 def mp_via_gram(

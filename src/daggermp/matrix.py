@@ -721,6 +721,9 @@ class MatrixInstance(DaggerInstance):
         return ComplexMatrix.zeros(src, tgt)
 
     def mp(self, f: ComplexMatrix) -> ComplexMatrix:
+        """:func:`pinv` at the instance's rank_tol: an unverified candidate,
+        as there; pass it to :func:`~daggermp.core.require_mp` to have it
+        certified or refused."""
         return pinv(f, rank_tol=self.tolerance.rank_tol)
 
 

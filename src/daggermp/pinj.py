@@ -116,17 +116,18 @@ def verify_inverse_category_laws(
     """The two laws making daggers here genuine inverses.
 
     For parallel f and g, returns (regular, projections_commute): each
-    map is regular over its dagger (f f-dagger f == f), and the domain
-    projections f f-dagger and g g-dagger commute.  Both always hold
-    for partial injections; exposed as a check rather than an
-    assumption.
+    map is regular over its dagger (f f-dagger f = f), and the domain
+    projections f f-dagger and g g-dagger commute, each equation decided
+    by :class:`PInjInstance`'s equality.  Both always hold for partial
+    injections; exposed as a check rather than an assumption.
     """
     if (f.src, f.tgt) != (g.src, g.tgt):
         raise InputError("maps must be parallel")
     p = f.compose(f.dagger())
     q = g.compose(g.dagger())
-    regular = p.compose(f) == f and q.compose(g) == g
-    return regular, p.compose(q) == q.compose(p)
+    eq = _PINJ.equals
+    regular = eq(p.compose(f), f) and eq(q.compose(g), g)
+    return regular, eq(p.compose(q), q.compose(p))
 
 
 class PInjInstance(DaggerInstance):
@@ -165,6 +166,9 @@ class PInjInstance(DaggerInstance):
 
     def mp(self, f: PartialInjection) -> PartialInjection:
         return f.dagger()
+
+
+_PINJ = PInjInstance()
 
 
 def pinj_to_obj(f: PartialInjection) -> dict:

@@ -28,7 +28,6 @@ from .core import (
     InputError,
     NoMPInverseError,
     Tolerance,
-    check,
     check_sizes,
     is_plain_int,
     pair_items,
@@ -162,10 +161,23 @@ def is_difunctional(r: FiniteRelation) -> bool:
 def mp_inverse_rel(r: FiniteRelation) -> Optional[FiniteRelation]:
     """Converse when r is difunctional, else None: the only possible inverse.
 
-    The converse is formed once, for the zig-zag test and the answer.
+    The verdict is :meth:`RelInstance.mp`'s, read from the same
+    measurement without raising.
+    """
+    conv, (_, ok) = _zig_zag(_REL, r)
+    return conv if ok else None
+
+
+def _zig_zag(
+    inst: "RelInstance", r: FiniteRelation
+) -> tuple[FiniteRelation, tuple[float, bool]]:
+    """The converse of r, and inst's (deviation, ok) of r r° r against r.
+
+    The package's one difunctionality rule: the converse is formed once,
+    for the test and the answer, and nothing is raised.
     """
     conv = r.converse()
-    return conv if r.compose(conv).compose(r) == r else None
+    return conv, inst.compare(r.compose(conv).compose(r), r)
 
 
 @functools.lru_cache(maxsize=8)
@@ -336,11 +348,11 @@ class RelInstance(DaggerInstance):
         )
 
     def mp(self, f: FiniteRelation) -> FiniteRelation:
-        fc = f.converse()
-        check(
-            self, f.compose(fc).compose(f), f, NoMPInverseError,
-            "relation is not difunctional, so no inverse exists",
-        )
+        fc, (dev, ok) = _zig_zag(self, f)
+        if not ok:
+            raise NoMPInverseError(
+                "relation is not difunctional, so no inverse exists", residual=dev
+            )
         return fc
 
     def split_idempotent(self, e: FiniteRelation) -> FiniteRelation:
@@ -354,6 +366,9 @@ class RelInstance(DaggerInstance):
                 index.setdefault(row, len(index))
         rows = tuple((1 << index[row]) if row else 0 for row in e.rows)
         return _relation(e.src, len(index), rows)
+
+
+_REL = RelInstance()
 
 
 def rel_to_obj(r: FiniteRelation) -> dict:

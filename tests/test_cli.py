@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import daggermp
-from conftest import HARD_INPUTS, seeded_product
-from daggermp import ComplexMatrix, matrix_from_obj, matrix_to_obj
+from conftest import HARD_INPUTS, all_relations, seeded_product
+from daggermp import ComplexMatrix, matrix_from_obj, matrix_to_obj, rel_to_obj
 from daggermp.cli import main
 
 M = ComplexMatrix.from_rows
@@ -344,6 +344,56 @@ def test_rel_gcsvd_refuses_non_difunctional(tmp_path):
     )
     code, out, err = run_cli("rel", "gcsvd", "--in", path)
     assert code == 1 and err.startswith("refused:")
+
+
+def test_a_relation_without_inverse_is_refused_with_its_residual(tmp_path):
+    path = write_json(
+        tmp_path, "b.json", {"src": 2, "tgt": 2, "pairs": [[0, 0], [1, 0], [1, 1]]}
+    )
+    runs = {
+        command: run_cli(*command.split(), "--in", path)
+        for command in ("rel difunctional", "rel mp", "rel gcsvd", "karoubi check")
+    }
+    assert [code for code, _, _ in runs.values()] == [1, 1, 1, 1]
+    assert json.loads(runs["rel difunctional"][1]) == {"difunctional": False}
+    assert json.loads(runs["rel mp"][1]) == {"exists": False}
+    refusal = (
+        "refused: relation is not difunctional, so no inverse exists (residual 1.000e+00)\n"
+    )
+    for command in ("rel gcsvd", "karoubi check"):
+        assert runs[command][1:] == ("", refusal), command
+
+
+@pytest.mark.parametrize(
+    "generic, exact",
+    [("pinv", "rel mp"), ("split-idem", "rel split-per"), ("gcsvd", "rel gcsvd")],
+)
+def test_a_generic_verb_on_a_relation_prints_its_rel_spelling(tmp_path, generic, exact):
+    for src, tgt in ((2, 2), (2, 3)):
+        for r in all_relations(src, tgt):
+            obj = rel_to_obj(r)
+            path = write_json(tmp_path, "r.json", obj)
+            want = run_cli(*exact.split(), "--in", path)
+            assert run_cli(generic, "--in", path) == want, obj
+            # an exact instance ignores the tolerance flags
+            assert run_cli(generic, "--in", path, "--eq-tol", "0.5") == want, obj
+
+
+def test_pinv_of_a_partial_injection_prints_its_dagger(tmp_path):
+    path = write_json(tmp_path, "p.json", {"src": 3, "tgt": 2, "map": [[0, 1], [2, 0]]})
+    code, out, err = run_cli("pinv", "--in", path)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"src": 2, "tgt": 3, "map": [[0, 2], [1, 0]]}
+
+
+@pytest.mark.parametrize("command", ["gcsvd", "split-idem"])
+def test_a_partial_injection_cannot_be_split(tmp_path, command):
+    # {0 -> 0} on two points is its own dagger and idempotent: only the
+    # missing capability refuses it.
+    path = write_json(tmp_path, "p.json", {"src": 2, "tgt": 2, "map": [[0, 0]]})
+    code, out, err = run_cli(command, "--in", path)
+    assert (code, out) == (2, "")
+    assert err == "error: pinj instance cannot split idempotents\n"
 
 
 def test_pinj_verify_single_map(tmp_path):

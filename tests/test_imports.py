@@ -106,6 +106,10 @@ EXACT_COMMANDS = {
     "rel-gcsvd": ("rel gcsvd", "r"),
     "pinj-verify": ("pinj verify", "f", "g"),
     "verify-mp-relations": ("verify-mp", "r", "rc"),
+    "pinv-relation": ("pinv", "r"),
+    "split-idem-relation": ("split-idem", "e"),
+    "gcsvd-relation": ("gcsvd", "r"),
+    "pinv-pinj": ("pinv", "f"),
     "karoubi-check-relation": ("karoubi check", "r"),
     "karoubi-check-pinj": ("karoubi check", "f"),
 }

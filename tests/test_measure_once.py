@@ -136,6 +136,32 @@ def test_a_self_pair_forms_two_products(seed, monkeypatch):
         assert _as_swapped(report) == _as_swapped(full)
 
 
+def _idempotent_then_mp(inst, e):
+    """mp_of_dagger_idempotent as two public checks: the rule, then require_mp."""
+    core.require_dagger_idempotent(inst, e)
+    return core.require_mp(
+        inst, e, e, dm.ConsistencyError,
+        "dagger idempotent constructor produced a candidate failing the axioms",
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_inverse_of_a_dagger_idempotent_forms_e_e_once(seed, monkeypatch):
+    projector = ComplexMatrix(seeded_product(seed, 5, 5, 2))
+    projector = pinv(projector) @ projector  # a dagger idempotent, to rounding
+    products, deviations = _count_products(monkeypatch, MatrixInstance)
+    assert dm.mp_of_dagger_idempotent(MatrixInstance(), projector) is projector
+    monkeypatch.undo()
+    # e e, which the rule and MP1 share, and (e e) e; e = e†, e e = e, MP1, MP3
+    assert len(products) == 2 and len(deviations) == 4
+    square = ComplexMatrix(seeded_product(seed, 4, 4, 4))  # not idempotent
+    for eq_tol in (1e-9, core.EQ_TOL_DEFAULT, 1e-17, 0.0):
+        inst = MatrixInstance(Tolerance(eq_tol=eq_tol))
+        for e in (projector, _perturbed(projector), square):
+            got = _outcome(lambda: dm.mp_of_dagger_idempotent(inst, e))
+            assert got == _outcome(lambda: _idempotent_then_mp(inst, e)), (eq_tol, e)
+
+
 def _record_equations(monkeypatch, cls):
     """Every (lhs bytes, rhs bytes, scale, cond) that cls.compare measures."""
     seen = []

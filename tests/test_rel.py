@@ -129,6 +129,31 @@ def test_mp_inverse_rel_forms_one_converse(monkeypatch):
         assert formed == [r]
 
 
+def test_every_small_relation_gets_one_difunctionality_verdict():
+    # is_difunctional, mp_inverse_rel, RelInstance.mp and the oracle agree,
+    # and a refusal carries compare's deviation of r r° r from r.
+    inst = RelInstance()
+    shapes = [(src, tgt) for src in range(4) for tgt in range(4)] + [(2, 4), (4, 2)]
+    refused = 0
+    for src, tgt in shapes:
+        for r in all_relations(src, tgt):
+            conv = r.converse()
+            dev, ok = inst.compare(r.compose(conv).compose(r), r)
+            want = conv if ok else None
+            assert is_difunctional(r) is ok, r
+            assert mp_inverse_rel(r) == want and brute_force_mp(r) == want, r
+            if ok:
+                assert inst.mp(r) == conv, r
+                continue
+            refused += 1
+            with pytest.raises(
+                NoMPInverseError, match="relation is not difunctional, so no inverse exists"
+            ) as err:
+                inst.mp(r)
+            assert err.value.residual == dev > 0.0, r
+    assert refused > 0
+
+
 def test_brute_force_matches_theory_exhaustively():
     for src, tgt in ((1, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
         for r in all_relations(src, tgt):
