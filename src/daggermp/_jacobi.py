@@ -55,8 +55,9 @@ unpreconditioned, 9-10 here).  The QR sorts rows by decreasing largest
 entry first, as LAPACK's xGEJSV does with row pivoting, so that graded
 rows keep the relative accuracy of Jacobi (Demmel & Veselić, SIMAX
 13(4), 1992).  The same QR splits a dagger idempotent of rank k on its
-own: the first k columns of Q span its range (see
-:meth:`~daggermp.matrix.MatrixInstance.split_idempotent`).  The QR
+own: the first k columns of Q span its range and the others its
+kernel (see :meth:`~daggermp.matrix.MatrixInstance.split_idempotent`
+and :meth:`~daggermp.matrix.MatrixInstance.split_with_kernel`).  The QR
 stops at the rank its caller keeps: after k reflectors for the split,
 at the null order below for a deflating solver; the reflectors it
 skips would not have touched the first k columns of Q.  A caller that

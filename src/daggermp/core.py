@@ -265,9 +265,11 @@ class DaggerInstance(ABC):
         object, for a dagger idempotent e; unchecked (see :func:`split`)."""
         raise CapabilityError(f"{self.name} instance cannot split idempotents")
 
-    def kernels(self, f: Any) -> tuple[Any, Any]:
-        """Isometries (k, c) with k f = 0 and c f† = 0, each universal
-        among such: the kernels of f and of f†, from work the two share."""
+    def split_with_kernel(self, e: Any) -> tuple[Any, Any]:
+        """Candidates (r, k) for a dagger idempotent e, from one
+        factorization: r splits e as :meth:`split_idempotent` does, and
+        the isometry k is the kernel of e, with k e = 0, k k† = 1 and
+        k† k = 1 - e; unchecked, as the full form's equations certify both."""
         raise CapabilityError(f"{self.name} instance provides no kernels")
 
     def sqrt_positive(self, p: Any) -> tuple[Any, Any]:

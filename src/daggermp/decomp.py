@@ -14,10 +14,13 @@ the instance tolerance.  Those equations define the factorization, so
 they also certify what it is built from: the splittings of f f° and
 f° f come unchecked from the instance capability (or a ``splitter``),
 and r† r = 1, s s† = 1, d's two-sided inverse and r d s = f hold only
-if r r† = f f° and s† s = f° f.  Refusals happen in practice: the
-equations are algebraic consequences of the axioms, but at aggressive
-tolerances or borderline numerical rank the verification can genuinely
-miss.  Loosen the instance's eq_tol to accept more rounding error, or
+if r r† = f f° and s† s = f° f.  The full form takes the kernels of f
+and f† from the capability calls that split the two projections
+(``split_with_kernel``), unchecked too: f f° + k† k = 1,
+f° f + c† c = 1 and the unitarity of u and v certify them.  Refusals
+happen in practice: the equations are algebraic consequences of the
+axioms, but at aggressive tolerances or borderline numerical rank the
+verification can genuinely miss.  Loosen the instance's eq_tol to accept more rounding error, or
 treat the refusal as the answer.
 
 A record that a constructor returns is certified: it keeps
@@ -135,24 +138,33 @@ def _compact(
     f: Any,
     f_mp: Any,
     splitter: Optional[Callable[[Any], Any]] = None,
-) -> tuple[GCSVDTriple, Any, Any]:
-    """:func:`gcsvd_from_mp`'s record, and the projections f f° and f° f
-    it split, which :func:`gsvd_from_mp` reuses.
+    kernels: bool = False,
+) -> tuple[GCSVDTriple, Any, Any, Any, Any]:
+    """:func:`gcsvd_from_mp`'s record, the projections f f° and f° f it
+    split, and with ``kernels`` the kernels (k, c) of f and of f†, which
+    :func:`gsvd_from_mp` reuses.
 
     The projections are those that certify the pair
     (:func:`~daggermp.core._mp_projections`): an uncertified pair has its
     four identities measured with them, a certified one only forms them.
+    With ``kernels`` each projection is split by the instance's
+    ``split_with_kernel``, which gives k† k = 1 - f f° and c† c = 1 - f° f
+    from the factorization that splits them; without, by ``splitter``
+    or ``split_idempotent``, and k and c are None.
     """
     ffmp, fmpf = _mp_projections(
         inst, f, f_mp, PreconditionError, "compact form needs an M-P pair"
     )
-    split = splitter if splitter is not None else inst.split_idempotent
-    r = split(ffmp)
-    s = inst.dagger(split(fmpf))
+    if kernels:
+        (r, k), (sd, c) = inst.split_with_kernel(ffmp), inst.split_with_kernel(fmpf)
+    else:
+        split = splitter if splitter is not None else inst.split_idempotent
+        r, sd, k, c = split(ffmp), split(fmpf), None, None
+    s = inst.dagger(sd)
     d = inst.compose(inst.dagger(r), f, inst.dagger(s))
     d_inv = inst.compose(s, f_mp, r)
     residuals = _compact_residuals(inst, r, d, s, d_inv, DecompositionError, f)
-    return _certify(GCSVDTriple(r, d, s, d_inv, residuals), inst), ffmp, fmpf
+    return _certify(GCSVDTriple(r, d, s, d_inv, residuals), inst), ffmp, fmpf, k, c
 
 
 def mp_from_gcsvd(inst: DaggerInstance, t: GCSVDTriple) -> Any:
@@ -222,16 +234,16 @@ def _full_map(inst: DaggerInstance, u: Any, d: Any, v: Any, dims: tuple) -> Any:
 def gsvd_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> GSVDTriple:
     """Full unitary factorization, padding the compact form with kernels.
 
-    Needs the kernels, add, direct_sum, injection and zero capabilities
-    on top of idempotent splitting; instances without them raise
-    CapabilityError here.  Each projection is the dagger of its
-    injection.  Both kernels come from one call of ``kernels``: the
-    matrix instance takes them from one SVD of f†, so for a square f the
-    kernel block of u comes from that SVD, and nothing is stored on f.
-    Both kernels, like the splits, are certified by the equations below.
+    Needs the split_with_kernel, add, direct_sum, injection and zero
+    capabilities; instances without them raise CapabilityError here.
+    Each projection is the dagger of its injection.  The compact form's
+    r and s and the kernels k of f and c of f† come from the two calls
+    of ``split_with_kernel`` that split f f° and f° f: the matrix
+    instance takes each pair from one pivoted QR, so the kernels follow
+    the rank of the splits, no SVD runs, and nothing is stored on f.
+    The kernels, like the splits, are certified by the equations below.
     """
-    compact, ffmp, fmpf = _compact(inst, f, f_mp)
-    k, c = inst.kernels(f)
+    compact, ffmp, fmpf, k, c = _compact(inst, f, f_mp, kernels=True)
     cover_src = inst.add(ffmp, inst.compose(inst.dagger(k), k))
     cover_tgt = inst.add(fmpf, inst.compose(inst.dagger(c), c))
     residuals = _residuals(inst, DecompositionError, "range and kernel projections", {
@@ -366,7 +378,11 @@ def polar_from_mp(
 
     ``sqrt_provider`` must return (h, h°) with h self-adjoint, h . h
     equal to the input and the pair verified; defaults to the instance
-    capability, whose exceptions propagate.
+    capability, whose exceptions propagate.  The pair (h, h°) is
+    measured with the h h° and h° h it forms
+    (:func:`~daggermp.core._mp_projections`), and u† u is compared with
+    that h h°.  The reconstruction u h is formed again by
+    :func:`mp_from_polar`, which needs the map it inverts.
     """
     require_mp(inst, f, f_mp, PreconditionError, "polar form needs an M-P pair")
     provider = sqrt_provider if sqrt_provider is not None else inst.sqrt_positive
@@ -376,13 +392,15 @@ def polar_from_mp(
         "self_adjoint": (inst.dagger(h), h),
         "square": (inst.compose(h, h), gram),
     })
-    require_mp(inst, h, h_mp, PreconditionError, "square root inverse fails the axioms")
+    hh, _ = _mp_projections(
+        inst, h, h_mp, PreconditionError, "square root inverse fails the axioms"
+    )
     u = inst.compose(f, h_mp)
     ud = inst.dagger(u)
     residuals = {"square": root["square"]}
     residuals.update(_residuals(inst, DecompositionError, "polar form", {
         "partial_isometry": (inst.compose(u, ud, u), u),
-        "range_projector": (inst.compose(ud, u), inst.compose(h, h_mp)),
+        "range_projector": (inst.compose(ud, u), hh),
         "reconstruction": (inst.compose(u, h), f),
     }))
     return _certify(PolarPair(u, h, h_mp, residuals), inst)

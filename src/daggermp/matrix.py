@@ -512,38 +512,21 @@ def split_dagger_idempotent(
 def dagger_kernel(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
     """Kernel of a as an isometry: k is z x n with k a = 0 and k k† = I_z.
 
-    The rows of k are an orthonormal basis of the left null space, taken
-    from the final columns of the SVD's left factor; z = n - rank(a).
-    At the default cutoff the SVD skips the null space its pivoted QR
-    reveals, as for :func:`pinv`; the rows then span the same space as
-    the trailing columns of :func:`svd`'s u, in another basis.
-    """
-    return _kernel_pair(a, rank_tol)[0]
-
-
-def _kernel_pair(
-    a: ComplexMatrix, rank_tol: Optional[float]
-) -> tuple[ComplexMatrix, ComplexMatrix]:
-    """The kernels of a and of a†, from one SVD of a.
-
-    Each is the conjugate transpose of the columns of one factor (u for
-    a, v for a†) past the rank at rank_tol, each column phased by the
-    rule of :func:`svd`; an empty a has identity kernels.  The first is
-    :func:`dagger_kernel` of a.  The second is ``dagger_kernel(a†)`` for
-    a rectangular a, whose SVD runs on the same orientation; for a
-    square a it is another orthonormal basis of the same space.
+    The rows of k are an orthonormal basis of the left null space: the
+    conjugate transpose of the columns of the SVD's left factor past the
+    rank at rank_tol, each column phased by the rule of :func:`svd`;
+    z = n - rank(a), and an empty a has the identity as kernel.  At the
+    default cutoff the SVD skips the null space its pivoted QR reveals,
+    as for :func:`pinv`; the rows then span the same space as the
+    trailing columns of :func:`svd`'s u, in another basis.
     """
     Tolerance(rank_tol=rank_tol)
     n, m = a.rows, a.cols
     if min(n, m) == 0:
-        return ComplexMatrix.identity(n).dagger(), ComplexMatrix.identity(m).dagger()
-    u, s, v = _raw_svd(a, rank_tol is None)
-    rank, unit_tol = _svd_rank(s, n, m, rank_tol), max(n, m) * _EPS
-    u, v = u[:, rank:], v[:, rank:]
-    return (
-        _computed((u * _phases(u, unit_tol)).conj().T),
-        _computed((v * _phases(v, unit_tol)).conj().T),
-    )
+        return ComplexMatrix.identity(n).dagger()
+    u, s, _ = _raw_svd(a, rank_tol is None)
+    u = u[:, _svd_rank(s, n, m, rank_tol) :]
+    return _computed((u * _phases(u, max(n, m) * _EPS)).conj().T)
 
 
 def kernel_universality_holds(
@@ -630,6 +613,20 @@ def biproduct_projection(dims: Sequence[int], j: int) -> ComplexMatrix:
     return biproduct_injection(dims, j).dagger()
 
 
+def _split_qr(e: ComplexMatrix) -> tuple[np.ndarray, int]:
+    """(q, k) for a dagger idempotent e: k is its trace, which is its rank,
+    and q the rows x rows unitary Q of a pivoted QR of e stopped after k
+    reflectors (the identity for k = 0), phases not yet fixed.  The first
+    k columns of q span the range of e, and the rest its complement."""
+    # The diagonal of a dagger idempotent lies in [0, 1]: clipping it
+    # changes nothing there and keeps k in [0, n] for any other input.
+    k = round(float(np.clip(e.array.diagonal().real, 0.0, 1.0).sum()))
+    if not k:
+        return np.eye(e.rows, dtype=np.complex128), 0
+    scaled = e.array * 2.0 ** _jacobi._pow2_exponent(e.array)
+    return _jacobi._qrcp(scaled, rank=k)[0], k
+
+
 class MatrixInstance(DaggerInstance):
     """The dagger category of finite-dimensional complex matrices.
 
@@ -641,8 +638,9 @@ class MatrixInstance(DaggerInstance):
     :func:`~daggermp.core.split`) are checked the same way, on an
     instance at the caller's eq_tol, so :meth:`deviation` measures
     every matrix equation.  All optional
-    capabilities are provided: idempotent splitting, kernels, square
-    roots, biproducts and zero maps, and ``pinv`` as the M-P route.
+    capabilities are provided: idempotent splitting, alone or with the
+    kernel, both from one pivoted QR; square roots, biproducts and zero
+    maps, and ``pinv`` as the M-P route.
     """
 
     name = "matrix"
@@ -680,25 +678,24 @@ class MatrixInstance(DaggerInstance):
         return f.norm()
 
     def split_idempotent(self, e: ComplexMatrix) -> ComplexMatrix:
-        """The first k columns of Q from a pivoted QR of e, phases fixed as
-        for eigenvectors, where k is the trace, the rank of a dagger
-        idempotent; unchecked, as :func:`split_dagger_idempotent` certifies it."""
-        # The diagonal of a dagger idempotent lies in [0, 1]: clipping it
-        # changes nothing there and keeps k in [0, n] for any other input.
-        k = round(float(np.clip(e.array.diagonal().real, 0.0, 1.0).sum()))
-        r = np.zeros((e.rows, 0), dtype=np.complex128)
-        if k:
-            scaled = e.array * 2.0 ** _jacobi._pow2_exponent(e.array)
-            r = _jacobi._qrcp(scaled, rank=k)[0][:, :k]
-            r *= _phases(r, e.rows * _EPS)
-        return _computed(r)
+        """The first k columns of Q from a pivoted QR of e (:func:`_split_qr`),
+        phases fixed as for eigenvectors; unchecked, as
+        :func:`split_dagger_idempotent` certifies it."""
+        q, k = _split_qr(e)
+        r = q[:, :k]
+        return _computed(r * _phases(r, e.rows * _EPS) if k else r)
 
-    def kernels(self, f: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
-        """Both kernels from one SVD of f†, whose u gives the kernel of f†
-        as :func:`dagger_kernel` does; for a square f the kernel of f is
-        then another basis than ``dagger_kernel(f)`` gives."""
-        kd, k = _kernel_pair(f.dagger(), self.tolerance.rank_tol)
-        return k, kd
+    def split_with_kernel(
+        self, e: ComplexMatrix
+    ) -> tuple[ComplexMatrix, ComplexMatrix]:
+        """Both parts of the Q of :func:`_split_qr`, each column phased as in
+        :meth:`split_idempotent`: its first k columns are that split, and
+        the conjugate transpose of the rest is the kernel; unchecked, as
+        the full form's equations certify both."""
+        q, k = _split_qr(e)
+        if k:
+            q *= _phases(q, e.rows * _EPS)
+        return _computed(q[:, :k]), _computed(q[:, k:].conj().T)
 
     def sqrt_positive(self, p: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
         return _sqrt_with_mp(

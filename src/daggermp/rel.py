@@ -28,6 +28,7 @@ from .core import (
     InputError,
     NoMPInverseError,
     Tolerance,
+    _certify,
     check_sizes,
     is_plain_int,
     pair_items,
@@ -348,12 +349,16 @@ class RelInstance(DaggerInstance):
         )
 
     def mp(self, f: FiniteRelation) -> FiniteRelation:
+        """The converse of a difunctional f, certified for f as
+        :func:`~daggermp.core.require_mp` certifies a pair: MP1 is the
+        zig-zag equation measured here, and MP2-MP4 of a converse have its
+        verdict by value (MP2 is its converse, MP3 and MP4 hold exactly)."""
         fc, (dev, ok) = _zig_zag(self, f)
         if not ok:
             raise NoMPInverseError(
                 "relation is not difunctional, so no inverse exists", residual=dev
             )
-        return fc
+        return _certify(fc, self, f, attr="_mp_cert")
 
     def split_idempotent(self, e: FiniteRelation) -> FiniteRelation:
         """Each point of e's domain sent to its row, the class it lies in if

@@ -6,9 +6,10 @@ are neither abstract nor the generic equality machinery (``compose``,
 ``CapabilityError``, and each is read somewhere in ``src/`` outside
 ``DaggerInstance`` itself.  What the generic code derives is not a hook:
 a biproduct's projection is the dagger of its injection, a map is
-positive when it has a square root, and one ``kernels`` call gives both
-kernels the full form reads.  The scans read the syntax tree, so
-docstrings and comments that name a capability pass.
+positive when it has a square root, and the full form's kernels have no
+hook of their own: each comes from the ``split_with_kernel`` call that
+splits its projector.  The scans read the syntax tree, so docstrings
+and comments that name a capability pass.
 """
 
 import ast
@@ -24,7 +25,7 @@ from daggermp import (
 
 SRC = pathlib.Path(daggermp.__file__).parent
 CAPABILITIES = {
-    "split_idempotent", "kernels", "sqrt_positive", "add", "direct_sum",
+    "split_idempotent", "split_with_kernel", "sqrt_positive", "add", "direct_sum",
     "injection", "zero", "mp",
 }
 GENERIC = {"__init__", "compose", "norm", "compare", "equals"}
@@ -100,15 +101,15 @@ def test_the_read_scan_catches_each_form():
     def reads(body):
         return capability_reads("def f(inst, x):\n    " + body)
 
-    assert reads("return inst.kernels(x)") == {"kernels"}
+    assert reads("return inst.split_with_kernel(x)") == {"split_with_kernel"}
     assert reads("provider = inst.sqrt_positive") == {"sqrt_positive"}
     assert reads("return getattr(inst, 'mp')(x)") == {"mp"}
     assert reads("def g(i):\n        return inst.zero(1, 1)") == {"zero"}
     method = "class MatrixInstance:\n    def g(self, x):\n        return self.add(x, x)"
     assert capability_reads(method) == {"add"}
-    base = "class DaggerInstance:\n    def g(self, x):\n        return self.kernels(x)"
+    base = "class DaggerInstance:\n    def g(self, x):\n        return self.zero(x, x)"
     assert capability_reads(base) == set()
-    assert reads('"""inst.kernels(x)"""  # inst.injection((1, 1), 0)') == set()
+    assert reads('"""inst.split_with_kernel(x)"""  # inst.zero(1, 1)') == set()
     assert reads("seen = set()\n    seen.add(x)") == set()
     assert capability_reads("class A:\n    def add(self, f, g):\n        return f") == set()
     assert reads("return inst.projection((1, 1), 0)") == set()

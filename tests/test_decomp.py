@@ -237,17 +237,43 @@ def test_gsvd_requires_kernel_capability(rel_inst):
         gsvd_from_mp(rel_inst, r, r.converse())
 
 
+class _ShortKernelInstance(MatrixInstance):
+    """A matrix instance whose kernel misses one direction of 1 - e."""
+
+    def split_with_kernel(self, e):
+        r, k = super().split_with_kernel(e)
+        return r, ComplexMatrix(k.array[1:])
+
+
 def test_gsvd_refuses_when_kernel_misses_the_complement():
-    # at a loose tolerance the pair verifies but the numeric kernel of f is
-    # trivial, so the padding cannot cover the source: the constructor must
+    # the pair verifies and the compact form holds, but a kernel that
+    # misses a direction cannot cover the source: the constructor must
     # notice and refuse rather than emit a non-unitary factor
-    inst = MatrixInstance(Tolerance(eq_tol=1e-2))
+    inst = _ShortKernelInstance(Tolerance(eq_tol=1e-2))
     f = M([[1, 0], [0, 1e-4]])
     f_mp = M([[1, 0], [0, 0]])
     assert verify_mp(inst, f, f_mp).all_hold
-    with pytest.raises(DecompositionError) as exc:
+    with pytest.raises(DecompositionError, match="kernel_source") as exc:
         gsvd_from_mp(inst, f, f_mp)
     assert exc.value.residual == pytest.approx(1.0, rel=1e-6)
+
+
+def test_gsvd_exists_where_gcsvd_does():
+    # f° = diag(1, 0) passes as the inverse of diag(1, 1e-4) at eq_tol
+    # 1e-2; the kernels come from the splits of f f° and f° f, so they
+    # follow the rank the compact form uses, and both forms accept with
+    # the reconstruction residual 1e-4
+    inst = MatrixInstance(Tolerance(eq_tol=1e-2))
+    f = M([[1, 0], [0, 1e-4]])
+    f_mp = M([[1, 0], [0, 0]])
+    compact = gcsvd_from_mp(inst, f, f_mp)
+    full = gsvd_from_mp(inst, f, f_mp)
+    assert full.dims == (1, 1, 1, 1)
+    assert np.array_equal(full.d.array, compact.d.array)
+    assert np.array_equal(full.u.array[:, :1], compact.r.array)
+    assert np.array_equal(full.v.array[:1], compact.s.array)
+    for t in (compact, full):
+        assert t.residuals["reconstruction"] == pytest.approx(1e-4, rel=1e-6)
 
 
 def test_gsvd_intertwiners_identity_on_same_triple(minst):

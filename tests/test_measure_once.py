@@ -15,10 +15,15 @@ check measures only e e = e of the projections e = f f° and f° f, and
 a pair with f° = f† (an inverse category's) has its other repeats read
 from the certificate too.  ``core._mp_projections`` hands the compact
 form, the derived check and ``iso_from_mp`` the projections f f° and
-f° f, formed once: the products an uncertified pair is measured with.
+f° f, formed once: the products an uncertified pair is measured with;
+``polar_from_mp`` measures (h, h°) with them and compares u† u with the
+h h° it gets.  ``RelInstance.mp`` certifies the converse it returns.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
 
 import numpy as np
 import pytest
@@ -42,7 +47,9 @@ from daggermp import (
     core,
     pinv,
 )
+from daggermp import cli
 from daggermp.karoubi import SplitMorphism
+from daggermp.rel import is_difunctional, rel_to_obj
 
 GUARD_SHAPES = [(6, 5, 2), (5, 7, 2), (6, 6, 3)]
 
@@ -544,3 +551,91 @@ def test_a_failing_pair_is_refused_as_require_mp_refuses_it(kind, site):
     outcome = [(type(e.value), str(e.value), e.value.residual) for e in (refused, reference)]
     assert outcome[0] == outcome[1] and outcome[0][0] is error
     assert outcome[0][2] > 0.0 and "_mp_cert" not in vars(g)
+
+
+def _operand_bytes(products):
+    return [(f.array.tobytes(), g.array.tobytes()) for f, g in products]
+
+
+@pytest.mark.parametrize("shape", GUARD_SHAPES)
+def test_polar_forms_h_h_mp_once(shape, monkeypatch):
+    # (h, h°) is measured with the h h° and h° h that _mp_projections forms,
+    # and u† u is compared with that h h°: 11 products, none with the
+    # operands of another.  The round trip forms u h again in
+    # mp_from_polar, which needs the map it inverts: 17, one repeat.
+    a = ComplexMatrix(seeded_product(51, *shape))
+    inst = MatrixInstance(Tolerance(eq_tol=1e-9))
+    g = pinv(a)
+    core.require_mp(inst, a, g, DaggerError, "pair")  # as in a corpus case
+    products, _ = _count_products(monkeypatch, MatrixInstance)
+    pair = dm.polar_from_mp(inst, a, g)
+    formed = _operand_bytes(products)
+    assert len(formed) == 11 and len(set(formed)) == 11
+    dm.mp_from_polar(inst, pair)
+    formed = _operand_bytes(products)
+    assert len(formed) == 17 and len(set(formed)) == 16
+
+
+def test_polar_refuses_a_bad_root_inverse_as_require_mp_does():
+    a = ComplexMatrix(seeded_product(52, 5, 4, 2))
+    inst = MatrixInstance(Tolerance(eq_tol=1e-9))
+    h, h_mp = inst.sqrt_positive(a.dagger() @ a)
+    bad = ComplexMatrix(h_mp.array * 2.0)
+    what = "square root inverse fails the axioms"
+    with pytest.raises(dm.PreconditionError) as refused:
+        dm.polar_from_mp(inst, a, pinv(a), lambda p: (h, bad))
+    with pytest.raises(dm.PreconditionError) as reference:
+        core.require_mp(inst, h, ComplexMatrix(bad.array), dm.PreconditionError, what)
+    assert str(refused.value) == str(reference.value)
+    assert refused.value.residual == reference.value.residual > 0.0
+
+
+def _cli_quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+def test_a_relation_inverse_is_certified_by_its_zig_zag(tmp_path, monkeypatch):
+    # RelInstance.mp measures r r° r = r and certifies the converse it
+    # returns: MP2 is that equation's converse and MP3 and MP4 hold for a
+    # converse, so no consumer measures an identity again.  pinv and rel
+    # mp: 1 deviation; gcsvd and rel gcsvd: 1 and the 5 compact equations.
+    r = FiniteRelation.from_pairs(3, 2, [(0, 0), (1, 0), (2, 1)])
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(rel_to_obj(r)), encoding="utf-8")
+    for argv, expected in (
+        (["pinv"], 1), (["rel", "mp"], 1), (["gcsvd"], 6), (["rel", "gcsvd"], 6)
+    ):
+        deviations = _count_deviations(monkeypatch, RelInstance)
+        assert _cli_quiet(argv + ["--in", str(path)]) == 0
+        monkeypatch.undo()
+        assert len(deviations) == expected, argv
+
+
+def _relation_outcomes(inst, r, g):
+    """What pinv, gcsvd, karoubi check and the derived check make of (r, g)."""
+    t = dm.gcsvd_from_mp(inst, r, g)
+    return (
+        core.require_mp(inst, r, g, DaggerError, "pinv"),
+        (t.r, t.d, t.s, t.d_inv, t.residuals),
+        core.verify_mp(inst, r, g),
+        dm.mp_from_iso(inst, *dm.iso_from_mp(inst, r, g)),
+        dm.derived_identities_check(inst, r, g),
+    )
+
+
+def test_a_certified_relation_inverse_changes_no_outcome():
+    shapes = [(src, tgt) for src in range(4) for tgt in range(4)] + [(2, 4), (4, 2)]
+    for src, tgt in shapes:
+        for r in all_relations(src, tgt):
+            inst = RelInstance()
+            try:
+                g = inst.mp(r)
+            except dm.NoMPInverseError:
+                assert not is_difunctional(r)
+                continue
+            assert core._certified(g, inst, r, attr="_mp_cert")
+            plain = FiniteRelation(g.src, g.tgt, g.rows)  # equal, uncertified
+            assert _relation_outcomes(inst, r, g) == _relation_outcomes(
+                RelInstance(), r, plain
+            ), r

@@ -7,8 +7,11 @@ compact form of ``gcsvd_from_mp``, ``gsvd_from_mp`` and ``rel.gcsvd_rel``)
 takes the raw candidate because its compact-form equations certify it.
 So the capability is read nowhere else in ``src/``, and no
 ``split_idempotent`` method, nor any function of its module that it
-calls, checks an equation or raises a refusal.  The scans read the
-syntax tree, so docstrings and comments that name them pass.
+calls, checks an equation or raises a refusal.  The same holds for
+``split_with_kernel``, which splits a projection together with its
+kernel for the full form of ``gsvd_from_mp``: only ``decomp._compact``
+reads it.  The scans read the syntax tree, so docstrings and comments
+that name them pass.
 """
 
 import ast
@@ -18,6 +21,7 @@ import daggermp
 
 SRC = pathlib.Path(daggermp.__file__).parent
 CAPABILITY = "split_idempotent"
+KERNEL_CAPABILITY = "split_with_kernel"
 READERS = {("core.py", "split"), ("decomp.py", "_compact")}
 CHECKS = {"check", "compare", "equals", "verify_mp", "require_mp"}
 REFUSALS = {"PreconditionError", "ConsistencyError"}
@@ -41,25 +45,25 @@ def _functions(tree):
     return out
 
 
-def _reads_capability(node):
-    return (isinstance(node, ast.Attribute) and node.attr == CAPABILITY) or (
+def _reads_capability(node, name=CAPABILITY):
+    return (isinstance(node, ast.Attribute) and node.attr == name) or (
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id == "getattr"
-        and any(isinstance(a, ast.Constant) and a.value == CAPABILITY for a in node.args)
+        and any(isinstance(a, ast.Constant) and a.value == name for a in node.args)
     )
 
 
-def capability_readers(source):
+def capability_readers(source, name=CAPABILITY):
     """Names of the innermost functions (or "<module>") that read the
     capability as an attribute or through getattr."""
     tree = ast.parse(source)
     inner = {}
-    for name, fn in _functions(tree):  # outer first, so inner ones overwrite
+    for qualified, fn in _functions(tree):  # outer first, so inner ones overwrite
         for node in ast.walk(fn):
-            inner[id(node)] = name
+            inner[id(node)] = qualified
     readers = {inner.get(id(node), "<module>") for node in ast.walk(tree)
-               if _reads_capability(node)}
+               if _reads_capability(node, name)}
     return sorted(readers)
 
 
@@ -77,14 +81,14 @@ def _raised_name(node):
     return exc.id if isinstance(exc, ast.Name) else None
 
 
-def capability_checks(source):
+def capability_checks(source, name=CAPABILITY):
     """(method, what) for each equation check or refusal reachable from a
-    split_idempotent method through calls to functions of the same module."""
+    method of that name through calls to functions of the same module."""
     tree = ast.parse(source)
     top = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
     found = []
-    for name, fn in _functions(tree):
-        if fn.name != CAPABILITY:
+    for qualified, fn in _functions(tree):
+        if fn.name != name:
             continue
         stack, seen = [fn], set()
         while stack:
@@ -96,12 +100,12 @@ def capability_checks(source):
                 if isinstance(node, ast.Call):
                     called = _called_name(node)
                     if called in CHECKS:
-                        found.append((name, called))
+                        found.append((qualified, called))
                     elif isinstance(node.func, ast.Name) and called in top:
                         stack.append(top[called])
                 elif isinstance(node, ast.Raise) and node.exc is not None:
                     if _raised_name(node) in REFUSALS:
-                        found.append((name, _raised_name(node)))
+                        found.append((qualified, _raised_name(node)))
     return sorted(set(found))
 
 
@@ -153,3 +157,9 @@ def test_only_core_split_and_gcsvd_read_the_capability():
 
 def test_no_split_capability_checks_an_equation():
     assert _scan(capability_checks) == {}
+
+
+def test_only_the_compact_form_reads_the_kernel_split_and_it_checks_nothing():
+    found = _scan(lambda source: capability_readers(source, KERNEL_CAPABILITY))
+    assert found == {"decomp.py": ["_compact"]}
+    assert _scan(lambda source: capability_checks(source, KERNEL_CAPABILITY)) == {}

@@ -1,14 +1,14 @@
-"""One verification per M-P pair, one SVD for both kernels of gsvd, and
+"""One verification per M-P pair, no SVD for the kernels of gsvd, and
 one solve per ``karoubi check``.
 
 ``core.require_mp`` certifies a pair that passes: the candidate keeps the
 f object, the instance object and its tolerance object it passed for,
 and a later call with all three the same returns without measuring.
 ``verify_mp`` only reports.  ``gsvd_from_mp`` takes the kernels of f and
-of f† from the instance's ``kernels``, which for matrices runs one SVD
-of f†; no kernel stores anything on its argument.  The CLI's ``karoubi
-check`` hands the inverse it reports to ``mp_in_karoubi`` as its base
-solver.
+of f† from the instance's ``split_with_kernel``, which for matrices
+splits f f° and f° f and gives their kernels from one pivoted QR each;
+no kernel stores anything on its argument.  The CLI's ``karoubi check``
+hands the inverse it reports to ``mp_in_karoubi`` as its base solver.
 """
 
 import contextlib
@@ -123,15 +123,15 @@ def test_exact_candidates_take_the_same_path(kind, monkeypatch):
     assert len(measured) == 3
 
 
-def test_the_corpus_routes_verify_each_pair_once_and_run_two_svds(monkeypatch):
+def test_the_corpus_routes_verify_each_pair_once_and_run_one_svd(monkeypatch):
     # The route sequence of one ``corpus`` case on a 6x5 rank-2 input:
-    # one SVD in pinv and one for both of gsvd's kernels; 13 verify_mp
-    # calls, as the routes after the first certified (f, f°) skip it,
-    # polar's inverse check skips the (h, h°) its constructor proved, and
-    # the derived check reads (f°)° = f from the certificate.  Every
-    # measurement of the four identities runs in core._mp_report, which
-    # verify_mp calls and which the certifying helper and the derived
-    # check call with the products they share.
+    # one SVD, in pinv; gsvd takes its kernels from the QRs that split its
+    # projectors.  13 _mp_report calls, as the routes after the first
+    # certified (f, f°) skip it, polar's inverse check skips the (h, h°)
+    # its constructor proved, and the derived check reads (f°)° = f from
+    # the certificate.  Every measurement of the four identities runs in
+    # core._mp_report, which verify_mp calls and which the certifying
+    # helper and the derived check call with the products they share.
     a = ComplexMatrix(seeded_product(11, 6, 5, 2))
     inst = MatrixInstance(Tolerance(eq_tol=1e-9))
     svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
@@ -144,28 +144,37 @@ def test_the_corpus_routes_verify_each_pair_once_and_run_two_svds(monkeypatch):
     dm.mp_from_polar(inst, dm.polar_from_mp(inst, a, g))
     assert dm.derived_identities_check(inst, a, g).all_hold
     dm.mp_from_iso(inst, *dm.iso_from_mp(inst, a, g))
-    assert len(svds) == 2
+    assert len(svds) == 1
     assert len(measured) == 13
     assert set(vars(a)) <= {"array", "_norm"}
 
 
 @pytest.mark.parametrize(
-    "shape", [(7, 4, 2), (4, 7, 2), (6, 4, 4), (3, 8, 3), (6, 6, 3)]
+    "shape", [(7, 4, 2), (4, 7, 2), (6, 4, 4), (3, 8, 3), (6, 6, 3), (5, 3, 0)]
 )
 def test_both_kernels_of_gsvd_come_from_one_svd(shape, monkeypatch):
+    # No SVD runs: the kernels of f and of f† come with the splits of
+    # f f° and f° f, one pivoted QR per nonzero projector.  Tall, wide,
+    # full-rank, square rank-deficient and zero inputs.
     rows, cols, inner = shape
     inst = MatrixInstance()
     f = ComplexMatrix(seeded_product(21, rows, cols, inner))
-    fresh_k, fresh_c = dagger_kernel(f), dagger_kernel(f.dagger())
+    g = pinv(f)
     svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
-    k, c = inst.kernels(f)
-    assert len(svds) == 1
-    assert c.array.tobytes() == fresh_c.array.tobytes()
-    if rows != cols:  # the SVD of f and of f† run on the same orientation
-        assert k.array.tobytes() == fresh_k.array.tobytes()
-    z = rows - inner
-    assert k.rows == z and inst.equals(k @ k.dagger(), ComplexMatrix.identity(z))
+    qrs = _counted(monkeypatch, _jacobi, "_qrcp")
+    t = dm.gsvd_from_mp(inst, f, g)
+    assert len(svds) == 0
+    assert len(qrs) == (2 if inner else 0)  # a zero projector needs no QR
+    x, z, y, w = t.dims
+    assert (x, z, y, w) == (inner, rows - inner, inner, cols - inner)
+    k = ComplexMatrix(np.ascontiguousarray(t.u.array[:, x:].conj().T))
+    c = ComplexMatrix(np.ascontiguousarray(t.v.array[y:]))
     assert inst.compare(k @ f, ComplexMatrix.zeros(z, cols), f.norm())[1]
+    assert inst.compare(c @ f.dagger(), ComplexMatrix.zeros(w, rows), f.norm())[1]
+    for unitary in (t.u, t.v):
+        n = unitary.rows
+        assert inst.equals(unitary @ unitary.dagger(), ComplexMatrix.identity(n))
+        assert inst.equals(unitary.dagger() @ unitary, ComplexMatrix.identity(n))
     assert set(vars(f)) <= {"array", "_norm"}
 
 

@@ -121,7 +121,7 @@ def test_instance_deviation_and_capabilities(pinj_inst):
     with pytest.raises(InputError):
         pinj_inst.deviation(a, PartialInjection(2, 3, (0, 1)))
     with pytest.raises(CapabilityError):
-        pinj_inst.kernels(a)
+        pinj_inst.split_with_kernel(a)
     with pytest.raises(CapabilityError):
         pinj_inst.zero(2, 2)
     with pytest.raises(CapabilityError):
