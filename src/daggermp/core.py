@@ -17,6 +17,14 @@ satisfying the four identities
     f g f = f        g f g = g        (f g)† = f g        (g f)† = g f
 
 and it is unique when it exists.
+
+Every equation the package checks is one :class:`Equation` record,
+returned by :meth:`DaggerInstance.compare`: the instance's deviation,
+the verdict of :func:`within`, and the scale and cond it was judged at.
+Predicates, reports and certification read that record; a failed one
+is refused by one function, ``_refuse``, which raises the caller's error
+with the deviation as its residual and names the slack guard of
+:func:`within` when only the guard failed it.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import math
 import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, NamedTuple, NoReturn, Optional
 
 MACHINE_EPS = sys.float_info.epsilon
 EQ_TOL_DEFAULT = 100.0 * MACHINE_EPS
@@ -137,6 +145,21 @@ def within(dev: float, scale: float, eq_tol: float, cond: float = 1.0) -> bool:
     return dev == 0.0 or (slack < 1.0 and math.isfinite(scale) and dev <= slack * scale)
 
 
+class Equation(NamedTuple):
+    """One measured equation, as :meth:`DaggerInstance.compare` returns it.
+
+    ``deviation`` is the instance's distance between the two sides, and
+    ``ok`` the verdict of :func:`within` at ``scale`` and ``cond``, the
+    numbers it was judged at.  A refusal reads all four
+    (:func:`_refuse`); ``compare(...)[1]`` is the verdict alone.
+    """
+
+    deviation: float
+    ok: bool
+    scale: float
+    cond: float
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Numeric slack for an instance.
@@ -245,15 +268,18 @@ class DaggerInstance(ABC):
 
     def compare(
         self, f: Any, g: Any, scale: Optional[float] = None, cond: float = 1.0
-    ) -> tuple[float, bool]:
-        """Deviation of f from g, and whether it passes :func:`within`.
+    ) -> Equation:
+        """The :class:`Equation` record of f against g: the deviation, and
+        whether it passes :func:`within` at ``scale`` and ``cond``.
 
         ``scale`` defaults to ``max(norm(f), norm(g))``; callers may pass
-        factor-norm products, split into ``scale`` and ``cond``.
+        factor-norm products, split into ``scale`` and ``cond``.  Every
+        equation the package checks is measured here.
         """
         dev = self.deviation(f, g)
         scale = max(self.norm(f), self.norm(g)) if scale is None else scale
-        return dev, within(dev, scale, self.tolerance.eq_tol, cond)
+        ok = within(dev, scale, self.tolerance.eq_tol, cond)
+        return tuple.__new__(Equation, (dev, ok, scale, cond))
 
     def equals(self, f: Any, g: Any) -> bool:
         return self.compare(f, g)[1]
@@ -332,25 +358,29 @@ def is_self_adjoint(inst: DaggerInstance, f: Any) -> bool:
 def require_dagger_idempotent(inst: DaggerInstance, e: Any) -> None:
     """PreconditionError unless e = e† and e e = e, carrying the deviation
     of the first that fails; InputError unless e is an endomorphism."""
-    _dagger_idempotent_square(inst, e)
+    eq, _ = _dagger_idempotent(inst, e)
+    if not eq.ok:
+        _refuse(inst, eq, PreconditionError, "not a dagger idempotent")
 
 
-def _dagger_idempotent_square(inst: DaggerInstance, e: Any) -> Any:
-    """The e e that :func:`require_dagger_idempotent`'s rule measured, once it passed."""
+def _dagger_idempotent(inst: DaggerInstance, e: Any) -> tuple[Equation, Any]:
+    """The rule of :func:`require_dagger_idempotent` and
+    :func:`is_dagger_idempotent`: e = e†, then, once that passed, e e = e.
+
+    Returns the last record measured (the failing one, if any) and e e,
+    None when it was not formed.
+    """
     _require_endo(inst, e, "dagger idempotency")
-    check(inst, inst.dagger(e), e, PreconditionError, "not a dagger idempotent")
+    eq = inst.compare(inst.dagger(e), e)
+    if not eq.ok:
+        return eq, None
     ee = inst.compose(e, e)
-    check(inst, ee, e, PreconditionError, "not a dagger idempotent")
-    return ee
+    return inst.compare(ee, e), ee
 
 
 def is_dagger_idempotent(inst: DaggerInstance, f: Any) -> bool:
     """f = f† and f f = f."""
-    try:
-        require_dagger_idempotent(inst, f)
-    except PreconditionError:
-        return False
-    return True
+    return _dagger_idempotent(inst, f)[0].ok
 
 
 def split(inst: DaggerInstance, e: Any) -> Any:
@@ -406,10 +436,12 @@ def verify_mp(inst: DaggerInstance, f: Any, g: Any) -> MPReport:
     and g swaps MP1 with MP2 and MP3 with MP4, byte for byte: the same
     products, at the same scales and conds.  The four equations are
     measured by the private ``_mp_report``, which also measures them for
-    callers that hold f g and g f already (``_mp_projections``, and the
-    derived-identities check), so those products are not formed twice.
+    :func:`require_mp` and for callers that hold f g and g f already
+    (``_mp_projections``, and the derived-identities check), so those
+    products are not formed twice.
     """
-    return _mp_report(inst, f, g, *_mp_products(inst, f, g))
+    mp = _mp_report(inst, f, g, *_mp_products(inst, f, g))
+    return MPReport(*(m.ok for m in mp), tuple(m.deviation for m in mp))
 
 
 def _mp_products(inst: DaggerInstance, f: Any, g: Any) -> tuple[Any, Any]:
@@ -420,8 +452,8 @@ def _mp_products(inst: DaggerInstance, f: Any, g: Any) -> tuple[Any, Any]:
     return fg, fg if g is f else inst.compose(g, f)
 
 
-def _mp_report(inst: DaggerInstance, f: Any, g: Any, fg: Any, gf: Any) -> MPReport:
-    """:func:`verify_mp`'s report of (f, g), measured with the given
+def _mp_report(inst: DaggerInstance, f: Any, g: Any, fg: Any, gf: Any) -> tuple:
+    """The records of MP1-MP4 for (f, g), in order, measured with the given
     fg = f g and gf = g f (gf is fg when g is f)."""
     self_pair = g is f
     # Factor-norm bounds, as |fl(AB) - AB| <= c|A||B|; |f||g| is MP1's and MP2's cond.
@@ -431,19 +463,29 @@ def _mp_report(inst: DaggerInstance, f: Any, g: Any, fg: Any, gf: Any) -> MPRepo
     mp2 = mp1 if self_pair else inst.compare(inst.compose(gf, g), g, ng, nfg)
     mp3 = inst.compare(inst.dagger(fg), fg, nfg)
     mp4 = mp3 if self_pair else inst.compare(inst.dagger(gf), gf, nfg)
-    (r1, ok1), (r2, ok2), (r3, ok3), (r4, ok4) = mp1, mp2, mp3, mp4
-    return MPReport(ok1, ok2, ok3, ok4, (r1, r2, r3, r4))
+    return mp1, mp2, mp3, mp4
 
 
-def _is_self_mp_projector(inst: DaggerInstance, e: Any) -> bool:
-    """e is a dagger idempotent and its own M-P inverse: the rule of
-    :func:`require_dagger_idempotent`, then the four identities of (e, e),
-    whose f g is the e e that rule formed."""
-    try:
-        ee = _dagger_idempotent_square(inst, e)
-    except PreconditionError:
-        return False
-    return _mp_report(inst, e, e, ee, ee).all_hold
+def _refuse(inst: DaggerInstance, eq: Equation, error: type, what: str) -> NoReturn:
+    """Raise ``error(what, residual=eq.deviation)`` for the failed record eq:
+    the package's one refusal.
+
+    When eq failed only because :func:`within` forced an exact comparison
+    (its slack eq_tol * cond is at least 1, or its scale is not finite)
+    while the deviation is within eq_tol * cond * scale, the message names
+    that guard and its numbers in place of the verdict: "MP1 fails"
+    becomes "MP1 cannot be certified at cond 1.549e+10 with eq_tol 1e-09".
+    """
+    eq_tol = inst.tolerance.eq_tol
+    slack = eq_tol * eq.cond
+    if math.isfinite(eq.deviation) and eq.deviation <= slack * eq.scale:
+        guard = (
+            f"cond {eq.cond:.3e} with eq_tol {eq_tol:g}" if slack >= 1.0
+            else f"scale {eq.scale:.3e}"
+        )
+        head = what[: -len(" fails")] if what.endswith(" fails") else what + ":"
+        what = f"{head} cannot be certified at {guard}"
+    raise error(what, residual=eq.deviation)
 
 
 def check(
@@ -453,12 +495,14 @@ def check(
     """Return the deviation of lhs from rhs, raising ``error`` if they differ.
 
     ``scale`` is as in :meth:`DaggerInstance.compare`.  The returned
-    deviation is what factorizations record, and ``error`` carries it.
+    deviation is what factorizations record.  A failed record is refused
+    by :func:`_refuse`: ``error`` carries the deviation, and its message
+    is ``what``, or names the slack guard that forced the failure.
     """
-    dev, ok = inst.compare(lhs, rhs, scale)
-    if not ok:
-        raise error(what, residual=dev)
-    return dev
+    eq = inst.compare(lhs, rhs, scale)
+    if not eq.ok:
+        _refuse(inst, eq, error, what)
+    return eq.deviation
 
 
 def _certified(obj: Any, inst: DaggerInstance, *partner: Any, attr: str = "_cert") -> bool:
@@ -496,7 +540,7 @@ def require_mp(inst: DaggerInstance, f: Any, g: Any, error: type, what: str) -> 
     itself), store nothing; :func:`verify_mp` only reports.
     """
     if not _certified(g, inst, f, attr="_mp_cert"):
-        _certify_mp(inst, f, g, verify_mp(inst, f, g), error, what)
+        _certify_mp(inst, f, g, *_mp_products(inst, f, g), error, what)
     return g
 
 
@@ -513,17 +557,18 @@ def _mp_projections(
     """
     fg, gf = _mp_products(inst, f, g)
     if not _certified(g, inst, f, attr="_mp_cert"):
-        _certify_mp(inst, f, g, _mp_report(inst, f, g, fg, gf), error, what)
+        _certify_mp(inst, f, g, fg, gf, error, what)
     return fg, gf
 
 
 def _certify_mp(
-    inst: DaggerInstance, f: Any, g: Any, report: MPReport, error: type, what: str
+    inst: DaggerInstance, f: Any, g: Any, fg: Any, gf: Any, error: type, what: str
 ) -> None:
-    """Raise ``error`` naming report's first failing identity, with its
-    residual; else certify g for f, unless g is f."""
-    if not report.all_hold:
-        i = (report.mp1, report.mp2, report.mp3, report.mp4).index(False)
-        raise error(f"{what}: MP{i + 1} fails", residual=report.residuals[i])
+    """Measure MP1-MP4 of (f, g) with fg = f g and gf = g f (``_mp_report``)
+    and refuse the first that failed, as ``error`` naming it; else certify
+    g for f, unless g is f."""
+    for i, eq in enumerate(_mp_report(inst, f, g, fg, gf), 1):
+        if not eq.ok:
+            _refuse(inst, eq, error, f"{what}: MP{i} fails")
     if g is not f:
         _certify(g, inst, f, attr="_mp_cert")

@@ -23,10 +23,10 @@ from .core import (
     NoMPInverseError,
     PreconditionError,
     _certify_mp,
-    _dagger_idempotent_square,
-    _is_self_mp_projector,
+    _dagger_idempotent,
     _mp_projections,
     _mp_report,
+    _refuse,
     check,
     is_partial_isometry,
     is_self_adjoint,
@@ -49,14 +49,24 @@ def mp_of_dagger_idempotent(inst: DaggerInstance, e: Any) -> Any:
     """M-P inverse of a dagger idempotent: itself.
 
     The four identities of (e, e) are measured with the e e that the
-    dagger-idempotent rule formed, so e e is formed once.
+    dagger-idempotent rule formed, so e e is formed once, as
+    :func:`_is_self_mp_projector` measures them.
     """
-    ee = _dagger_idempotent_square(inst, e)
+    eq, ee = _dagger_idempotent(inst, e)
+    if not eq.ok:
+        _refuse(inst, eq, PreconditionError, "not a dagger idempotent")
     _certify_mp(
-        inst, e, e, _mp_report(inst, e, e, ee, ee), ConsistencyError,
+        inst, e, e, ee, ee, ConsistencyError,
         "dagger idempotent constructor produced a candidate failing the axioms",
     )
     return e
+
+
+def _is_self_mp_projector(inst: DaggerInstance, e: Any) -> bool:
+    """e is a dagger idempotent and its own M-P inverse: the measurement of
+    :func:`mp_of_dagger_idempotent`, read as a verdict."""
+    eq, ee = _dagger_idempotent(inst, e)
+    return eq.ok and all(m.ok for m in _mp_report(inst, e, e, ee, ee))
 
 
 def mp_via_gram(
@@ -210,7 +220,7 @@ def derived_identities_check(
     else:
         fmd = dg(f_mp)
         fdfmd, fmdfd = comp(fd, fmd), comp(fmd, fd)
-        dagger_mp_swap = _mp_report(inst, fd, fmd, fdfmd, fmdfd).all_hold
+        dagger_mp_swap = all(m.ok for m in _mp_report(inst, fd, fmd, fdfmd, fmdfd))
         ffd, fdf = comp(f, fd), comp(fd, f)
         fmpfmd = comp(f_mp, fmd)
         gram_inverses = (

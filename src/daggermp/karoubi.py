@@ -20,11 +20,13 @@ from typing import Any, Callable, Optional
 from .core import (
     ConsistencyError,
     DaggerInstance,
+    Equation,
     InputError,
     PreconditionError,
     _certified,
     _certify,
     _mp_projections,
+    _refuse,
     check,
     require_dagger_idempotent,
     require_mp,
@@ -58,15 +60,27 @@ def split_object(inst: DaggerInstance, e: Any) -> SplitObject:
 
 
 def same_object(inst: DaggerInstance, a: SplitObject, b: SplitObject) -> bool:
-    return a.base == b.base and inst.equals(a.idempotent, b.idempotent)
+    eq = _object_equation(inst, a, b)
+    return eq is not None and eq.ok
 
 
 def _require_same_object(
     inst: DaggerInstance, a: SplitObject, b: SplitObject, what: str
 ) -> None:
-    if a.base != b.base:
+    eq = _object_equation(inst, a, b)
+    if eq is None:
         raise InputError(what)
-    check(inst, a.idempotent, b.idempotent, InputError, what)
+    if not eq.ok:
+        _refuse(inst, eq, InputError, what)
+
+
+def _object_equation(
+    inst: DaggerInstance, a: SplitObject, b: SplitObject
+) -> Optional[Equation]:
+    """The record of a's idempotent against b's, read by :func:`same_object`
+    and :func:`_require_same_object`; None, measuring nothing, when their
+    bases differ."""
+    return inst.compare(a.idempotent, b.idempotent) if a.base == b.base else None
 
 
 def split_morphism(

@@ -25,10 +25,12 @@ from typing import Any, Iterable, Optional
 from .core import (
     ConsistencyError,
     DaggerInstance,
+    Equation,
     InputError,
     NoMPInverseError,
     Tolerance,
     _certify,
+    _refuse,
     check_sizes,
     is_plain_int,
     pair_items,
@@ -165,14 +167,12 @@ def mp_inverse_rel(r: FiniteRelation) -> Optional[FiniteRelation]:
     The verdict is :meth:`RelInstance.mp`'s, read from the same
     measurement without raising.
     """
-    conv, (_, ok) = _zig_zag(_REL, r)
-    return conv if ok else None
+    conv, eq = _zig_zag(_REL, r)
+    return conv if eq.ok else None
 
 
-def _zig_zag(
-    inst: "RelInstance", r: FiniteRelation
-) -> tuple[FiniteRelation, tuple[float, bool]]:
-    """The converse of r, and inst's (deviation, ok) of r r° r against r.
+def _zig_zag(inst: "RelInstance", r: FiniteRelation) -> tuple[FiniteRelation, Equation]:
+    """The converse of r, and inst's record of r r° r against r.
 
     The package's one difunctionality rule: the converse is formed once,
     for the test and the answer, and nothing is raised.
@@ -353,10 +353,11 @@ class RelInstance(DaggerInstance):
         :func:`~daggermp.core.require_mp` certifies a pair: MP1 is the
         zig-zag equation measured here, and MP2-MP4 of a converse have its
         verdict by value (MP2 is its converse, MP3 and MP4 hold exactly)."""
-        fc, (dev, ok) = _zig_zag(self, f)
-        if not ok:
-            raise NoMPInverseError(
-                "relation is not difunctional, so no inverse exists", residual=dev
+        fc, eq = _zig_zag(self, f)
+        if not eq.ok:
+            _refuse(
+                self, eq, NoMPInverseError,
+                "relation is not difunctional, so no inverse exists",
             )
         return _certify(fc, self, f, attr="_mp_cert")
 

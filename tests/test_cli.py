@@ -17,7 +17,18 @@ import pytest
 
 import daggermp
 from conftest import HARD_INPUTS, all_relations, seeded_product
-from daggermp import ComplexMatrix, matrix_from_obj, matrix_to_obj, rel_to_obj
+from daggermp import (
+    ComplexMatrix,
+    MatrixInstance,
+    NumericError,
+    Tolerance,
+    matrix_from_obj,
+    matrix_to_obj,
+    pinv,
+    rel_to_obj,
+    verify_mp,
+)
+from daggermp.core import require_mp
 from daggermp.cli import main
 
 M = ComplexMatrix.from_rows
@@ -66,6 +77,29 @@ def test_pinv_refuses_an_inverse_that_fails_verification(tmp_path, scale):
     assert code == 1 and out == ""
     assert err.startswith("refused:")
     assert f"MP1 fails (residual {scale:.3e})" in err
+
+
+def test_a_refusal_forced_by_the_slack_guard_names_the_guard(tmp_path):
+    # Hilbert 8's pair has cond |f||g| = 1.549e10, so at eq_tol 1e-9 the
+    # slack eq_tol * cond is above 1 and within() passes deviation 0
+    # alone (defect 8); MP1's residual is within the slack it was refused.
+    a = ComplexMatrix(HARD_INPUTS["hilbert8"])
+    path = write_json(tmp_path, "a.json", matrix_to_obj(a))
+    guard = "MP1 cannot be certified at cond 1.549e+10 with eq_tol 1e-09"
+    code, out, err = run_cli("pinv", "--in", path, "--eq-tol", "1e-9")
+    assert code == 1 and out == ""
+    assert err == f"refused: pinv: {guard} (residual 8.482e-08)\n"
+    assert run_cli("pinv", "--in", path)[0] == 0
+    inst = MatrixInstance(Tolerance(eq_tol=1e-9))
+    g = pinv(a)
+    with pytest.raises(NumericError) as exc:
+        require_mp(inst, a, g, NumericError, "pinv")
+    assert str(exc.value) == f"pinv: {guard} (residual {exc.value.residual:.3e})"
+    assert exc.value.residual == verify_mp(inst, a, g).residuals[0]
+    # A failure at a slack below 1 keeps its verdict.
+    b = M([[1, 2], [3, 4]])
+    with pytest.raises(NumericError, match=r"^pinv: MP1 fails \(residual "):
+        require_mp(inst, b, ComplexMatrix(pinv(b).array * 2.0), NumericError, "pinv")
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])

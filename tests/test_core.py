@@ -300,10 +300,12 @@ def test_every_error_can_carry_a_residual():
 
 def test_compare_is_the_equality_rule(minst):
     a, b = M([[1.0, 0.0]]), M([[1.0, 1e-20]])
-    dev, ok = minst.compare(a, b)
-    assert dev == 1e-20 and ok and minst.equals(a, b)
-    dev, ok = minst.compare(a, M([[1.0, 1e-3]]))
-    assert dev == 1e-3 and not ok and not minst.equals(a, M([[1.0, 1e-3]]))
+    eq = minst.compare(a, b)
+    assert eq.deviation == 1e-20 and eq.ok and minst.equals(a, b)
+    eq = minst.compare(a, M([[1.0, 1e-3]]))
+    assert eq.deviation == 1e-3 and not eq.ok and not minst.equals(a, M([[1.0, 1e-3]]))
+    assert minst.compare(a, b)[2:] == (1.0, 1.0)  # the scale and cond it was judged at
+    assert minst.compare(a, b, 2.0, 3.0)[2:] == (2.0, 3.0)
 
 
 def test_check_returns_the_residual_or_raises_with_it(minst):
@@ -311,6 +313,27 @@ def test_check_returns_the_residual_or_raises_with_it(minst):
     with pytest.raises(DecompositionError) as exc:
         check(minst, M([[2.0]]), M([[3.0]]), DecompositionError, "differ")
     assert exc.value.residual == 1.0 and str(exc.value).startswith("differ")
+
+
+@pytest.mark.parametrize(
+    "eq_tol, scale, what, message",
+    [
+        (1e-9, math.inf, "x equation fails", "x equation cannot be certified at scale inf"),
+        (2.0, None, "not a dagger idempotent",
+         "not a dagger idempotent: cannot be certified at cond 1.000e+00 with eq_tol 2"),
+        (1e-9, 2.0, "x equation fails", "x equation fails"),
+    ],
+)
+def test_a_refusal_names_the_guard_only_when_it_forced_the_failure(
+    eq_tol, scale, what, message
+):
+    # A slack eq_tol * cond of at least 1, or a scale that is not finite,
+    # makes within() pass deviation 0 alone; a deviation the slack would
+    # cover is then refused under the guard's name, with the same residual.
+    inst = MatrixInstance(Tolerance(eq_tol=eq_tol))
+    with pytest.raises(DecompositionError) as exc:
+        check(inst, M([[2.0]]), M([[3.0]]), DecompositionError, what, scale)
+    assert str(exc.value) == f"{message} (residual 1.000e+00)" and exc.value.residual == 1.0
 
 
 def test_require_mp_names_the_first_failing_identity(minst):

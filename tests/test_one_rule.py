@@ -1,12 +1,17 @@
 """The package's one equality rule: only ``DaggerInstance.compare`` calls
-``core.within``.
+``core.within``; and its one refusal: only ``core._refuse`` passes
+``residual=`` to an error.
 
 Every equation the package checks is measured by an instance's
 ``deviation`` and judged by ``compare`` (through ``equals``, ``check``,
-``verify_mp`` and ``require_mp``), so what a refusal reports is what the
-instance measured.  A module applying ``within`` to numbers of its own
-would be a second equality path.  The scan reads the syntax tree, so
-docstrings and comments that name ``within`` pass.
+``verify_mp`` and ``require_mp``), which returns it as one
+``core.Equation`` record: the deviation, the verdict, and the scale and
+cond it was judged at.  A failed record is refused by ``_refuse``, which
+reads all four, so what a refusal reports is what the instance measured.
+A module applying ``within`` to numbers of its own would be a second
+equality path, and an error built with a residual of its own a second
+refusal path.  The scans read the syntax tree, so docstrings and
+comments that name ``within`` or ``residual=`` pass.
 """
 
 import ast
@@ -14,7 +19,7 @@ import inspect
 import pathlib
 
 import daggermp
-from daggermp.core import DaggerInstance
+from daggermp.core import DaggerInstance, _refuse
 
 SRC = pathlib.Path(daggermp.__file__).parent
 RULE = "within"
@@ -54,4 +59,31 @@ def test_only_compare_applies_the_equality_rule():
     core = found.pop("core.py")
     assert {name: lines for name, lines in found.items() if lines} == {}
     lines, start = inspect.getsourcelines(DaggerInstance.compare)
+    assert core and all(start <= n < start + len(lines) for n in core)
+
+
+def residual_passes(source):
+    """Line numbers of every call that passes ``residual=``."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and any(k.arg == "residual" for k in node.keywords)
+    })
+
+
+def test_the_residual_scan_catches_each_form():
+    assert residual_passes("raise error(what, residual=dev)") == [1]
+    assert residual_passes("err = NoMPInverseError(\n    'no', residual=eq.deviation)") == [1]
+    assert residual_passes("raise error(what, dev)") == []
+    assert residual_passes("def f(message, residual=None):\n    pass") == []
+    assert residual_passes('"""error(what, residual=dev)"""\n# residual=dev') == []
+
+
+def test_only_refuse_passes_a_residual():
+    files = sorted(SRC.glob("*.py"))
+    found = {f.name: residual_passes(f.read_text(encoding="utf-8")) for f in files}
+    core = found.pop("core.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    lines, start = inspect.getsourcelines(_refuse)
     assert core and all(start <= n < start + len(lines) for n in core)

@@ -9,6 +9,8 @@ of f† from the instance's ``split_with_kernel``, which for matrices
 splits f f° and f° f and gives their kernels from one pivoted QR each;
 no kernel stores anything on its argument.  The CLI's ``karoubi check``
 hands the inverse it reports to ``mp_in_karoubi`` as its base solver.
+Measurements of the four identities are counted at ``core._mp_report``,
+where each of them runs.
 """
 
 import contextlib
@@ -35,6 +37,7 @@ from daggermp import (
 from daggermp import _jacobi, cli, core, engine
 
 CERT = "_mp_cert"
+INSTANCES = (MatrixInstance, RelInstance, PInjInstance)
 EPS = np.finfo(float).eps
 
 
@@ -62,7 +65,7 @@ def test_a_certificate_is_read_only_for_its_own_f_and_instance(monkeypatch):
     f = ComplexMatrix(seeded_product(3, 6, 5, 2))
     g = pinv(f)
     inst = MatrixInstance()
-    measured = _counted(monkeypatch, core, "verify_mp")
+    measured = _counted(monkeypatch, core, "_mp_report")
     assert _require(inst, f, g) is g
     cert = vars(g)[CERT]
     assert cert[0] is f and cert[1] is inst and cert[2] is inst.tolerance
@@ -81,7 +84,7 @@ def test_a_failed_pair_stores_no_certificate(monkeypatch):
     f = ComplexMatrix(seeded_product(4, 5, 4, 2))
     bad = ComplexMatrix(pinv(f).array * 2.0)
     inst = MatrixInstance()
-    measured = _counted(monkeypatch, core, "verify_mp")
+    measured = _counted(monkeypatch, core, "_mp_report")
     residuals = []
     for _ in range(2):
         with pytest.raises(DecompositionError) as err:
@@ -112,7 +115,7 @@ def test_exact_candidates_take_the_same_path(kind, monkeypatch):
         f = random_partial_injection(np.random.default_rng(7), 5, 4)
         twin = PartialInjection(f.src, f.tgt, f.mapping)
         g = f.dagger()
-    measured = _counted(monkeypatch, core, "verify_mp")
+    measured = _counted(monkeypatch, core, "_mp_report")
     core.verify_mp(inst, f, g)
     assert CERT not in vars(g)
     assert _require(inst, f, g) is g and vars(g)[CERT][0] is f
@@ -229,7 +232,7 @@ def test_a_certificate_is_not_read_after_the_tolerance_changes(monkeypatch):
     f = ComplexMatrix(seeded_product(24, 5, 4, 2))
     g = pinv(f)
     inst = MatrixInstance()
-    measured = _counted(monkeypatch, core, "verify_mp")
+    measured = _counted(monkeypatch, core, "_mp_report")
     _require(inst, f, g)
     inst.tolerance = Tolerance(eq_tol=1e-30)
     with pytest.raises(DecompositionError):
@@ -255,9 +258,9 @@ def _karoubi_check(tmp_path, obj):
 
 
 def test_karoubi_check_solves_a_matrix_once(tmp_path, monkeypatch):
-    # One SVD in pinv; the four identities measured once for the report
-    # and once for the certificate that iso_from_mp takes, which
-    # mp_in_karoubi then reads.
+    # One SVD in pinv; the four identities measured once, for the
+    # certificate that iso_from_mp takes and mp_in_karoubi then reads:
+    # iso_from_mp refuses a pair that fails them, so the report reads it.
     f = ComplexMatrix(seeded_product(11, 6, 5, 2))
     svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
     measured = _counted(monkeypatch, core, "_mp_report")
@@ -265,7 +268,7 @@ def test_karoubi_check_solves_a_matrix_once(tmp_path, monkeypatch):
     assert code == 0
     assert doc["mp_all_hold"] and doc["round_trip_matches"]
     assert doc["karoubi_inverse_matches"]
-    assert len(svds) == 1 and len(measured) == 2
+    assert len(svds) == 1 and len(measured) == 1
 
 
 def test_karoubi_check_solves_a_relation_once(tmp_path, monkeypatch):
@@ -273,3 +276,22 @@ def test_karoubi_check_solves_a_relation_once(tmp_path, monkeypatch):
     code, doc = _karoubi_check(tmp_path, {"src": 2, "tgt": 3, "pairs": [[0, 1], [1, 2]]})
     assert code == 0 and doc["karoubi_inverse_matches"]
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize(
+    "obj, deviations",
+    [
+        ({"rows": 2, "cols": 2, "data": [[1, 0], [2, 0], [3, 0], [4, 0]]}, 8),
+        ({"src": 3, "tgt": 2, "pairs": [[0, 0], [1, 0], [2, 1]]}, 5),
+        ({"src": 3, "tgt": 3, "map": [[0, 1], [2, 0]]}, 8),
+    ],
+    ids=["matrix", "rel", "pinj"],
+)
+def test_karoubi_check_measures_its_pair_once(tmp_path, monkeypatch, obj, deviations):
+    # The pair's identities once: the four of iso_from_mp, or a relation's
+    # zig-zag, whose certificate iso_from_mp reads; then the embedded map's
+    # fixed-point check and the three comparisons of the report.
+    calls = [_counted(monkeypatch, cls, "deviation") for cls in INSTANCES]
+    code, doc = _karoubi_check(tmp_path, obj)
+    assert code == 0 and all(doc[key] for key in doc if key != "instance")
+    assert sum(map(len, calls)) == deviations

@@ -138,11 +138,11 @@ def test_every_small_relation_gets_one_difunctionality_verdict():
     for src, tgt in shapes:
         for r in all_relations(src, tgt):
             conv = r.converse()
-            dev, ok = inst.compare(r.compose(conv).compose(r), r)
-            want = conv if ok else None
-            assert is_difunctional(r) is ok, r
+            eq = inst.compare(r.compose(conv).compose(r), r)
+            want = conv if eq.ok else None
+            assert is_difunctional(r) is eq.ok, r
             assert mp_inverse_rel(r) == want and brute_force_mp(r) == want, r
-            if ok:
+            if eq.ok:
                 assert inst.mp(r) == conv, r
                 continue
             refused += 1
@@ -150,7 +150,7 @@ def test_every_small_relation_gets_one_difunctionality_verdict():
                 NoMPInverseError, match="relation is not difunctional, so no inverse exists"
             ) as err:
                 inst.mp(r)
-            assert err.value.residual == dev > 0.0, r
+            assert err.value.residual == eq.deviation > 0.0, r
     assert refused > 0
 
 
