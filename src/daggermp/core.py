@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Any, Iterator, NamedTuple, NoReturn, Optional
 
 MACHINE_EPS = sys.float_info.epsilon
@@ -160,8 +159,50 @@ class Equation(NamedTuple):
     cond: float
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class _Frozen:
+    """Base of the immutable classes a CLI command loads, which are not
+    dataclasses: importing ``dataclasses`` (with ``inspect``, ``ast`` and
+    ``dis``) costs a process that does not load numpy about 10 ms.
+
+    Assigning or deleting an attribute raises AttributeError.  The
+    constructors, the unchecked builders and the caches a value carries
+    (a matrix's norm, a certificate of :func:`_certify`) store attributes
+    with ``object.__setattr__``.  The repr lists the attributes named in
+    ``_fields``, as a dataclass's does; ``==`` and ``hash`` are object
+    identity, unless the class is a :class:`_Value`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _Value(_Frozen):
+    """A :class:`_Frozen` class whose ``==`` and ``hash`` read its
+    ``_fields`` in order: two objects of the same class are equal when
+    those are, and the hash is the hash of their tuple."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other: Any) -> Any:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class Tolerance(_Value):
     """Numeric slack for an instance.
 
     ``rank_tol`` is the singular-value cutoff.  ``None`` lets the
@@ -170,24 +211,24 @@ class Tolerance:
     slack of :func:`within`.  Exact instances run with both at zero.
     """
 
-    rank_tol: Optional[float] = None
-    eq_tol: float = EQ_TOL_DEFAULT
+    _fields = ("rank_tol", "eq_tol")
 
-    def __post_init__(self):
-        if self.rank_tol is not None and not (
-            math.isfinite(self.rank_tol) and self.rank_tol >= 0.0
-        ):
+    def __init__(
+        self, rank_tol: Optional[float] = None, eq_tol: float = EQ_TOL_DEFAULT
+    ) -> None:
+        if rank_tol is not None and not (math.isfinite(rank_tol) and rank_tol >= 0.0):
             raise InputError("rank_tol must be finite and nonnegative")
-        if not (math.isfinite(self.eq_tol) and self.eq_tol >= 0.0):
+        if not (math.isfinite(eq_tol) and eq_tol >= 0.0):
             raise InputError("eq_tol must be finite and nonnegative")
+        object.__setattr__(self, "rank_tol", rank_tol)
+        object.__setattr__(self, "eq_tol", eq_tol)
 
     @classmethod
     def exact(cls) -> "Tolerance":
         return cls(rank_tol=0.0, eq_tol=0.0)
 
 
-@dataclass(frozen=True)
-class MPReport:
+class MPReport(NamedTuple):
     """Outcome of checking the four Moore-Penrose identities.
 
     ``residuals`` holds the instance's deviation measure for each

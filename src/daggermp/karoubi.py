@@ -14,7 +14,6 @@ pairs carved out by its two projections.  :func:`iso_from_mp` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .core import (
@@ -23,6 +22,7 @@ from .core import (
     Equation,
     InputError,
     PreconditionError,
+    _Frozen,
     _certified,
     _certify,
     _mp_projections,
@@ -33,24 +33,26 @@ from .core import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class SplitObject:
+class SplitObject(_Frozen):
     """A base object together with a dagger idempotent on it."""
 
-    base: Any
-    idempotent: Any
+    def __init__(self, base: Any, idempotent: Any) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "idempotent", idempotent)
 
     def __repr__(self) -> str:
         return f"SplitObject(base={self.base!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class SplitMorphism:
+class SplitMorphism(_Frozen):
     """Base morphism f with dom.idempotent . f . cod.idempotent == f."""
 
-    dom: SplitObject
-    cod: SplitObject
-    f: Any
+    _fields = ("dom", "cod", "f")
+
+    def __init__(self, dom: SplitObject, cod: SplitObject, f: Any) -> None:
+        object.__setattr__(self, "dom", dom)
+        object.__setattr__(self, "cod", cod)
+        object.__setattr__(self, "f", f)
 
 
 def split_object(inst: DaggerInstance, e: Any) -> SplitObject:

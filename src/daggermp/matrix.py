@@ -24,8 +24,7 @@ vectors' bytes unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .core import (
     NumericError,
     PreconditionError,
     Tolerance,
+    _Frozen,
     check,
     check_sizes,
     is_plain_int,
@@ -49,8 +49,7 @@ _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-@dataclass(frozen=True, eq=False)
-class ComplexMatrix:
+class ComplexMatrix(_Frozen):
     """Immutable dense complex matrix; the morphism type of this instance.
 
     ``ComplexMatrix(array)`` and :meth:`from_rows` validate outside
@@ -72,10 +71,16 @@ class ComplexMatrix:
     ``np.errstate`` only when ‖A‖·‖B‖ reaches :data:`_FLAG_FREE`.
     """
 
-    array: np.ndarray
-    _norm = None  # the Frobenius norm, once known; not a dataclass field
+    _norm = None  # the Frobenius norm, once known
 
-    def __post_init__(self):
+    def __init__(self, array: np.ndarray) -> None:
+        object.__setattr__(self, "array", array)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check and copy ``self.array`` as the class docstring says: the
+        validation step of ``ComplexMatrix(array)``, a method of its own
+        so that it can be counted or timed (``perfbench``'s tracer)."""
         arr = _complex_input(self.array)
         if arr.ndim != 2:
             raise InputError(f"matrix must be 2-dimensional, got shape {arr.shape}")
@@ -249,8 +254,7 @@ def _cut_eig(
     return eig.q.array, lam, rank_tol
 
 
-@dataclass(frozen=True)
-class SVDResult:
+class SVDResult(NamedTuple):
     """u Σ v† = a with u, v unitary and Σ the diagonal extension of sigma."""
 
     u: ComplexMatrix
@@ -269,8 +273,7 @@ class SVDResult:
         return self.u @ self.sigma_matrix() @ self.v.dagger()
 
 
-@dataclass(frozen=True)
-class HermEigResult:
+class HermEigResult(NamedTuple):
     """q diag(eigenvalues) q† = p with q unitary, eigenvalues descending."""
 
     q: ComplexMatrix
@@ -725,9 +728,9 @@ class MatrixInstance(DaggerInstance):
 
 
 def matrix_to_obj(a: ComplexMatrix) -> dict:
-    data = []
-    for z in a.array.reshape(-1):
-        data.append([float(z.real), float(z.imag)])
+    # ravel copies an F-ordered array (a dagger) to row-major order, and the
+    # float64 parts of complex128 entries read as [re, im] rows.
+    data = a.array.ravel().view(np.float64).reshape(-1, 2).tolist()
     return {"rows": a.rows, "cols": a.cols, "data": data}
 
 

@@ -10,13 +10,13 @@ commute) are checked by :func:`verify_inverse_category_laws`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from .core import (
     DaggerInstance,
     InputError,
     Tolerance,
+    _Value,
     check_sizes,
     is_plain_int,
     pair_items,
@@ -24,8 +24,7 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class PartialInjection:
+class PartialInjection(_Value):
     """Injective partial map; mapping[i] is the image of i or None.
 
     ``PartialInjection(src, tgt, mapping)`` and :meth:`from_pairs`
@@ -33,26 +32,28 @@ class PartialInjection:
     endpoints, a tuple of one entry per source point, each None or a
     plain int below tgt, no image hit twice.  :meth:`identity` checks
     only its size.  The identities, composites and daggers the package
-    builds are built by :func:`_injection`, which checks nothing.
+    builds are built by :func:`_injection`, which checks nothing.  Two
+    maps are equal when their three fields are.
     """
 
-    src: int
-    tgt: int
-    mapping: tuple[Optional[int], ...]
+    _fields = ("src", "tgt", "mapping")
 
-    def __post_init__(self) -> None:
-        check_sizes(self.src, self.tgt)
-        if not isinstance(self.mapping, tuple) or len(self.mapping) != self.src:
+    def __init__(self, src: int, tgt: int, mapping: tuple[Optional[int], ...]) -> None:
+        check_sizes(src, tgt)
+        if not isinstance(mapping, tuple) or len(mapping) != src:
             raise InputError("mapping must be a tuple with one entry per source point")
         hit: set[int] = set()
-        for value in self.mapping:
+        for value in mapping:
             if value is None:
                 continue
-            if not is_plain_int(value) or not (0 <= value < self.tgt):
-                raise InputError(f"image {value!r} out of range for target {self.tgt}")
+            if not is_plain_int(value) or not (0 <= value < tgt):
+                raise InputError(f"image {value!r} out of range for target {tgt}")
             if value in hit:
                 raise InputError(f"target {value} hit twice; map is not injective")
             hit.add(value)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "mapping", mapping)
 
     @classmethod
     def from_pairs(

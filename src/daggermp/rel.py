@@ -19,7 +19,6 @@ splits and certified by its compact-form equations.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     InputError,
     NoMPInverseError,
     Tolerance,
+    _Value,
     _certify,
     _refuse,
     check_sizes,
@@ -37,13 +37,11 @@ from .core import (
     pairs_from_obj,
     split,
 )
-from .decomp import gcsvd_from_mp
 
 BRUTE_FORCE_LIMIT = 16  # max src*tgt for the exhaustive candidate scan
 
 
-@dataclass(frozen=True)
-class FiniteRelation:
+class FiniteRelation(_Value):
     """Relation src -> tgt; bit j of rows[i] set iff (i, j) related.
 
     ``FiniteRelation(src, tgt, rows)`` and :meth:`from_pairs` validate
@@ -53,21 +51,23 @@ class FiniteRelation:
     only their sizes.  Every relation the package builds (those three,
     :meth:`compose`, :meth:`converse`, :func:`split_per`,
     :func:`brute_force_mp`, and so the factors of :func:`gcsvd_rel`) is
-    built by :func:`_relation`, which checks nothing.
+    built by :func:`_relation`, which checks nothing.  Two relations are
+    equal when their three fields are.
     """
 
-    src: int
-    tgt: int
-    rows: tuple[int, ...]
+    _fields = ("src", "tgt", "rows")
 
-    def __post_init__(self) -> None:
-        check_sizes(self.src, self.tgt)
-        if not isinstance(self.rows, tuple) or len(self.rows) != self.src:
+    def __init__(self, src: int, tgt: int, rows: tuple[int, ...]) -> None:
+        check_sizes(src, tgt)
+        if not isinstance(rows, tuple) or len(rows) != src:
             raise InputError("rows must be a tuple with one entry per source element")
-        full = (1 << self.tgt) - 1
-        for row in self.rows:
+        full = (1 << tgt) - 1
+        for row in rows:
             if not is_plain_int(row) or row < 0 or row > full:
                 raise InputError("row bitmask out of range for target size")
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_pairs(
@@ -309,9 +309,19 @@ def gcsvd_rel(
     bijection between the two class sets.  A relation that is not
     difunctional raises PreconditionError; a failing compact-form
     equation raises DecompositionError, each carrying the deviation.
+
+    ``decomp`` is imported by the first call, so that the other relation
+    commands do not load it, and kept in ``_decomp``: an import
+    statement run on every call costs 1-3 µs, 2-5 % of the call.
     """
-    t = gcsvd_from_mp(RelInstance(), r, r.converse())
+    global _decomp
+    if _decomp is None:
+        from . import decomp as _decomp
+    t = _decomp.gcsvd_from_mp(RelInstance(), r, r.converse())
     return t.r, t.d, t.s
+
+
+_decomp = None  # daggermp.decomp, once gcsvd_rel has imported it
 
 
 class RelInstance(DaggerInstance):

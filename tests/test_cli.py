@@ -51,6 +51,24 @@ def matrix_file(tmp_path, name, rows):
     return write_json(tmp_path, name, matrix_to_obj(M(rows)))
 
 
+def test_matrix_json_lists_each_entry_in_row_major_order():
+    # Every layout matrix_to_obj meets (C-ordered, a dagger's F order, a
+    # strided view) gives the entries row by row as [re, im] floats, the
+    # signs of zeros kept, as json writes them.
+    x = np.arange(12.0).reshape(3, 4) * (1 - 2j) + 0.5j
+    x[0, 0], x[1, 2] = complex(-0.0, -0.0), complex(0.0, -0.0)
+    a = ComplexMatrix(x)
+    for m in (a, a.dagger(), ComplexMatrix(x[::-1, ::2]), ComplexMatrix(np.zeros((0, 3)))):
+        arr = m.array
+        obj = matrix_to_obj(m)
+        assert (obj["rows"], obj["cols"]) == arr.shape
+        expected = [[float(z.real), float(z.imag)] for z in arr.reshape(-1)]
+        assert json.dumps(obj["data"]) == json.dumps(expected)
+        assert all(type(v) is float for entry in obj["data"] for v in entry)
+    assert matrix_to_obj(a)["data"][:2] == [[-0.0, -0.0], [1.0, -1.5]]
+    assert json.dumps(matrix_to_obj(a.dagger())["data"][0]) == "[-0.0, 0.0]"
+
+
 def test_pinv_identity(tmp_path):
     path = matrix_file(tmp_path, "i2.json", [[1, 0], [0, 1]])
     code, out, err = run_cli("pinv", "--in", path)

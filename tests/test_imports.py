@@ -1,5 +1,6 @@
-"""What importing daggermp loads: the lazy export table, and the exact
-instances' commands that run without numpy.
+"""What importing daggermp loads: the lazy export table, the exact
+instances' commands that run without numpy, and the CLI-path modules
+that load neither ``dataclasses`` nor ``decomp``.
 
 The subprocess checks start a fresh interpreter that lists
 ``sys.modules`` on exit, so they see what a user's ``python -m
@@ -61,6 +62,78 @@ def test_only_the_matrix_stack_imports_numpy():
     assert found == NUMPY_MODULES
 
 
+# The modules a command of the ``cli`` benchmark workload loads (decomp
+# aside, which only polar and gsvd need).  ``dataclasses`` pulls in
+# inspect, ast and dis: about 10 ms of a CLI process that numpy does not
+# already pay.
+CLI_PATH = ("cli.py", "core.py", "rel.py", "pinj.py", "karoubi.py", "matrix.py", "_jacobi.py")
+
+
+def imports(source):
+    """(dotted name, line, innermost enclosing function or None) for each
+    module or name an import statement in source binds, relative ones
+    resolved in the package: ``from .decomp import f`` gives
+    ``daggermp.decomp`` and ``daggermp.decomp.f``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((a.name, child.lineno, func) for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = (("daggermp." if child.level else "") + (child.module or "")).rstrip(".")
+                found.append((base, child.lineno, func))
+                found.extend((f"{base}.{a.name}", child.lineno, func) for a in child.names)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def lean_path_violations(name, source):
+    """Lines of source, the module file name, that break the CLI path's
+    rule: any import of dataclasses, and in rel.py an import of decomp
+    outside gcsvd_rel."""
+    bad = set()
+    for dotted, line, func in imports(source):
+        if dotted.split(".")[0] == "dataclasses":
+            bad.add(line)
+        if (
+            name == "rel.py"
+            and (dotted + ".").startswith("daggermp.decomp.")
+            and func != "gcsvd_rel"
+        ):
+            bad.add(line)
+    return sorted(bad)
+
+
+def test_the_lean_path_scan_catches_each_form():
+    assert lean_path_violations("core.py", "from dataclasses import dataclass") == [1]
+    assert lean_path_violations("core.py", "import dataclasses") == [1]
+    assert lean_path_violations("cli.py", "def f():\n    import dataclasses as d") == [2]
+    assert lean_path_violations("rel.py", "from .decomp import gcsvd_from_mp") == [1]
+    assert lean_path_violations("rel.py", "from . import decomp") == [1]
+    assert lean_path_violations("rel.py", "import daggermp.decomp") == [1]
+    assert lean_path_violations("rel.py", "def f():\n    from .decomp import g") == [2]
+    assert lean_path_violations("rel.py", "def gcsvd_rel():\n    from .decomp import g") == []
+    assert lean_path_violations(
+        "rel.py", "def gcsvd_rel():\n    def h():\n        from .decomp import g"
+    ) == [3]
+    assert lean_path_violations("cli.py", "def f():\n    from .decomp import g") == []
+    assert lean_path_violations("rel.py", "from .core import split, decomposition") == []
+    assert lean_path_violations("rel.py", "from .decomposer import g") == []
+    assert lean_path_violations("core.py", '"""from dataclasses import dataclass"""') == []
+
+
+def test_the_cli_path_imports_no_dataclasses_and_rel_loads_decomp_on_demand():
+    found = {
+        name: lean_path_violations(name, (SRC / name).read_text(encoding="utf-8"))
+        for name in CLI_PATH
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
 # Prints the names in sys.modules as the last line of stderr on exit.
 _LIST_MODULES = (
     "import atexit, json, sys\n"
@@ -95,6 +168,7 @@ INPUTS = {
     "f": {"src": 3, "tgt": 3, "map": [[0, 2], [2, 0]]},
     "g": {"src": 3, "tgt": 3, "map": [[1, 1]]},
     "a": {"rows": 1, "cols": 1, "data": [[2.0, 0.0]]},
+    "ai": {"rows": 1, "cols": 1, "data": [[0.5, 0.0]]},
 }
 
 # Commands on relations and partial injections, with their input keys.
@@ -124,18 +198,57 @@ def _argv(tmp_path, command, *keys):
     return argv
 
 
-@pytest.mark.parametrize("name", list(EXACT_COMMANDS))
-def test_exact_commands_never_load_numpy(tmp_path, name):
-    argv = _argv(tmp_path, *EXACT_COMMANDS[name])
+def _cli_modules(tmp_path, command, *keys):
+    """(exit code, stdout, module names) of the command in a fresh
+    python, whose code and stdout are those of this process, where all
+    is loaded."""
+    argv = _argv(tmp_path, command, *keys)
     code, out, modules = _imported(_CLI, *argv)
-    assert code == 0 and out
-    assert "numpy" not in modules
-    assert "daggermp.matrix" not in modules
-    # The same bytes and exit code as in this process, where all is loaded.
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         expected = main(argv)
     assert (code, out) == (expected, buf.getvalue())
+    return code, out, modules
+
+
+@pytest.mark.parametrize("name", list(EXACT_COMMANDS))
+def test_exact_commands_never_load_numpy(tmp_path, name):
+    code, out, modules = _cli_modules(tmp_path, *EXACT_COMMANDS[name])
+    assert code == 0 and out
+    assert "numpy" not in modules
+    assert "daggermp.matrix" not in modules
+
+
+# Commands of the ``cli`` benchmark workload that need neither a
+# factorization nor a dataclass, and what each must not load.  numpy
+# imports inspect itself, so a matrix command is held to the other two.
+UNLOADED = {"dataclasses", "inspect", "daggermp.decomp"}
+LEAN_COMMANDS = {
+    "rel-oracle": (("rel oracle", "r"), UNLOADED),
+    "rel-mp": (("rel mp", "r"), UNLOADED),
+    "pinj-verify": (("pinj verify", "f", "g"), UNLOADED),
+    "karoubi-check-relation": (("karoubi check", "r"), UNLOADED),
+    "pinv-matrix": (("pinv", "a"), UNLOADED - {"inspect"}),
+    "verify-mp-matrix": (("verify-mp", "a", "ai"), UNLOADED - {"inspect"}),
+}
+
+
+@pytest.mark.parametrize("name", list(LEAN_COMMANDS))
+def test_cli_commands_load_no_dataclasses_and_no_decomp(tmp_path, name):
+    command, unloaded = LEAN_COMMANDS[name]
+    code, out, modules = _cli_modules(tmp_path, *command)
+    assert code == 0 and out
+    assert modules & unloaded == set()
+
+
+def test_rel_gcsvd_loads_decomp_on_demand(tmp_path):
+    code, out, modules = _cli_modules(tmp_path, "rel gcsvd", "r")
+    assert "daggermp.decomp" in modules
+    assert (code, out) == (0, (
+        '{"r": {"src": 3, "tgt": 2, "pairs": [[0, 0], [1, 0], [2, 1]]}, '
+        '"d": {"src": 2, "tgt": 2, "pairs": [[0, 0], [1, 1]]}, '
+        '"s": {"src": 2, "tgt": 2, "pairs": [[0, 0], [1, 1]]}}\n'
+    ))
 
 
 def test_a_matrix_command_loads_the_matrix_stack(tmp_path):
