@@ -82,9 +82,9 @@ row-graded inputs that the full solve cannot converge on factor there.
 
 Both solvers run until a full sweep after the QR, over the whole
 matrix or over its leading block, triggers no rotation.
-The sweep budget is fixed; exceeding it raises
-:class:`~daggermp.core.NumericError`.  All paths are deterministic:
-identical input bytes give identical output bytes.
+The sweep budget is :data:`MAX_SWEEPS`, read at each call; exceeding
+it raises :class:`~daggermp.core.NumericError`.  All paths are
+deterministic: identical input bytes give identical output bytes.
 """
 
 from __future__ import annotations
@@ -389,9 +389,7 @@ def _complete_columns(u: np.ndarray, k: int) -> None:
         resid -= col.real * col.real + col.imag * col.imag
 
 
-def one_sided_svd(
-    a: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool = False, _thin: bool = False
-):
+def one_sided_svd(a: np.ndarray, _deflate: bool = False, _thin: bool = False):
     """Factor a tall matrix: returns (u, sigma, v) with a = u Σ v†.
 
     Requires rows >= cols >= 1.  u is rows x rows unitary, sigma the
@@ -439,7 +437,7 @@ def one_sided_svd(
         arrays = half >= _ARRAY_PAIRS
         rotations = _array_step if arrays else _scalar_step
         mixed = np.empty((2 * half, m + k), dtype=np.complex128)
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             rotated = False
             norms = np.einsum("ij,ij->i", wt.conj(), wt).real
             if not arrays:
@@ -456,7 +454,7 @@ def one_sided_svd(
                 break
         else:
             raise NumericError(
-                f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps"
+                f"one-sided Jacobi SVD did not converge in {MAX_SWEEPS} sweeps"
             )
     squares = np.einsum("ij,ij->i", wt.conj(), wt).real
     sigma = np.sqrt(squares)
@@ -480,7 +478,7 @@ def one_sided_svd(
     return u, _unscale(sigma, e), v
 
 
-def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool = False):
+def hermitian_jacobi(p: np.ndarray, _deflate: bool = False):
     """Diagonalize a Hermitian matrix: returns (q, lam).
 
     p = q diag(lam) q† with lam real and sorted descending, p taken as
@@ -521,12 +519,12 @@ def hermitian_jacobi(p: np.ndarray, max_sweeps: int = MAX_SWEEPS, _deflate: bool
     vt = np.eye(n, dtype=np.complex128)
     lam = np.zeros(n)
     if k:
-        vt[:k, :k], lam[:k] = _jacobi_sweeps(b, max_sweeps)
+        vt[:k, :k], lam[:k] = _jacobi_sweeps(b)
     order = (-lam).argsort(kind="stable")
     return qh @ vt[order].conj().T, _unscale(lam[order], e)
 
 
-def _jacobi_sweeps(b: np.ndarray, max_sweeps: int):
+def _jacobi_sweeps(b: np.ndarray):
     """(vt, lam): b = vt† diag(lam) vt with b Hermitian, lam unsorted."""
     n = b.shape[0]
     # x = [A | vt] with A = b: a step applies J† to the rows of x, then
@@ -538,7 +536,7 @@ def _jacobi_sweeps(b: np.ndarray, max_sweeps: int):
     rotations = _array_step if arrays else _scalar_step
     mixed_rows = np.empty((2 * k, 2 * n), dtype=np.complex128)
     mixed_cols = np.empty((2 * k, n), dtype=np.complex128)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         rotated = False
         diag = a.diagonal().real.copy()
         if not arrays:
@@ -560,6 +558,6 @@ def _jacobi_sweeps(b: np.ndarray, max_sweeps: int):
             break
     else:
         raise NumericError(
-            f"Jacobi eigensolver did not converge in {max_sweeps} sweeps"
+            f"Jacobi eigensolver did not converge in {MAX_SWEEPS} sweeps"
         )
     return x[:, n:], a.diagonal().real

@@ -10,8 +10,8 @@ pinv, split-idem, gcsvd, verify-mp and karoubi check take a matrix, a
 relation or a partial injection, told apart by the input's keys, and
 refuse with exit 2 a capability the input's instance lacks; svd,
 kernel, rank-transpose, gsvd and polar take a matrix.  These commands
-accept --rank-tol and --eq-tol; the first five validate them before
-reading the input's kind, and an exact instance ignores them.  rel mp,
+accept --rank-tol and --eq-tol and validate them before reading any
+input file; an exact instance ignores them.  rel mp,
 rel split-per and rel gcsvd run the handlers of pinv, split-idem and
 gcsvd at the default tolerance.  The rel and pinj commands are exact
 and take neither flag.
@@ -107,6 +107,16 @@ def _one_morphism(args: argparse.Namespace):
     return _morphism(obj, tol)
 
 
+def _one_matrix(args: argparse.Namespace):
+    """(matrix instance at the command's tolerance, the matrix of the one
+    --in file); the tolerance is validated first, as in :func:`_one_morphism`."""
+    from .matrix import MatrixInstance, matrix_from_obj
+
+    tol = _tolerance(args)
+    (obj,) = _expect_inputs(args, 1)
+    return MatrixInstance(tol), matrix_from_obj(obj)
+
+
 def cmd_pinv(args) -> tuple[dict, int]:
     """pinv and rel mp: the instance's inverse, certified, or
     {"exists": false} when the instance finds that none exists."""
@@ -119,10 +129,10 @@ def cmd_pinv(args) -> tuple[dict, int]:
 
 
 def cmd_svd(args) -> tuple[dict, int]:
-    from .matrix import matrix_from_obj, matrix_to_obj, svd
+    from .matrix import matrix_to_obj, svd
 
-    (obj,) = _expect_inputs(args, 1)
-    res = svd(matrix_from_obj(obj), rank_tol=_tolerance(args).rank_tol)
+    inst, a = _one_matrix(args)
+    res = svd(a, rank_tol=inst.tolerance.rank_tol)
     out = {
         "u": matrix_to_obj(res.u),
         "sigma": list(res.sigma),
@@ -133,10 +143,10 @@ def cmd_svd(args) -> tuple[dict, int]:
 
 
 def cmd_kernel(args) -> tuple[dict, int]:
-    from .matrix import dagger_kernel, matrix_from_obj, matrix_to_obj
+    from .matrix import dagger_kernel, matrix_to_obj
 
-    (obj,) = _expect_inputs(args, 1)
-    k = dagger_kernel(matrix_from_obj(obj), rank_tol=_tolerance(args).rank_tol)
+    inst, a = _one_matrix(args)
+    k = dagger_kernel(a, rank_tol=inst.tolerance.rank_tol)
     return matrix_to_obj(k), 0
 
 
@@ -147,12 +157,11 @@ def cmd_split_idem(args) -> tuple[dict, int]:
 
 
 def cmd_rank_transpose(args) -> tuple[dict, int]:
-    from .matrix import _transpose_ranks, matrix_from_obj
+    from .matrix import _transpose_ranks, _transpose_rule
 
-    (obj,) = _expect_inputs(args, 1)
-    a = matrix_from_obj(obj)
-    r, r_left, r_right = _transpose_ranks(a, _tolerance(args).rank_tol)
-    has = r_left == r == r_right
+    inst, a = _one_matrix(args)
+    r, r_left, r_right = ranks = _transpose_ranks(a, inst.tolerance.rank_tol)
+    has = _transpose_rule(*ranks)
     out = {"has_mp": has, "rank": r, "rank_a_at": r_left, "rank_at_a": r_right}
     return out, 0 if has else 1
 
@@ -187,11 +196,9 @@ def cmd_gcsvd(args) -> tuple[dict, int]:
 
 def cmd_gsvd(args) -> tuple[dict, int]:
     from .decomp import gsvd_from_mp
-    from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj
+    from .matrix import matrix_to_obj
 
-    (obj,) = _expect_inputs(args, 1)
-    inst = MatrixInstance(_tolerance(args))
-    f = matrix_from_obj(obj)
+    inst, f = _one_matrix(args)
     t = gsvd_from_mp(inst, f, inst.mp(f))
     out = {
         "u": matrix_to_obj(t.u),
@@ -206,11 +213,9 @@ def cmd_gsvd(args) -> tuple[dict, int]:
 
 def cmd_polar(args) -> tuple[dict, int]:
     from .decomp import polar_from_mp
-    from .matrix import MatrixInstance, matrix_from_obj, matrix_to_obj
+    from .matrix import matrix_to_obj
 
-    (obj,) = _expect_inputs(args, 1)
-    inst = MatrixInstance(_tolerance(args))
-    f = matrix_from_obj(obj)
+    inst, f = _one_matrix(args)
     pair = polar_from_mp(inst, f, inst.mp(f))
     out = {
         "u": matrix_to_obj(pair.u),

@@ -160,16 +160,24 @@ class Equation(NamedTuple):
 
 
 class _Frozen:
-    """Base of the immutable classes a CLI command loads, which are not
-    dataclasses: importing ``dataclasses`` (with ``inspect``, ``ast`` and
-    ``dis``) costs a process that does not load numpy about 10 ms.
+    """Base of the package's immutable classes that are not tuples.
+
+    The package has one rule for its records: a plain result is a
+    ``NamedTuple`` (:class:`Equation`, :class:`MPReport`, the matrix
+    factorizations, the engine's reports), and a value that validates
+    outside input or carries a cache or a certificate is a
+    :class:`_Frozen` or :class:`_Value`: a tuple takes no attribute
+    beyond its fields.  None is a dataclass: importing ``dataclasses``
+    (with ``inspect``, ``ast`` and ``dis``) costs a process that does
+    not load numpy about 10 ms.
 
     Assigning or deleting an attribute raises AttributeError.  The
-    constructors, the unchecked builders and the caches a value carries
-    (a matrix's norm, a certificate of :func:`_certify`) store attributes
-    with ``object.__setattr__``.  The repr lists the attributes named in
-    ``_fields``, as a dataclass's does; ``==`` and ``hash`` are object
-    identity, unless the class is a :class:`_Value`.
+    constructors (:meth:`_set_fields`), the unchecked builders and the
+    caches a value carries (a matrix's norm, a certificate of
+    :func:`_certify`) store attributes with ``object.__setattr__``.  The
+    repr lists the attributes named in ``_fields``, as a dataclass's
+    does; ``==`` and ``hash`` are object identity, unless the class is a
+    :class:`_Value`.
     """
 
     _fields: tuple[str, ...] = ()
@@ -183,6 +191,11 @@ class _Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def _set_fields(self, *values: Any) -> None:
+        """Store values as the attributes named in ``_fields``, in order."""
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
 
 class _Value(_Frozen):
@@ -216,16 +229,36 @@ class Tolerance(_Value):
     def __init__(
         self, rank_tol: Optional[float] = None, eq_tol: float = EQ_TOL_DEFAULT
     ) -> None:
-        if rank_tol is not None and not (math.isfinite(rank_tol) and rank_tol >= 0.0):
-            raise InputError("rank_tol must be finite and nonnegative")
-        if not (math.isfinite(eq_tol) and eq_tol >= 0.0):
-            raise InputError("eq_tol must be finite and nonnegative")
+        if rank_tol is not None:
+            _check_slack("rank_tol", rank_tol)
+        _check_slack("eq_tol", eq_tol)
         object.__setattr__(self, "rank_tol", rank_tol)
         object.__setattr__(self, "eq_tol", eq_tol)
 
     @classmethod
     def exact(cls) -> "Tolerance":
         return cls(rank_tol=0.0, eq_tol=0.0)
+
+
+def _check_slack(name: str, value: Any) -> None:
+    """InputError unless value is a finite nonnegative real number.
+
+    A real number is an int, a float or a numpy real scalar, told by a
+    real part of its own type: a complex's is a float, a bool's an int,
+    and str, bytes and None have none.  numpy's bool is refused by its
+    type's name (core does not load numpy), and so is what
+    ``math.isfinite`` cannot read, such as an array.
+    """
+    kind = type(value)
+    try:
+        real = type(value.real) is kind and kind.__name__ not in ("bool", "bool_")
+        finite = real and math.isfinite(value)
+    except (AttributeError, TypeError):
+        real = False
+    if not real:
+        raise InputError(f"{name} must be a real number, got {kind.__name__}")
+    if not (finite and value >= 0.0):
+        raise InputError(f"{name} must be finite and nonnegative")
 
 
 class MPReport(NamedTuple):

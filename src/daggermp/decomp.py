@@ -12,16 +12,18 @@ Each constructor records its defining equations as residuals and
 refuses (DecompositionError, carrying the residual) when one fails at
 the instance tolerance.  Those equations define the factorization, so
 they also certify what it is built from: the splittings of f f° and
-f° f come unchecked from the instance capability (or a ``splitter``),
-and r† r = 1, s s† = 1, d's two-sided inverse and r d s = f hold only
-if r r† = f f° and s† s = f° f.  The full form takes the kernels of f
-and f† from the capability calls that split the two projections
+f° f come unchecked from the instance capability, and r† r = 1,
+s s† = 1, d's two-sided inverse and r d s = f hold only if r r† = f f°
+and s† s = f° f.  The full form takes the kernels of f and f† from the
+capability calls that split the two projections
 (``split_with_kernel``), unchecked too: f f° + k† k = 1,
 f° f + c† c = 1 and the unitarity of u and v certify them.  Refusals
 happen in practice: the equations are algebraic consequences of the
 axioms, but at aggressive tolerances or borderline numerical rank the
-verification can genuinely miss.  Loosen the instance's eq_tol to accept more rounding error, or
-treat the refusal as the answer.
+verification can genuinely miss.  Loosen the instance's eq_tol to
+accept more rounding error, or treat the refusal as the answer.  To
+try another splitting or square root, subclass the instance and
+override the capability.
 
 A record that a constructor returns is certified: it keeps
 ``(inst, inst.tolerance)``, set as :func:`~daggermp.core.require_mp`
@@ -32,22 +34,22 @@ measured: :func:`mp_from_gcsvd` the four factor equations,
 inverse, :func:`induced_gcsvd` the unitarity of u and v and the four
 factor equations of the compact form it returns (those of the compact
 form the full one was built from), and :func:`mp_from_polar` h = h†,
-the pair (h, h°) and u u† u = u.  A
-hand-built or ``dataclasses.replace``d record, another instance, or a
-tolerance reassigned on the instance is measured in full.  Each
-consumer still verifies the inverse it reassembles.
+the pair (h, h°) and u u† u = u.  A record built by its constructor
+(an equal copy included), another instance, or a tolerance reassigned
+on the instance is measured in full.  Each consumer still verifies
+the inverse it reassembles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any
 
 from .core import (
     DaggerInstance,
     DecompositionError,
     InputError,
     PreconditionError,
+    _Value,
     _certified,
     _certify,
     _mp_projections,
@@ -104,41 +106,30 @@ def _reconstruction(inst: DaggerInstance, r: Any, d: Any, s: Any, f: Any) -> flo
     )
 
 
-@dataclass(frozen=True)
-class GCSVDTriple:
+class GCSVDTriple(_Value):
     """Compact factorization f = r . d . s with a two-sided inverse for d."""
 
-    r: Any
-    d: Any
-    s: Any
-    d_inv: Any
-    residuals: dict
+    _fields = ("r", "d", "s", "d_inv", "residuals")
+
+    def __init__(self, r: Any, d: Any, s: Any, d_inv: Any, residuals: dict) -> None:
+        self._set_fields(r, d, s, d_inv, residuals)
 
 
-def gcsvd_from_mp(
-    inst: DaggerInstance,
-    f: Any,
-    f_mp: Any,
-    splitter: Optional[Callable[[Any], Any]] = None,
-) -> GCSVDTriple:
+def gcsvd_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> GCSVDTriple:
     """Compact factorization through the splittings of f f° and f° f.
 
-    ``splitter`` should send a dagger idempotent e to some m with
-    m . m-dagger == e and m-dagger . m an identity; it defaults to the
-    instance capability and its exceptions propagate (an instance that
-    cannot split reports that here).  Its output is not checked on its
-    own: the compact-form equations certify it, and refuse a wrong one.
-    The record returned is certified for inst at its tolerance.
+    The instance's ``split_idempotent`` should send a dagger idempotent e
+    to some m with m . m-dagger == e and m-dagger . m an identity; its
+    exceptions propagate (an instance that cannot split reports that
+    here).  Its output is not checked on its own: the compact-form
+    equations certify it, and refuse a wrong one.  The record returned
+    is certified for inst at its tolerance.
     """
-    return _compact(inst, f, f_mp, splitter)[0]
+    return _compact(inst, f, f_mp)[0]
 
 
 def _compact(
-    inst: DaggerInstance,
-    f: Any,
-    f_mp: Any,
-    splitter: Optional[Callable[[Any], Any]] = None,
-    kernels: bool = False,
+    inst: DaggerInstance, f: Any, f_mp: Any, kernels: bool = False
 ) -> tuple[GCSVDTriple, Any, Any, Any, Any]:
     """:func:`gcsvd_from_mp`'s record, the projections f f° and f° f it
     split, and with ``kernels`` the kernels (k, c) of f and of f†, which
@@ -149,8 +140,8 @@ def _compact(
     four identities measured with them, a certified one only forms them.
     With ``kernels`` each projection is split by the instance's
     ``split_with_kernel``, which gives k† k = 1 - f f° and c† c = 1 - f° f
-    from the factorization that splits them; without, by ``splitter``
-    or ``split_idempotent``, and k and c are None.
+    from the factorization that splits them; without, by
+    ``split_idempotent``, and k and c are None.
     """
     ffmp, fmpf = _mp_projections(
         inst, f, f_mp, PreconditionError, "compact form needs an M-P pair"
@@ -158,8 +149,8 @@ def _compact(
     if kernels:
         (r, k), (sd, c) = inst.split_with_kernel(ffmp), inst.split_with_kernel(fmpf)
     else:
-        split = splitter if splitter is not None else inst.split_idempotent
-        r, sd, k, c = split(ffmp), split(fmpf), None, None
+        r, sd = inst.split_idempotent(ffmp), inst.split_idempotent(fmpf)
+        k = c = None
     s = inst.dagger(sd)
     d = inst.compose(inst.dagger(r), f, inst.dagger(s))
     d_inv = inst.compose(s, f_mp, r)
@@ -209,20 +200,20 @@ def gcsvd_intertwiners(
     return p, q
 
 
-@dataclass(frozen=True)
-class GSVDTriple:
+class GSVDTriple(_Value):
     """Full factorization f = u . (d + 0) . v with u, v unitary.
 
     ``dims`` holds the four block sizes (rank part and kernel part on
     each side) needed to rebuild the padded middle map.
     """
 
-    u: Any
-    d: Any
-    v: Any
-    d_inv: Any
-    dims: tuple[int, int, int, int]
-    residuals: dict
+    _fields = ("u", "d", "v", "d_inv", "dims", "residuals")
+
+    def __init__(
+        self, u: Any, d: Any, v: Any, d_inv: Any, dims: tuple[int, int, int, int],
+        residuals: dict,
+    ) -> None:
+        self._set_fields(u, d, v, d_inv, dims, residuals)
 
 
 def _full_map(inst: DaggerInstance, u: Any, d: Any, v: Any, dims: tuple) -> Any:
@@ -358,36 +349,28 @@ def gsvd_intertwiners(
     return p, q, kp, kq
 
 
-@dataclass(frozen=True)
-class PolarPair:
+class PolarPair(_Value):
     """Polar factorization f = u . h, partial isometry times positive part."""
 
-    u: Any
-    h: Any
-    h_mp: Any
-    residuals: dict
+    _fields = ("u", "h", "h_mp", "residuals")
+
+    def __init__(self, u: Any, h: Any, h_mp: Any, residuals: dict) -> None:
+        self._set_fields(u, h, h_mp, residuals)
 
 
-def polar_from_mp(
-    inst: DaggerInstance,
-    f: Any,
-    f_mp: Any,
-    sqrt_provider: Optional[Callable[[Any], tuple[Any, Any]]] = None,
-) -> PolarPair:
+def polar_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> PolarPair:
     """Polar factorization through the square root of f-dagger . f.
 
-    ``sqrt_provider`` must return (h, h°) with h self-adjoint, h . h
-    equal to the input and the pair verified; defaults to the instance
-    capability, whose exceptions propagate.  The pair (h, h°) is
-    measured with the h h° and h° h it forms
-    (:func:`~daggermp.core._mp_projections`), and u† u is compared with
-    that h h°.  The reconstruction u h is formed again by
-    :func:`mp_from_polar`, which needs the map it inverts.
+    The instance's ``sqrt_positive`` must return (h, h°) with h
+    self-adjoint, h . h equal to its input and the pair verified; its
+    exceptions propagate.  The pair (h, h°) is measured with the h h°
+    and h° h it forms (:func:`~daggermp.core._mp_projections`), and
+    u† u is compared with that h h°.  The reconstruction u h is formed
+    again by :func:`mp_from_polar`, which needs the map it inverts.
     """
     require_mp(inst, f, f_mp, PreconditionError, "polar form needs an M-P pair")
-    provider = sqrt_provider if sqrt_provider is not None else inst.sqrt_positive
     gram = inst.compose(inst.dagger(f), f)
-    h, h_mp = provider(gram)
+    h, h_mp = inst.sqrt_positive(gram)
     root = _residuals(inst, PreconditionError, "square root provider output", {
         "self_adjoint": (inst.dagger(h), h),
         "square": (inst.compose(h, h), gram),

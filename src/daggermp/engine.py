@@ -13,8 +13,7 @@ silently accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .core import (
     ConsistencyError,
@@ -96,8 +95,7 @@ def mp_via_gram(
     )
 
 
-@dataclass(frozen=True)
-class DerivedIdentitiesReport:
+class DerivedIdentitiesReport(NamedTuple):
     """Identities every Moore-Penrose pair (f, f°) satisfies.
 
     The two conditional items hold vacuously when their hypothesis
@@ -116,23 +114,9 @@ class DerivedIdentitiesReport:
     self_adjoint_transfer: bool        # f = f† implies f° = f°† and f°f = ff°
     dagger_mp_partial_isometry: bool   # f° = f† implies f f† f = f
 
-    def as_tuple(self) -> tuple[bool, ...]:
-        return (
-            self.double_mp,
-            self.dagger_mp_swap,
-            self.projector_idempotents,
-            self.gram_inverses,
-            self.projector_alternatives,
-            self.f_absorption,
-            self.mp_absorption,
-            self.dagger_absorption,
-            self.self_adjoint_transfer,
-            self.dagger_mp_partial_isometry,
-        )
-
     @property
     def all_hold(self) -> bool:
-        return all(self.as_tuple())
+        return all(self)
 
 
 def derived_identities_check(
@@ -249,8 +233,7 @@ def derived_identities_check(
     )
 
 
-@dataclass(frozen=True)
-class CompositionReport:
+class CompositionReport(NamedTuple):
     """Outcome of the contravariant-composition criteria for (f, g).
 
     ``condition_a`` through ``condition_c`` are three equivalent

@@ -440,7 +440,12 @@ def has_mp_wrt_transpose(a: ComplexMatrix, rank_tol: Optional[float] = None) -> 
     collapse the products' rank ([i, 1] is the classic failure); real
     matrices always pass.
     """
-    r, r_left, r_right = _transpose_ranks(a, rank_tol)
+    return _transpose_rule(*_transpose_ranks(a, rank_tol))
+
+
+def _transpose_rule(r: int, r_left: int, r_right: int) -> bool:
+    """The verdict of :func:`has_mp_wrt_transpose` on the ranks that
+    :func:`_transpose_ranks` returns."""
     return r_left == r == r_right
 
 
@@ -746,7 +751,11 @@ def matrix_from_obj(obj: dict) -> ComplexMatrix:
             or not all(isinstance(x, float) or is_plain_int(x) for x in entry)
         ):
             raise InputError(f"entry {i} must be a [re, im] pair")
-    # Each [re, im] row of float64 parts, read as one complex128.
-    parts = _complex_input(np.array(data, dtype=object).reshape(-1, 2)).real
-    return ComplexMatrix(parts.copy().view(np.complex128).reshape(rows, cols))
+    # The check leaves plain numbers: build their float64 parts in one pass
+    # and read each [re, im] row as one complex128.
+    try:
+        parts = np.array(data, dtype=np.float64).reshape(-1, 2)
+    except OverflowError:  # an int beyond the float range
+        raise InputError("matrix entries must be finite") from None
+    return ComplexMatrix(parts.view(np.complex128).reshape(rows, cols))
 

@@ -48,6 +48,39 @@ def products(draw, tall, max_dim=12):
     return seeded_product(draw(st.integers(0, 2**32 - 1)), rows, cols, inner)
 
 
+# Exact phases: exp(2πik/4) has a real part of about 6e-17 at k = 1.
+PHASES = (1, 1j, -1, -1j)
+
+
+@st.composite
+def monomials(draw, max_dim=8):
+    """(a, p, w): a monomial matrix, its matching and its weights.
+
+    p is a partial injection from the n rows to the m columns (each up to
+    max_dim), w gives each matched pair (i, j) its weight, a phase of
+    PHASES times 2**e with the exponents of one matrix spanning 0 to
+    600, and a is the n x m complex array that is w on the pairs of p
+    and 0 elsewhere.  Its inverse, singular values and rank at any
+    cutoff are known exactly.
+    """
+    n, m = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(m)))
+    mapping = [None] * n
+    for i, j in zip(rows[: draw(st.integers(0, min(n, m)))], cols):
+        mapping[i] = j
+    p = PartialInjection(n, m, tuple(mapping))
+    span = draw(st.integers(0, 600))
+    low = draw(st.integers(-300, 300 - span))
+    w = {
+        pair: draw(st.sampled_from(PHASES)) * 2.0 ** draw(st.integers(low, low + span))
+        for pair in p.pairs
+    }
+    a = np.zeros((n, m), dtype=np.complex128)
+    for pair, x in w.items():
+        a[pair] = x
+    return a, p, w
+
+
 def hilbert(n):
     """The real n x n Hilbert matrix 1 / (i + j + 1)."""
     i = np.arange(n)
@@ -121,6 +154,17 @@ class PinnedScaleInstance(MatrixInstance):
 
     def compare(self, f, g, scale=None, cond=1.0):
         return super().compare(f, g, self._pinned)
+
+
+def rotated_root(p, w):
+    """(h, h°) for the positive matrix p, the root taken in the basis
+    rotated by the unitary array w: w† sqrt(w p w†) w.  Polar uniqueness
+    says the factors cannot depend on how the root was obtained."""
+    from daggermp.matrix import _sqrt_with_mp
+
+    h, h_mp = _sqrt_with_mp(ComplexMatrix(w @ p.array @ w.conj().T))
+    back = lambda x: ComplexMatrix(w.conj().T @ x.array @ w)
+    return back(h), back(h_mp)
 
 
 def all_relations(src, tgt):

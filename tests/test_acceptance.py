@@ -16,6 +16,7 @@ from conftest import (
     PinnedScaleInstance,
     all_partial_injections,
     all_relations,
+    rotated_root,
     uniform_complex,
 )
 from daggermp import (
@@ -42,7 +43,6 @@ from daggermp import (
     verify_inverse_category_laws,
     verify_mp,
 )
-from daggermp.matrix import _sqrt_with_mp
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -220,6 +220,17 @@ def test_criterion_7_karoubi_round_trip(matrix_corpus, rel_inst):
     )
 
 
+class _RotatedRootInstance(PinnedScaleInstance):
+    """Takes square roots in the basis rotated by the unitary w."""
+
+    def __init__(self, pinned, eq_tol, w):
+        super().__init__(pinned, eq_tol)
+        self._w = w
+
+    def sqrt_positive(self, p):
+        return rotated_root(p, self._w)
+
+
 def test_criterion_8_polar_invariants(matrix_corpus):
     rng = np.random.default_rng(CORPUS_SEED + 1)
     worst = 0.0
@@ -234,14 +245,7 @@ def test_criterion_8_polar_invariants(matrix_corpus):
         # independent second pair: take the square root in a rotated basis
         m = a.cols
         w_q, _ = np.linalg.qr(uniform_complex(rng, m, m))
-
-        def conj_provider(gram, w=w_q):
-            rotated = ComplexMatrix(w @ gram.array @ w.conj().T)
-            h_rot, h_rot_mp = _sqrt_with_mp(rotated)
-            back = lambda x: ComplexMatrix(w.conj().T @ x.array @ w)
-            return back(h_rot), back(h_rot_mp)
-
-        p2 = polar_from_mp(inst, a, g, sqrt_provider=conj_provider)
+        p2 = polar_from_mp(_RotatedRootInstance(a.norm(), 1e-8, w_q), a, g)
         dev = max(
             dev,
             float(np.linalg.norm(p1.u.array - p2.u.array)),

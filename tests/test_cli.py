@@ -19,6 +19,7 @@ import daggermp
 from conftest import HARD_INPUTS, all_relations, seeded_product
 from daggermp import (
     ComplexMatrix,
+    InputError,
     MatrixInstance,
     NumericError,
     Tolerance,
@@ -49,6 +50,18 @@ def write_json(tmp_path, name, obj):
 
 def matrix_file(tmp_path, name, rows):
     return write_json(tmp_path, name, matrix_to_obj(M(rows)))
+
+
+def test_matrix_json_entries_are_read_as_their_float64_parts():
+    # Each [re, im] pair, ints included, is rounded once to float64, the
+    # signs of zeros kept; an int beyond the float range is not finite.
+    obj = {"rows": 1, "cols": 3, "data": [[2**53 + 1, -0.0], [1, 2.5], [-3, 10**300]]}
+    expected = np.array([[complex(2.0**53, -0.0), 1 + 2.5j, complex(-3.0, 1e300)]])
+    assert matrix_from_obj(obj).array.tobytes() == expected.tobytes()
+    assert matrix_from_obj({"rows": 0, "cols": 2, "data": []}).array.shape == (0, 2)
+    for bad in (10**400, -(10**400), float("inf"), float("nan")):
+        with pytest.raises(InputError, match="^matrix entries must be finite$"):
+            matrix_from_obj({"rows": 1, "cols": 1, "data": [[0, bad]]})
 
 
 def test_matrix_json_lists_each_entry_in_row_major_order():
@@ -523,6 +536,17 @@ def test_invalid_tolerance_exits_2(tmp_path, command, flag, value):
     code, out, err = run_cli(*command.split(), *inputs, f"{flag}={value}")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "must be finite and nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["pinv", "svd", "kernel", "split-idem", "rank-transpose", "verify-mp", "gcsvd",
+     "gsvd", "polar", "karoubi check"],
+)
+def test_a_bad_flag_is_reported_before_a_missing_file(tmp_path, command):
+    missing = ["--in", str(tmp_path / "nowhere.json")] * (2 if command == "verify-mp" else 1)
+    code, out, err = run_cli(*command.split(), *missing, "--eq-tol=-1")
+    assert (code, out, err) == (2, "", "error: eq_tol must be finite and nonnegative\n")
 
 
 @pytest.mark.parametrize("flag", ["--eq-tol", "--rank-tol"])

@@ -32,6 +32,7 @@ from daggermp import (
     is_self_adjoint,
     is_unitary,
     mp_via_gram,
+    pinv,
     verify_mp,
 )
 from daggermp.core import check, require_mp, split, within
@@ -51,6 +52,29 @@ def test_tolerance_validation():
     exact = Tolerance.exact()
     assert exact.rank_tol == 0.0 and exact.eq_tol == 0.0
     assert Tolerance().rank_tol is None
+
+
+@pytest.mark.parametrize(
+    "value", ["1e-9", b"0", 1j, np.complex64(1), True, np.bool_(False), np.zeros(2)]
+)
+def test_a_tolerance_that_is_not_a_real_number_is_an_input_error(value):
+    # Not a TypeError from math.isfinite, and a bool is not a number here.
+    got = type(value).__name__
+    for kw in ("rank_tol", "eq_tol"):
+        with pytest.raises(InputError, match=f"^{kw} must be a real number, got {got}$"):
+            Tolerance(**{kw: value})
+    with pytest.raises(InputError, match="^eq_tol must be a real number, got NoneType$"):
+        Tolerance(eq_tol=None)
+    with pytest.raises(InputError, match=f"^rank_tol must be a real number, got {got}$"):
+        pinv(M([[1, 2]]), rank_tol=value)
+
+
+def test_a_tolerance_keeps_ints_floats_and_numpy_reals_as_given():
+    for value in (0, 3, 1e-9, np.float32(0.5), np.float64(1e-9), np.int64(2), np.uint8(1)):
+        tol = Tolerance(rank_tol=value, eq_tol=value)
+        assert tol.rank_tol is value and tol.eq_tol is value
+        assert repr(tol) == f"Tolerance(rank_tol={value!r}, eq_tol={value!r})"
+    assert Tolerance(rank_tol=None).rank_tol is None
 
 
 def test_exception_hierarchy():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import PinnedScaleInstance, uniform_complex
+from conftest import PinnedScaleInstance, rotated_root, uniform_complex
 from daggermp import (
     CapabilityError,
     ComplexMatrix,
@@ -30,7 +30,6 @@ from daggermp import (
     polar_from_mp,
     verify_mp,
 )
-from daggermp.matrix import _sqrt_with_mp
 
 M = ComplexMatrix.from_rows
 
@@ -100,14 +99,15 @@ def test_gcsvd_triple_invariant_checks(minst):
         mp_from_gcsvd(minst, GCSVDTriple(bad_r, t.d, t.s, t.d_inv, t.residuals))
 
 
-def test_gcsvd_refuses_bad_splitter(minst):
-    i2 = ComplexMatrix.identity(2)
-
-    def bad_split(e):
+class _BadSplitInstance(MatrixInstance):
+    def split_idempotent(self, e):
         return M([[1], [0]])  # splits diag(1,0), not the identity
 
+
+def test_gcsvd_refuses_bad_splitter():
+    i2 = ComplexMatrix.identity(2)
     with pytest.raises(DecompositionError):
-        gcsvd_from_mp(minst, i2, i2, splitter=bad_split)
+        gcsvd_from_mp(_BadSplitInstance(Tolerance(eq_tol=1e-9)), i2, i2)
 
 
 def test_gcsvd_intertwiners_identity_on_same_triple(minst):
@@ -382,22 +382,31 @@ def test_polar_of_rectangular_map(minst):
     assert minst.equals(mp_from_polar(minst, pair), g)
 
 
-def test_polar_provider_output_is_checked(minst):
-    a = M([[1, 2], [2, 4]])
-    g = pinv(a)
-
-    def not_self_adjoint(_gram):
+class _NotSelfAdjointRoot(MatrixInstance):
+    def sqrt_positive(self, p):
         return M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]])
 
-    with pytest.raises(PreconditionError):
-        polar_from_mp(minst, a, g, sqrt_provider=not_self_adjoint)
 
-    def wrong_inverse(gram):
-        h, _ = _sqrt_with_mp(gram)
-        return h, ComplexMatrix.identity(2)
+class _WrongRootInverse(MatrixInstance):
+    def sqrt_positive(self, p):
+        return super().sqrt_positive(p)[0], ComplexMatrix.identity(2)
 
-    with pytest.raises(PreconditionError):
-        polar_from_mp(minst, a, g, sqrt_provider=wrong_inverse)
+
+def test_polar_provider_output_is_checked():
+    a = M([[1, 2], [2, 4]])
+    g = pinv(a)
+    for cls in (_NotSelfAdjointRoot, _WrongRootInverse):
+        with pytest.raises(PreconditionError):
+            polar_from_mp(cls(Tolerance(eq_tol=1e-9)), a, g)
+
+
+class _RotatedRoot(MatrixInstance):
+    def __init__(self, tolerance, w):
+        super().__init__(tolerance)
+        self._w = w
+
+    def sqrt_positive(self, p):
+        return rotated_root(p, self._w)
 
 
 def test_polar_uniqueness_under_independent_square_roots(minst):
@@ -411,14 +420,7 @@ def test_polar_uniqueness_under_independent_square_roots(minst):
         # compute the root in a rotated basis; uniqueness says the polar
         # factors cannot depend on how the root was obtained
         q, _ = np.linalg.qr(uniform_complex(rng, n, n))
-
-        def conj_provider(gram, w=q):
-            rotated = ComplexMatrix(w @ gram.array @ w.conj().T)
-            h_rot, h_rot_mp = _sqrt_with_mp(rotated)
-            back = lambda x: ComplexMatrix(w.conj().T @ x.array @ w)
-            return back(h_rot), back(h_rot_mp)
-
-        p2 = polar_from_mp(minst, a, g, sqrt_provider=conj_provider)
+        p2 = polar_from_mp(_RotatedRoot(minst.tolerance, q), a, g)
         tol = 10 * minst.tolerance.eq_tol * max(1.0, a.norm())
         assert np.linalg.norm(p1.u.array - p2.u.array) <= tol
         assert np.linalg.norm(p1.h.array - p2.h.array) <= tol

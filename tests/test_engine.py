@@ -113,7 +113,7 @@ def test_derived_identities_on_identity(minst):
     eye = ComplexMatrix.identity(2)
     report = derived_identities_check(minst, eye, eye)
     assert report.all_hold
-    assert report.as_tuple() == (True,) * 10
+    assert tuple(report) == (True,) * 10
 
 
 def test_derived_identities_need_verified_pair(minst):

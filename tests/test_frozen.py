@@ -1,8 +1,10 @@
-"""The nine classes a CLI command loads that are not dataclasses.
+"""The package's immutable values and records, none of them a dataclass.
 
 ``Tolerance``, ``FiniteRelation``, ``PartialInjection``, ``SplitObject``,
-``SplitMorphism`` and ``ComplexMatrix`` are plain classes on the frozen
-guard ``core._Frozen``; ``MPReport``, ``SVDResult`` and ``HermEigResult``
+``SplitMorphism``, ``ComplexMatrix`` and the factorization records
+``GCSVDTriple``, ``GSVDTriple`` and ``PolarPair`` are plain classes on
+the frozen guard ``core._Frozen``; ``MPReport``, ``SVDResult``,
+``HermEigResult``, ``DerivedIdentitiesReport`` and ``CompositionReport``
 are ``NamedTuple`` records.  Their constructors, messages, reprs, ``==``,
 ``hash`` and immutability are pinned here as the frozen dataclasses they
 replace had them, and so are the caches they carry: a matrix's norm and
@@ -24,18 +26,33 @@ from daggermp.core import (
     require_mp,
     verify_mp,
 )
+from daggermp.decomp import (
+    GCSVDTriple,
+    GSVDTriple,
+    PolarPair,
+    gcsvd_from_mp,
+    gsvd_from_mp,
+    polar_from_mp,
+)
+from daggermp.engine import (
+    CompositionReport,
+    DerivedIdentitiesReport,
+    composition_criteria,
+    derived_identities_check,
+)
 from daggermp.karoubi import SplitMorphism, SplitObject, embed, iso_from_mp, mp_from_iso
 from daggermp.matrix import ComplexMatrix, HermEigResult, MatrixInstance, SVDResult, herm_eig, svd
 from daggermp.pinj import PartialInjection
 from daggermp.rel import FiniteRelation, RelInstance
 
 R = FiniteRelation.from_pairs(3, 2, [(0, 0), (1, 0), (2, 1)])
+S = FiniteRelation.from_pairs(2, 2, [(0, 1), (1, 0)])
 A = ComplexMatrix.from_rows([[2, 0], [0, 1]])
 
 
 def _samples():
     """name: (an object of the class, one of its fields)."""
-    inst = RelInstance()
+    inst, minst = RelInstance(), MatrixInstance()
     forward, _ = iso_from_mp(inst, R, inst.mp(R))
     return {
         "Tolerance": (Tolerance(1e-3, 1e-9), "eq_tol"),
@@ -47,6 +64,13 @@ def _samples():
         "ComplexMatrix": (A, "array"),
         "SVDResult": (svd(A), "sigma"),
         "HermEigResult": (herm_eig(A), "q"),
+        "GCSVDTriple": (gcsvd_from_mp(inst, R, inst.mp(R)), "r"),
+        "GSVDTriple": (gsvd_from_mp(minst, A, minst.mp(A)), "dims"),
+        "PolarPair": (polar_from_mp(minst, A, minst.mp(A)), "h_mp"),
+        "DerivedIdentitiesReport": (derived_identities_check(inst, R, inst.mp(R)), "gram_inverses"),
+        "CompositionReport": (
+            composition_criteria(inst, R, inst.mp(R), S, inst.mp(S)), "composite_mp"
+        ),
     }
 
 
@@ -63,6 +87,25 @@ def test_reprs_are_the_dataclass_ones():
         "ComplexMatrix(2x2)",
         "SVDResult(u=ComplexMatrix(2x2), sigma=(2.0, 1.0), v=ComplexMatrix(2x2), rank=2)",
         "HermEigResult(q=ComplexMatrix(2x2), eigenvalues=(2.0, 1.0))",
+        "GCSVDTriple(r=FiniteRelation(3, 2, pairs=[(0, 0), (1, 0), (2, 1)]), "
+        "d=FiniteRelation(2, 2, pairs=[(0, 0), (1, 1)]), "
+        "s=FiniteRelation(2, 2, pairs=[(0, 0), (1, 1)]), "
+        "d_inv=FiniteRelation(2, 2, pairs=[(0, 0), (1, 1)]), "
+        "residuals={'coisometry': 0.0, 'isometry': 0.0, 'invertible_left': 0.0, "
+        "'invertible_right': 0.0, 'reconstruction': 0.0})",
+        "GSVDTriple(u=ComplexMatrix(2x2), d=ComplexMatrix(2x2), v=ComplexMatrix(2x2), "
+        "d_inv=ComplexMatrix(2x2), dims=(2, 0, 2, 0), "
+        "residuals={'kernel_source': 0.0, 'kernel_target': 0.0, 'reconstruction': 0.0})",
+        "PolarPair(u=ComplexMatrix(2x2), h=ComplexMatrix(2x2), h_mp=ComplexMatrix(2x2), "
+        "residuals={'square': 0.0, 'partial_isometry': 0.0, 'range_projector': 0.0, "
+        "'reconstruction': 0.0})",
+        "DerivedIdentitiesReport(double_mp=True, dagger_mp_swap=True, "
+        "projector_idempotents=True, gram_inverses=True, projector_alternatives=True, "
+        "f_absorption=True, mp_absorption=True, dagger_absorption=True, "
+        "self_adjoint_transfer=True, dagger_mp_partial_isometry=True)",
+        "CompositionReport(condition_a=True, condition_b=True, condition_c=True, "
+        "composite_mp=FiniteRelation(2, 3, pairs=[(0, 2), (1, 0), (1, 1)]), "
+        "biconditional_lhs=True, biconditional_rhs=True)",
     ]
     assert repr(Tolerance()) == "Tolerance(rank_tol=None, eq_tol=2.220446049250313e-14)"
     assert repr(Tolerance.exact()) == "Tolerance(rank_tol=0.0, eq_tol=0.0)"
@@ -149,6 +192,40 @@ def test_morphisms_of_the_split_and_matrix_classes_compare_by_identity():
     assert e == HermEigResult(e.q, e.eigenvalues) and hash(e) == hash((e.q, e.eigenvalues))
 
 
+def test_factorization_records_compare_by_fields_and_do_not_hash():
+    # As their frozen dataclasses did: a dict field makes hash a TypeError.
+    samples = _samples()
+    for name in ("GCSVDTriple", "GSVDTriple", "PolarPair"):
+        rec = samples[name][0]
+        fields = [getattr(rec, n) for n in rec._fields]
+        twin = type(rec)(*fields)
+        assert rec == twin and not rec != twin
+        assert rec != type(rec)(*fields[:-1], {}) and rec != tuple(fields)
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(rec)
+    g = samples["GCSVDTriple"][0]
+    assert GCSVDTriple(r=g.r, d=g.d, s=g.s, d_inv=g.d_inv, residuals={}).residuals == {}
+    assert g != GSVDTriple(g.r, g.d, g.s, g.d_inv, None, g.residuals)
+    p = samples["PolarPair"][0]
+    assert PolarPair(u=p.u, h=p.h, h_mp=p.h_mp, residuals=p.residuals) == p
+
+
+def test_engine_reports_compare_and_hash_as_their_field_tuples():
+    samples = _samples()
+    for name, cls in (
+        ("DerivedIdentitiesReport", DerivedIdentitiesReport),
+        ("CompositionReport", CompositionReport),
+    ):
+        report = samples[name][0]
+        fields = tuple(getattr(report, n) for n in cls._fields)
+        assert report == cls(*fields) and hash(report) == hash(fields)
+        assert report != cls(*fields[:-1], not fields[-1])
+    derived = samples["DerivedIdentitiesReport"][0]
+    assert derived.all_hold and not derived._replace(f_absorption=False).all_hold
+    composed = samples["CompositionReport"][0]
+    assert composed.conditions_hold is composed.condition_a is True
+
+
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -210,3 +287,6 @@ def test_the_caches_are_still_stored_and_read(monkeypatch):
     minst = MatrixInstance()
     g = require_mp(minst, a, minst.mp(a), NumericError, "pinv")
     assert _certified(g, minst, a, attr="_mp_cert")
+    t = gsvd_from_mp(minst, A, minst.mp(A))  # a constructor certifies its record
+    assert _certified(t, minst)
+    assert not _certified(GSVDTriple(*(getattr(t, n) for n in t._fields)), minst)

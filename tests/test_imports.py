@@ -1,6 +1,7 @@
 """What importing daggermp loads: the lazy export table, the exact
-instances' commands that run without numpy, and the CLI-path modules
-that load neither ``dataclasses`` nor ``decomp``.
+instances' commands that run without numpy, a package that never
+imports ``dataclasses``, and the CLI-path commands that do not load
+``decomp``.
 
 The subprocess checks start a fresh interpreter that lists
 ``sys.modules`` on exit, so they see what a user's ``python -m
@@ -62,11 +63,8 @@ def test_only_the_matrix_stack_imports_numpy():
     assert found == NUMPY_MODULES
 
 
-# The modules a command of the ``cli`` benchmark workload loads (decomp
-# aside, which only polar and gsvd need).  ``dataclasses`` pulls in
-# inspect, ast and dis: about 10 ms of a CLI process that numpy does not
-# already pay.
-CLI_PATH = ("cli.py", "core.py", "rel.py", "pinj.py", "karoubi.py", "matrix.py", "_jacobi.py")
+# ``dataclasses`` pulls in inspect, ast and dis: about 10 ms of a CLI
+# process that numpy does not already pay.  No module imports it.
 
 
 def imports(source):
@@ -92,7 +90,7 @@ def imports(source):
 
 
 def lean_path_violations(name, source):
-    """Lines of source, the module file name, that break the CLI path's
+    """Lines of source, the module file name, that break the lean path's
     rule: any import of dataclasses, and in rel.py an import of decomp
     outside gcsvd_rel."""
     bad = set()
@@ -126,11 +124,10 @@ def test_the_lean_path_scan_catches_each_form():
     assert lean_path_violations("core.py", '"""from dataclasses import dataclass"""') == []
 
 
-def test_the_cli_path_imports_no_dataclasses_and_rel_loads_decomp_on_demand():
-    found = {
-        name: lean_path_violations(name, (SRC / name).read_text(encoding="utf-8"))
-        for name in CLI_PATH
-    }
+def test_no_module_imports_dataclasses_and_rel_loads_decomp_on_demand():
+    files = sorted(SRC.glob("*.py"))
+    assert {"decomp.py", "engine.py", "rel.py"} <= {f.name for f in files}
+    found = {f.name: lean_path_violations(f.name, f.read_text(encoding="utf-8")) for f in files}
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
@@ -219,9 +216,9 @@ def test_exact_commands_never_load_numpy(tmp_path, name):
     assert "daggermp.matrix" not in modules
 
 
-# Commands of the ``cli`` benchmark workload that need neither a
-# factorization nor a dataclass, and what each must not load.  numpy
-# imports inspect itself, so a matrix command is held to the other two.
+# Commands and what each must not load: no command loads a dataclass,
+# and those that need no factorization leave decomp alone.  numpy
+# imports inspect itself, so a matrix command is held to the others.
 UNLOADED = {"dataclasses", "inspect", "daggermp.decomp"}
 LEAN_COMMANDS = {
     "rel-oracle": (("rel oracle", "r"), UNLOADED),
@@ -230,6 +227,9 @@ LEAN_COMMANDS = {
     "karoubi-check-relation": (("karoubi check", "r"), UNLOADED),
     "pinv-matrix": (("pinv", "a"), UNLOADED - {"inspect"}),
     "verify-mp-matrix": (("verify-mp", "a", "ai"), UNLOADED - {"inspect"}),
+    "gcsvd-matrix": (("gcsvd", "a"), {"dataclasses"}),
+    "gsvd-matrix": (("gsvd", "a"), {"dataclasses"}),
+    "polar-matrix": (("polar", "a"), {"dataclasses"}),
 }
 
 

@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import SCALING, kahan, products, row_graded, seeded_product, uniform_complex
-from daggermp import NumericError
+from daggermp import NumericError, _jacobi
 from daggermp._jacobi import (
     _ARRAY_PAIRS,
     _EPS,
@@ -109,13 +109,14 @@ def test_kernels_are_byte_deterministic():
         assert x.tobytes() == y.tobytes()
 
 
-def test_one_sweep_budget_raises_in_both_kernels():
+def test_one_sweep_budget_raises_in_both_kernels(monkeypatch):
     rng = np.random.default_rng(8)
     a = uniform_complex(rng, 6, 6)
-    with pytest.raises(NumericError):
-        one_sided_svd(a, max_sweeps=1)
-    with pytest.raises(NumericError):
-        hermitian_jacobi(a + a.conj().T, max_sweeps=1)
+    monkeypatch.setattr(_jacobi, "MAX_SWEEPS", 1)
+    with pytest.raises(NumericError, match="in 1 sweeps"):
+        one_sided_svd(a)
+    with pytest.raises(NumericError, match="in 1 sweeps"):
+        hermitian_jacobi(a + a.conj().T)
 
 
 def test_completed_basis_is_unitary():
@@ -311,27 +312,29 @@ def _rank_boundary_cases():
         yield uniform_complex(rng, 48, 24) @ uniform_complex(rng, 24, 48)
 
 
-def test_preconditioned_kernels_converge_at_the_rank_boundary():
+def test_preconditioned_kernels_converge_at_the_rank_boundary(monkeypatch):
     # Without the QR these inputs take 14-21 sweeps.
+    monkeypatch.setattr(_jacobi, "MAX_SWEEPS", 12)
     for a in _rank_boundary_cases():
-        _, sigma, _ = one_sided_svd(a, max_sweeps=12)
+        _, sigma, _ = one_sided_svd(a)
         assert int(np.count_nonzero(sigma > 1e-12 * sigma[0])) == 24
         gram = a.conj().T @ a
-        hermitian_jacobi((gram + gram.conj().T) / 2, max_sweeps=12)
+        hermitian_jacobi((gram + gram.conj().T) / 2)
     b = uniform_complex(np.random.default_rng(64), 8, 64)
     gram = b.conj().T @ b
-    _, lam = hermitian_jacobi((gram + gram.conj().T) / 2, max_sweeps=12)
+    _, lam = hermitian_jacobi((gram + gram.conj().T) / 2)
     assert int(np.count_nonzero(lam > 1e-12 * lam[0])) == 8
 
 
-def test_both_kernels_converge_at_order_128():
+def test_both_kernels_converge_at_order_128(monkeypatch):
     # Sweeps after the QR: 12 for the SVD and 9 for the eigensolver on
     # this input; over default_rng(0..23), 11-12 and 9.
+    monkeypatch.setattr(_jacobi, "MAX_SWEEPS", 12)
     a = uniform_complex(np.random.default_rng(0), 128, 128)
-    _, sigma, _ = one_sided_svd(a, max_sweeps=12)
+    _, sigma, _ = one_sided_svd(a)
     assert np.allclose(sigma, np.linalg.svd(a, compute_uv=False), rtol=0.0, atol=1e-13 * sigma[0])
     gram = a.conj().T @ a
-    hermitian_jacobi((gram + gram.conj().T) / 2, max_sweeps=12)
+    hermitian_jacobi((gram + gram.conj().T) / 2)
 
 
 def _reference_values(a, hermitian):

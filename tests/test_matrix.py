@@ -17,6 +17,7 @@ from conftest import (
     HARD_INPUTS,
     SCALING,
     graded_columns,
+    monomials,
     products,
     row_graded,
     seeded_product,
@@ -40,6 +41,7 @@ from daggermp import (
     matrix_from_obj,
     matrix_to_obj,
     MatrixInstance,
+    PInjInstance,
     numeric_rank,
     pinv,
     polar_from_mp,
@@ -158,12 +160,30 @@ def test_svd_is_deterministic():
     assert r1.sigma == r2.sigma
 
 
+@SCALING
+@given(monomials())
+def test_a_monomial_matrix_meets_its_exact_inverse_rank_and_values(case):
+    # The 0/1 matrix of a partial injection is a dagger functor's image, so
+    # the inverse puts 1/w at the pairs of the injection's inverse.  At the
+    # default cutoff c every |w| <= c counts as 0.  The bytes compare with
+    # the sign of zero dropped (adding 0.0 makes -0.0 read 0.0).
+    a, p, w = case
+    n, m = a.shape
+    mags = sorted((abs(x) for x in w.values()), reverse=True)
+    cut = max(n, m) * np.finfo(np.float64).eps * (mags[0] if mags else 0.0)
+    ref = np.zeros((m, n), dtype=np.complex128)
+    for j, i in PInjInstance().mp(p).pairs:
+        if abs(w[i, j]) > cut:
+            ref[j, i] = 1 / w[i, j]
+    f = ComplexMatrix(a)
+    assert (pinv(f).array + 0.0).tobytes() == (ref + 0.0).tobytes()
+    assert numeric_rank(f) == sum(x > cut for x in mags)
+    assert svd(f).sigma[: len(mags)] == tuple(mags)
+
+
 def test_svd_sweep_budget_exhaustion(monkeypatch):
     # svd passes on the kernel's NumericError; give the kernel one sweep
-    kernel = _jacobi.one_sided_svd
-    monkeypatch.setattr(
-        _jacobi, "one_sided_svd", lambda a, **kw: kernel(a, max_sweeps=1, **kw)
-    )
+    monkeypatch.setattr(_jacobi, "MAX_SWEEPS", 1)
     rng = np.random.default_rng(3)
     a = ComplexMatrix(uniform_complex(rng, 5, 5))
     with pytest.raises(NumericError):

@@ -6,7 +6,7 @@ The factorization constructors certify the records they return:
 ``(forward, inst, inst.tolerance)`` on its backward morphism.  A consumer
 handed a record certified for the same instance object and tolerance
 object skips the record's own equations; any other record (hand-built,
-``dataclasses.replace``d, another instance, a reassigned tolerance) is
+rebuilt by its constructor, another instance, a reassigned tolerance) is
 measured in full and meets the same verdict.  ``verify_mp`` of a pair
 (f, f) forms f f and (f f) f once, and ``derived_identities_check``
 reads (f°)° = f from the certificate, as ``verify_mp(f°, f)`` measures
@@ -21,7 +21,6 @@ h h° it gets.  ``RelInstance.mp`` certifies the converse it returns.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 
@@ -240,6 +239,11 @@ def _perturbed(m):
     return ComplexMatrix(m.array * (1.0 + 1e-6))
 
 
+def _rebuilt(rec, **changes):
+    """rec's fields, with changes, through its own constructor: no certificate."""
+    return type(rec)(**{**{n: getattr(rec, n) for n in rec._fields}, **changes})
+
+
 RECORDS = {
     "gcsvd": (dm.gcsvd_from_mp, dm.mp_from_gcsvd, "r"),
     "gsvd": (dm.gsvd_from_mp, dm.mp_from_gsvd, "u"),
@@ -254,7 +258,7 @@ def test_a_record_is_measured_unless_certified_for_the_instance(kind, monkeypatc
     a = ComplexMatrix(seeded_product(52, 6, 5, 2))
     inst = MatrixInstance(Tolerance(eq_tol=1e-9))
     rec = build(inst, a, pinv(a))
-    twin = dataclasses.replace(rec)  # the same fields, no certificate
+    twin = _rebuilt(rec)  # the same fields, no certificate
     deviations = _count_deviations(monkeypatch, MatrixInstance)
 
     def measured(i, t):
@@ -268,7 +272,7 @@ def test_a_record_is_measured_unless_certified_for_the_instance(kind, monkeypatc
     # Two fresh instances: measuring (h, h°) certifies it for the instance.
     foreign = measured(MatrixInstance(inst.tolerance), rec)
     assert foreign == measured(MatrixInstance(inst.tolerance), twin)
-    bad = dataclasses.replace(rec, **{factor: _perturbed(getattr(rec, factor))})
+    bad = _rebuilt(rec, **{factor: _perturbed(getattr(rec, factor))})
     refused = _outcome(lambda: consume(inst, bad))
     assert refused[0] is dm.InputError and refused[2] > 0.0
     inst.tolerance = Tolerance(eq_tol=1e-30)
@@ -582,8 +586,13 @@ def test_polar_refuses_a_bad_root_inverse_as_require_mp_does():
     h, h_mp = inst.sqrt_positive(a.dagger() @ a)
     bad = ComplexMatrix(h_mp.array * 2.0)
     what = "square root inverse fails the axioms"
+
+    class BadRoot(MatrixInstance):
+        def sqrt_positive(self, p):
+            return h, bad
+
     with pytest.raises(dm.PreconditionError) as refused:
-        dm.polar_from_mp(inst, a, pinv(a), lambda p: (h, bad))
+        dm.polar_from_mp(BadRoot(inst.tolerance), a, pinv(a))
     with pytest.raises(dm.PreconditionError) as reference:
         core.require_mp(inst, h, ComplexMatrix(bad.array), dm.PreconditionError, what)
     assert str(refused.value) == str(reference.value)
