@@ -245,13 +245,14 @@ def _check_slack(name: str, value: Any) -> None:
 
     A real number is an int, a float or a numpy real scalar, told by a
     real part of its own type: a complex's is a float, a bool's an int,
-    and str, bytes and None have none.  numpy's bool is refused by its
-    type's name (core does not load numpy), and so is what
-    ``math.isfinite`` cannot read, such as an array.
+    and str, bytes and None have none.  numpy's bool and a numpy array
+    of any shape, 0-d included, are refused by their type's name (core
+    does not load numpy), and so is what ``math.isfinite`` cannot read.
     """
     kind = type(value)
     try:
-        real = type(value.real) is kind and kind.__name__ not in ("bool", "bool_")
+        names = {c.__name__ for c in kind.__mro__}
+        real = type(value.real) is kind and not names & {"bool", "bool_", "ndarray"}
         finite = real and math.isfinite(value)
     except (AttributeError, TypeError):
         real = False
@@ -297,7 +298,8 @@ class DaggerInstance(ABC):
     The mandatory part is composition, dagger, identities, typing, and a
     deviation measure.  The capability hooks below are optional and hold
     only what the generic code cannot derive: a biproduct's projection is
-    the dagger of its injection, and positivity is having a square root.
+    the dagger of its injection, and positivity is being one's own
+    positive part.
     The default implementations raise :class:`CapabilityError`, and
     generic code is expected to let that propagate.  A capability that
     builds a morphism checks no equation of what it returns: that is a
@@ -372,10 +374,11 @@ class DaggerInstance(ABC):
         k† k = 1 - e; unchecked, as the full form's equations certify both."""
         raise CapabilityError(f"{self.name} instance provides no kernels")
 
-    def sqrt_positive(self, p: Any) -> tuple[Any, Any]:
-        """Pair (h, h_mp): positive square root of p and its M-P inverse;
-        PreconditionError when p has none."""
-        raise CapabilityError(f"{self.name} instance provides no square roots")
+    def positive_part(self, f: Any) -> tuple[Any, Any]:
+        """Candidates (h, h°): the positive part h = √(f† f) of f, taken
+        from f itself, and its M-P inverse; unchecked, as the polar form's
+        equations certify both."""
+        raise CapabilityError(f"{self.name} instance provides no positive parts")
 
     def add(self, f: Any, g: Any) -> Any:
         raise CapabilityError(f"{self.name} instance has no additive structure")
@@ -486,17 +489,15 @@ def split(inst: DaggerInstance, e: Any) -> Any:
 
 
 def is_positive(inst: DaggerInstance, p: Any) -> bool:
-    """p = h h† for some h: the instance finds a square root h = h† of p.
+    """p = p† and p is its own positive part √(p† p) = √(p p).
 
-    Its PreconditionError (p not Hermitian, or an eigenvalue below the
-    cutoff) means False; its CapabilityError propagates.
+    A self-adjoint p is positive exactly when it equals its positive
+    part.  Both equations are read through ``compare`` at the scale |p|,
+    so the threshold is eq_tol * |p|, not an eigenvalue cutoff; a
+    CapabilityError of ``positive_part`` propagates.
     """
     _require_endo(inst, p, "positivity")
-    try:
-        inst.sqrt_positive(p)
-    except PreconditionError:
-        return False
-    return True
+    return inst.equals(inst.dagger(p), p) and inst.equals(inst.positive_part(p)[0], p)
 
 
 def verify_mp(inst: DaggerInstance, f: Any, g: Any) -> MPReport:

@@ -22,7 +22,7 @@ happen in practice: the equations are algebraic consequences of the
 axioms, but at aggressive tolerances or borderline numerical rank the
 verification can genuinely miss.  Loosen the instance's eq_tol to
 accept more rounding error, or treat the refusal as the answer.  To
-try another splitting or square root, subclass the instance and
+try another splitting or positive part, subclass the instance and
 override the capability.
 
 A record that a constructor returns is certified: it keeps
@@ -359,33 +359,35 @@ class PolarPair(_Value):
 
 
 def polar_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> PolarPair:
-    """Polar factorization through the square root of f-dagger . f.
+    """Polar factorization through the positive part h = √(f-dagger . f).
 
-    The instance's ``sqrt_positive`` must return (h, h°) with h
-    self-adjoint, h . h equal to its input and the pair verified; its
-    exceptions propagate.  The pair (h, h°) is measured with the h h°
-    and h° h it forms (:func:`~daggermp.core._mp_projections`), and
-    u† u is compared with that h h°.  The reconstruction u h is formed
-    again by :func:`mp_from_polar`, which needs the map it inverts.
+    The instance's ``positive_part`` returns (h, h°) from f itself, so
+    f† f, which squares both the scale and the condition of f, is never
+    formed; its exceptions propagate.  h = h† is checked, the pair
+    (h, h°) is measured with the h h° and h° h it forms
+    (:func:`~daggermp.core._mp_projections`), and u = f h° must then
+    pass the partial isometry, the range projector u† u = h h° and the
+    reconstruction u h = f.  These make h the square root of f† f:
+
+        f† f = (u h)† (u h) = h u† u h = h (h h°) h = h (h h° h) = h h.
+
+    The reconstruction u h is formed again by :func:`mp_from_polar`,
+    which needs the map it inverts.
     """
     require_mp(inst, f, f_mp, PreconditionError, "polar form needs an M-P pair")
-    gram = inst.compose(inst.dagger(f), f)
-    h, h_mp = inst.sqrt_positive(gram)
-    root = _residuals(inst, PreconditionError, "square root provider output", {
-        "self_adjoint": (inst.dagger(h), h),
-        "square": (inst.compose(h, h), gram),
-    })
+    h, h_mp = inst.positive_part(f)
+    what = "square root provider output: self_adjoint equation fails"
+    check(inst, inst.dagger(h), h, PreconditionError, what)
     hh, _ = _mp_projections(
         inst, h, h_mp, PreconditionError, "square root inverse fails the axioms"
     )
     u = inst.compose(f, h_mp)
     ud = inst.dagger(u)
-    residuals = {"square": root["square"]}
-    residuals.update(_residuals(inst, DecompositionError, "polar form", {
+    residuals = _residuals(inst, DecompositionError, "polar form", {
         "partial_isometry": (inst.compose(u, ud, u), u),
         "range_projector": (inst.compose(ud, u), hh),
         "reconstruction": (inst.compose(u, h), f),
-    }))
+    })
     return _certify(PolarPair(u, h, h_mp, residuals), inst)
 
 

@@ -647,8 +647,9 @@ class MatrixInstance(DaggerInstance):
     instance at the caller's eq_tol, so :meth:`deviation` measures
     every matrix equation.  All optional
     capabilities are provided: idempotent splitting, alone or with the
-    kernel, both from one pivoted QR; square roots, biproducts and zero
-    maps, and ``pinv`` as the M-P route.
+    kernel, both from one pivoted QR; the positive part from a thin SVD
+    at the cutoff of :func:`pinv`, biproducts and zero maps, and ``pinv``
+    as the M-P route.
     """
 
     name = "matrix"
@@ -705,10 +706,18 @@ class MatrixInstance(DaggerInstance):
             q *= _phases(q, e.rows * _EPS)
         return _computed(q[:, :k]), _computed(q[:, k:].conj().T)
 
-    def sqrt_positive(self, p: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
-        return _sqrt_with_mp(
-            p, rank_tol=self.tolerance.rank_tol, eq_tol=self.tolerance.eq_tol
-        )
+    def positive_part(self, f: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
+        """h = V_k Σ_k V_k† and h° = V_k Σ_k⁻¹ V_k† from the thin SVD of f
+        at the instance's rank_tol (:func:`_thin_svd`, as :func:`pinv`),
+        so f† f is never formed; the zero pair at rank 0.  Each is
+        symmetrized as h/2 + h†/2, which cannot overflow where h does not;
+        unchecked, as the polar form's equations certify both."""
+        _, s, v, k = _thin_svd(f, self.tolerance.rank_tol)
+        if k == 0:
+            return (ComplexMatrix.zeros(f.cols, f.cols),) * 2
+        with np.errstate(over="ignore"):  # NumericError on overflow
+            parts = _congruence(v[:, :k], s[:k]), _congruence(v[:, :k], 1.0 / s[:k])
+        return tuple(_computed(h / 2.0 + h.conj().T / 2.0) for h in parts)
 
     def add(self, f: ComplexMatrix, g: ComplexMatrix) -> ComplexMatrix:
         if (f.rows, f.cols) != (g.rows, g.cols):

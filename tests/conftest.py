@@ -156,13 +156,15 @@ class PinnedScaleInstance(MatrixInstance):
         return super().compare(f, g, self._pinned)
 
 
-def rotated_root(p, w):
-    """(h, h°) for the positive matrix p, the root taken in the basis
-    rotated by the unitary array w: w† sqrt(w p w†) w.  Polar uniqueness
-    says the factors cannot depend on how the root was obtained."""
+def rotated_root(f, w):
+    """(h, h°) for the positive part h = √(f† f) of the matrix f: the root
+    of the gram f† f by the eigen route, taken in the basis rotated by
+    the unitary array w, w† sqrt(w f† f w†) w.  Polar uniqueness says
+    the factors cannot depend on how the root was obtained."""
     from daggermp.matrix import _sqrt_with_mp
 
-    h, h_mp = _sqrt_with_mp(ComplexMatrix(w @ p.array @ w.conj().T))
+    p = f.array.conj().T @ f.array
+    h, h_mp = _sqrt_with_mp(ComplexMatrix(w @ p @ w.conj().T))
     back = lambda x: ComplexMatrix(w.conj().T @ x.array @ w)
     return back(h), back(h_mp)
 

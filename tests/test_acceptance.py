@@ -221,14 +221,15 @@ def test_criterion_7_karoubi_round_trip(matrix_corpus, rel_inst):
 
 
 class _RotatedRootInstance(PinnedScaleInstance):
-    """Takes square roots in the basis rotated by the unitary w."""
+    """Takes the positive part of f as the root of f† f in the basis
+    rotated by the unitary w, independent of the SVD of f."""
 
     def __init__(self, pinned, eq_tol, w):
         super().__init__(pinned, eq_tol)
         self._w = w
 
-    def sqrt_positive(self, p):
-        return rotated_root(p, self._w)
+    def positive_part(self, f):
+        return rotated_root(f, self._w)
 
 
 def test_criterion_8_polar_invariants(matrix_corpus):

@@ -320,22 +320,45 @@ def _scaled_rank_two():
     return (r.standard_normal((6, 2)) @ r.standard_normal((2, 5))) * 2.0**-600
 
 
-# Live defect 5 of the ROADMAP: polar forms f†f, which overflows or
-# underflows where f itself is fine.
-POLAR_SCALE_DEFECT = pytest.mark.xfail(
-    strict=True, reason="ROADMAP live defect 5: polar refuses when f†f overflows or underflows"
-)
+def _polar_factors(tmp_path, rows):
+    """u and h of ``polar`` on rows, after asserting exit 0."""
+    code, out, err = run_cli("polar", "--in", matrix_file(tmp_path, "a.json", rows))
+    assert code == 0, err
+    doc = json.loads(out)
+    return matrix_from_obj(doc["u"]).array, matrix_from_obj(doc["h"]).array
 
 
-@POLAR_SCALE_DEFECT
 @pytest.mark.parametrize(
     "rows",
     [[[1.7e308]], [[1e200, 1], [1, 1]], _scaled_rank_two()],
     ids=["1.7e308", "1e200-corner", "rank2-2^-600"],
 )
 def test_polar_survives_the_scale_of_its_gram(tmp_path, rows):
-    path = matrix_file(tmp_path, "a.json", rows)
-    assert run_cli("polar", "--in", path)[0] == 0
+    # ROADMAP defect 5, closed: f†f overflows or underflows on these inputs,
+    # and polar takes h from the SVD of f, never forming it.  h is checked
+    # against V_k Σ_k V_k† from numpy.linalg.svd at the rank polar keeps,
+    # and u h against f, by the largest entry, which squares nothing.
+    f = M(rows).array
+    u, h = _polar_factors(tmp_path, rows)
+    k = daggermp.numeric_rank(ComplexMatrix(f))
+    _, s, vh = np.linalg.svd(f)
+    ref = (vh[:k].conj().T * s[:k]) @ vh[:k]
+    top = np.abs(f).max()
+    assert np.abs(h - ref).max() <= 1e-13 * top
+    assert np.abs(u @ h - f).max() <= 1e-13 * top
+
+
+def test_polar_accepts_every_diagonal_of_a_power_of_two_gap(tmp_path):
+    # diag(1, 2^-e): the gram's eigen cutoff refused e = 26-45 (ROADMAP
+    # defect 2).  h has the rank that pinv keeps, and u h is f with the
+    # entry below the cutoff dropped, exactly.
+    for e in range(1, 61):
+        f = np.diag([1.0, 2.0**-e])
+        u, h = _polar_factors(tmp_path, f)
+        assert daggermp.numeric_rank(ComplexMatrix(h)) == daggermp.numeric_rank(
+            ComplexMatrix(f)
+        ), e
+        assert np.array_equal(u @ h, f * (np.abs(h) > 0.0)), e
 
 
 def test_pinv_and_gcsvd_accept_the_underflowing_polar_input(tmp_path):

@@ -108,7 +108,7 @@ def _routes(a):
     e = ComplexMatrix.from_rows([[1, 0], [0, 0]])
     return [
         a.dagger(), p, g, res.u, res.v, res.sigma_matrix(), res.reconstruct(),
-        eig.q, eig.reconstruct(), herm_mp(p), *inst.sqrt_positive(p),
+        eig.q, eig.reconstruct(), herm_mp(p), *inst.positive_part(a),
         inst.add(a, a), dagger_kernel(a), direct_sum(a, a),
         biproduct_injection((1, 2), 1), biproduct_projection((1, 2), 1),
         ComplexMatrix.identity(2), ComplexMatrix.zeros(1, 2),

@@ -6,7 +6,7 @@ are neither abstract nor the generic equality machinery (``compose``,
 ``CapabilityError``, and each is read somewhere in ``src/`` outside
 ``DaggerInstance`` itself.  What the generic code derives is not a hook:
 a biproduct's projection is the dagger of its injection, a map is
-positive when it has a square root, and the full form's kernels have no
+positive when it is its own positive part, and the full form's kernels have no
 hook of their own: each comes from the ``split_with_kernel`` call that
 splits its projector.  The scans read the syntax tree, so docstrings
 and comments that name a capability pass.
@@ -25,7 +25,7 @@ from daggermp import (
 
 SRC = pathlib.Path(daggermp.__file__).parent
 CAPABILITIES = {
-    "split_idempotent", "split_with_kernel", "sqrt_positive", "add", "direct_sum",
+    "split_idempotent", "split_with_kernel", "positive_part", "add", "direct_sum",
     "injection", "zero", "mp",
 }
 GENERIC = {"__init__", "compose", "norm", "compare", "equals"}
@@ -102,7 +102,7 @@ def test_the_read_scan_catches_each_form():
         return capability_reads("def f(inst, x):\n    " + body)
 
     assert reads("return inst.split_with_kernel(x)") == {"split_with_kernel"}
-    assert reads("provider = inst.sqrt_positive") == {"sqrt_positive"}
+    assert reads("provider = inst.positive_part") == {"positive_part"}
     assert reads("return getattr(inst, 'mp')(x)") == {"mp"}
     assert reads("def g(i):\n        return inst.zero(1, 1)") == {"zero"}
     method = "class MatrixInstance:\n    def g(self, x):\n        return self.add(x, x)"

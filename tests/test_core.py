@@ -55,10 +55,16 @@ def test_tolerance_validation():
 
 
 @pytest.mark.parametrize(
-    "value", ["1e-9", b"0", 1j, np.complex64(1), True, np.bool_(False), np.zeros(2)]
+    "value",
+    [
+        "1e-9", b"0", 1j, np.complex64(1), True, np.bool_(False), np.zeros(2),
+        np.array(1e-9), np.ones((1, 1)),
+    ],
 )
 def test_a_tolerance_that_is_not_a_real_number_is_an_input_error(value):
     # Not a TypeError from math.isfinite, and a bool is not a number here.
+    # An array of any shape is refused, 0-d included: its repr is not a
+    # number's, and it cannot be hashed (ROADMAP defect 10).
     got = type(value).__name__
     for kw in ("rank_tol", "eq_tol"):
         with pytest.raises(InputError, match=f"^{kw} must be a real number, got {got}$"):
@@ -74,6 +80,7 @@ def test_a_tolerance_keeps_ints_floats_and_numpy_reals_as_given():
         tol = Tolerance(rank_tol=value, eq_tol=value)
         assert tol.rank_tol is value and tol.eq_tol is value
         assert repr(tol) == f"Tolerance(rank_tol={value!r}, eq_tol={value!r})"
+        assert hash(tol) == hash((value, value))
     assert Tolerance(rank_tol=None).rank_tol is None
 
 

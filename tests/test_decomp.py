@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
 
-from conftest import PinnedScaleInstance, rotated_root, uniform_complex
+from conftest import SCALING, PinnedScaleInstance, monomials, rotated_root, uniform_complex
 from daggermp import (
     CapabilityError,
     ComplexMatrix,
@@ -330,12 +331,7 @@ def test_polar_of_unitary(minst):
     pair = polar_from_mp(minst, u, u.dagger())
     assert minst.equals(pair.u, u)
     assert minst.equals(pair.h, ComplexMatrix.identity(3))
-    assert set(pair.residuals) == {
-        "square",
-        "partial_isometry",
-        "range_projector",
-        "reconstruction",
-    }
+    assert set(pair.residuals) == {"partial_isometry", "range_projector", "reconstruction"}
 
 
 def test_polar_frozen_nilpotent(minst):
@@ -383,13 +379,13 @@ def test_polar_of_rectangular_map(minst):
 
 
 class _NotSelfAdjointRoot(MatrixInstance):
-    def sqrt_positive(self, p):
+    def positive_part(self, f):
         return M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]])
 
 
 class _WrongRootInverse(MatrixInstance):
-    def sqrt_positive(self, p):
-        return super().sqrt_positive(p)[0], ComplexMatrix.identity(2)
+    def positive_part(self, f):
+        return super().positive_part(f)[0], ComplexMatrix.identity(2)
 
 
 def test_polar_provider_output_is_checked():
@@ -405,8 +401,8 @@ class _RotatedRoot(MatrixInstance):
         super().__init__(tolerance)
         self._w = w
 
-    def sqrt_positive(self, p):
-        return rotated_root(p, self._w)
+    def positive_part(self, f):
+        return rotated_root(f, self._w)
 
 
 def test_polar_uniqueness_under_independent_square_roots(minst):
@@ -434,6 +430,30 @@ def test_mp_from_polar_rejects_doctored_pair(minst):
     bad = PolarPair(ComplexMatrix(pair.u.array * 2), pair.h, pair.h_mp, pair.residuals)
     with pytest.raises(InputError):
         mp_from_polar(minst, bad)
+
+
+@SCALING
+@given(monomials())
+def test_polar_of_a_monomial_matrix_is_exact(case):
+    # The polar factors of a monomial matrix are known exactly: h is
+    # diag(|w|) on the matched columns and u the partial permutation that
+    # carries the phases w / |w|.  At the default cutoff c, as for pinv,
+    # every |w| <= c counts as 0.  Wherever require_mp accepts pinv, polar
+    # is accepted and both factors match byte for byte, once the sign of
+    # zero is dropped (adding 0.0 makes -0.0 read 0.0).
+    a, _, w = case
+    n, m = a.shape
+    f, inst = ComplexMatrix(a), MatrixInstance()
+    g = pinv(f)
+    assume(verify_mp(inst, f, g).all_hold)
+    cut = max(n, m) * np.finfo(np.float64).eps * max(map(abs, w.values()), default=0.0)
+    u, h = np.zeros((n, m), dtype=np.complex128), np.zeros((m, m), dtype=np.complex128)
+    for (i, j), x in w.items():
+        if abs(x) > cut:
+            u[i, j], h[j, j] = x / abs(x), abs(x)
+    pair = polar_from_mp(inst, f, g)
+    assert (pair.u.array + 0.0).tobytes() == (u + 0.0).tobytes()
+    assert (pair.h.array + 0.0).tobytes() == (h + 0.0).tobytes()
 
 
 # --- route agreement --------------------------------------------------------
@@ -475,11 +495,12 @@ def test_each_defining_equation_is_measured_once(minst, monkeypatch):
     monkeypatch.setattr(MatrixInstance, "deviation", counted)
     # 4 MP identities + 5 compact equations; gcsvd measures no split
     # equation, as the compact ones certify the unchecked splits.  gsvd:
-    # + 2 kernel covers, 4 unitarity and 1 reconstruction; polar: 4 + p = p†
-    # in herm_eig + self-adjoint + square + 4 + 3.  Each route gets its own
+    # + 2 kernel covers, 4 unitarity and 1 reconstruction; polar: 4 +
+    # self-adjoint + the 4 of (h, h°) + 3, as the positive part comes from
+    # the SVD of f and no gram is formed or checked.  Each route gets its own
     # candidate; run again on the same one, it skips the 4 MP identities
     # that its first run certified.
-    for route, expected in ((gcsvd_from_mp, 9), (gsvd_from_mp, 16), (polar_from_mp, 14)):
+    for route, expected in ((gcsvd_from_mp, 9), (gsvd_from_mp, 16), (polar_from_mp, 12)):
         f_mp = pinv(f)
         for count in (expected, expected - 4):
             calls.clear()

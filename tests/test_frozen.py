@@ -97,8 +97,7 @@ def test_reprs_are_the_dataclass_ones():
         "d_inv=ComplexMatrix(2x2), dims=(2, 0, 2, 0), "
         "residuals={'kernel_source': 0.0, 'kernel_target': 0.0, 'reconstruction': 0.0})",
         "PolarPair(u=ComplexMatrix(2x2), h=ComplexMatrix(2x2), h_mp=ComplexMatrix(2x2), "
-        "residuals={'square': 0.0, 'partial_isometry': 0.0, 'range_projector': 0.0, "
-        "'reconstruction': 0.0})",
+        "residuals={'partial_isometry': 0.0, 'range_projector': 0.0, 'reconstruction': 0.0})",
         "DerivedIdentitiesReport(double_mp=True, dagger_mp_swap=True, "
         "projector_idempotents=True, gram_inverses=True, projector_alternatives=True, "
         "f_absorption=True, mp_absorption=True, dagger_absorption=True, "

@@ -564,9 +564,10 @@ def _operand_bytes(products):
 @pytest.mark.parametrize("shape", GUARD_SHAPES)
 def test_polar_forms_h_h_mp_once(shape, monkeypatch):
     # (h, h°) is measured with the h h° and h° h that _mp_projections forms,
-    # and u† u is compared with that h h°: 11 products, none with the
-    # operands of another.  The round trip forms u h again in
-    # mp_from_polar, which needs the map it inverts: 17, one repeat.
+    # and u† u is compared with that h h°: 9 products, none with the
+    # operands of another, as the positive part is taken from f and no
+    # gram f† f or square h h is formed.  The round trip forms u h again
+    # in mp_from_polar, which needs the map it inverts: 15, one repeat.
     a = ComplexMatrix(seeded_product(51, *shape))
     inst = MatrixInstance(Tolerance(eq_tol=1e-9))
     g = pinv(a)
@@ -574,21 +575,21 @@ def test_polar_forms_h_h_mp_once(shape, monkeypatch):
     products, _ = _count_products(monkeypatch, MatrixInstance)
     pair = dm.polar_from_mp(inst, a, g)
     formed = _operand_bytes(products)
-    assert len(formed) == 11 and len(set(formed)) == 11
+    assert len(formed) == 9 and len(set(formed)) == 9
     dm.mp_from_polar(inst, pair)
     formed = _operand_bytes(products)
-    assert len(formed) == 17 and len(set(formed)) == 16
+    assert len(formed) == 15 and len(set(formed)) == 14
 
 
 def test_polar_refuses_a_bad_root_inverse_as_require_mp_does():
     a = ComplexMatrix(seeded_product(52, 5, 4, 2))
     inst = MatrixInstance(Tolerance(eq_tol=1e-9))
-    h, h_mp = inst.sqrt_positive(a.dagger() @ a)
+    h, h_mp = inst.positive_part(a)
     bad = ComplexMatrix(h_mp.array * 2.0)
     what = "square root inverse fails the axioms"
 
     class BadRoot(MatrixInstance):
-        def sqrt_positive(self, p):
+        def positive_part(self, f):
             return h, bad
 
     with pytest.raises(dm.PreconditionError) as refused:

@@ -126,10 +126,10 @@ def test_exact_candidates_take_the_same_path(kind, monkeypatch):
     assert len(measured) == 3
 
 
-def test_the_corpus_routes_verify_each_pair_once_and_run_one_svd(monkeypatch):
+def test_the_corpus_routes_verify_each_pair_once_and_run_two_svds(monkeypatch):
     # The route sequence of one ``corpus`` case on a 6x5 rank-2 input:
-    # one SVD, in pinv; gsvd takes its kernels from the QRs that split its
-    # projectors.  13 _mp_report calls, as the routes after the first
+    # two SVDs, one in pinv and one in polar's positive part; gsvd takes
+    # its kernels from the QRs that split its projectors.  13 _mp_report calls, as the routes after the first
     # certified (f, f°) skip it, polar's inverse check skips the (h, h°)
     # its constructor proved, and the derived check reads (f°)° = f from
     # the certificate.  Every measurement of the four identities runs in
@@ -147,7 +147,7 @@ def test_the_corpus_routes_verify_each_pair_once_and_run_one_svd(monkeypatch):
     dm.mp_from_polar(inst, dm.polar_from_mp(inst, a, g))
     assert dm.derived_identities_check(inst, a, g).all_hold
     dm.mp_from_iso(inst, *dm.iso_from_mp(inst, a, g))
-    assert len(svds) == 1
+    assert len(svds) == 2
     assert len(measured) == 13
     assert set(vars(a)) <= {"array", "_norm"}
 

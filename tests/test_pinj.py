@@ -125,7 +125,7 @@ def test_instance_deviation_and_capabilities(pinj_inst):
     with pytest.raises(CapabilityError):
         pinj_inst.zero(2, 2)
     with pytest.raises(CapabilityError):
-        pinj_inst.sqrt_positive(a)
+        pinj_inst.positive_part(a)
 
 
 def test_json_round_trip():
