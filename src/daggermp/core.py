@@ -374,10 +374,13 @@ class DaggerInstance(ABC):
         k† k = 1 - e; unchecked, as the full form's equations certify both."""
         raise CapabilityError(f"{self.name} instance provides no kernels")
 
-    def positive_part(self, f: Any) -> tuple[Any, Any]:
+    def positive_part(self, f: Any, f_mp: Any = None) -> tuple[Any, Any]:
         """Candidates (h, h°): the positive part h = √(f† f) of f, taken
         from f itself, and its M-P inverse; unchecked, as the polar form's
-        equations certify both."""
+        equations certify both.  f_mp, when given, is an M-P inverse of f
+        whose own construction the instance may reuse (the matrix
+        instance reads the SVD :func:`~daggermp.matrix.pinv` kept on it);
+        nothing may be stored on f."""
         raise CapabilityError(f"{self.name} instance provides no positive parts")
 
     def add(self, f: Any, g: Any) -> Any:

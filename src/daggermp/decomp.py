@@ -363,7 +363,11 @@ def polar_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> PolarPair:
 
     The instance's ``positive_part`` returns (h, h°) from f itself, so
     f† f, which squares both the scale and the condition of f, is never
-    formed; its exceptions propagate.  h = h† is checked, the pair
+    formed; its exceptions propagate.  It is handed the certified f°,
+    from which it may read the factorization that produced f° (the
+    matrix instance reads the SVD that :func:`~daggermp.matrix.pinv`
+    kept), so f is factored once; nothing is stored on f.  Whatever it
+    returns is measured the same way: h = h† is checked, the pair
     (h, h°) is measured with the h h° and h° h it forms
     (:func:`~daggermp.core._mp_projections`), and u = f h° must then
     pass the partial isometry, the range projector u† u = h h° and the
@@ -375,7 +379,7 @@ def polar_from_mp(inst: DaggerInstance, f: Any, f_mp: Any) -> PolarPair:
     which needs the map it inverts.
     """
     require_mp(inst, f, f_mp, PreconditionError, "polar form needs an M-P pair")
-    h, h_mp = inst.positive_part(f)
+    h, h_mp = inst.positive_part(f, f_mp)
     what = "square root provider output: self_adjoint equation fails"
     check(inst, inst.dagger(h), h, PreconditionError, what)
     hh, _ = _mp_projections(

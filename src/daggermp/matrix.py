@@ -377,12 +377,24 @@ def pinv(a: ComplexMatrix, rank_tol: Optional[float] = None) -> ComplexMatrix:
     The result is an unverified candidate: nothing here checks the four
     identities, and at a tiny explicit cutoff it can fail them.  Pass it
     to :func:`~daggermp.core.require_mp` to have it certified or refused.
+
+    The result keeps the factors it was built from as ``_svd``:
+    ``(a, rank_tol, σ_k, V_k)``, both arrays read-only, stored as a
+    matrix stores its norm; U_k is not kept, and nothing is stored on a.
+    :meth:`MatrixInstance.positive_part` reads them for this very a at
+    this rank_tol, so the polar form of (a, pinv(a)) runs no second SVD.
     """
     u, s, v, k = _thin_svd(a, rank_tol)
+    s, v = s[:k], v[:, :k]
     if k == 0:
-        return ComplexMatrix.zeros(a.cols, a.rows)
-    with np.errstate(over="ignore", invalid="ignore"):  # NumericError on overflow
-        return _computed((v[:, :k] / s[:k]) @ u[:, :k].conj().T)
+        g = ComplexMatrix.zeros(a.cols, a.rows)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # NumericError on overflow
+            g = _computed((v / s) @ u[:, :k].conj().T)
+    s.setflags(write=False)
+    v.setflags(write=False)
+    object.__setattr__(g, "_svd", (a, rank_tol, s, v))
+    return g
 
 
 def numeric_rank(a: ComplexMatrix, rank_tol: Optional[float] = None) -> int:
@@ -396,9 +408,9 @@ def numeric_rank(a: ComplexMatrix, rank_tol: Optional[float] = None) -> int:
 
 def _thin_svd(a: ComplexMatrix, rank_tol: Optional[float]) -> tuple:
     """(u, sigma, v, rank) of :func:`_raw_svd` with thin factors, deflated
-    at the default cutoff; rank 0 and no factors for an empty a.  A
-    rank_tol that :class:`Tolerance` refuses raises InputError before
-    the solve.
+    at the default cutoff; rank 0 and factors of no column for an empty
+    a.  A rank_tol that :class:`Tolerance` refuses raises InputError
+    before the solve.
 
     At the default cutoff the factor on the smaller side holds only the
     vectors of the singular values the kernel kept above that cutoff
@@ -408,10 +420,27 @@ def _thin_svd(a: ComplexMatrix, rank_tol: Optional[float]) -> tuple:
     """
     Tolerance(rank_tol=rank_tol)
     if min(a.rows, a.cols) == 0:
-        return None, None, None, 0
+        return (
+            np.zeros((a.rows, 0), dtype=np.complex128), np.zeros(0),
+            np.zeros((a.cols, 0), dtype=np.complex128), 0,
+        )
     u, s, v = _raw_svd(a, rank_tol is None, thin=True)
     rank = _svd_rank(s, a.rows, a.cols, rank_tol)
     return u, s, v, min(rank, u.shape[1], v.shape[1])
+
+
+def _leading_factors(
+    a: ComplexMatrix, a_mp: Optional[ComplexMatrix], rank_tol: Optional[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(σ_k, V_k) of the thin SVD of a cut at its rank at rank_tol: those
+    :func:`pinv` kept on a_mp if it built a_mp from this a object at an
+    equal rank_tol (None only with None), else those of a new
+    :func:`_thin_svd`.  Nothing is stored on a."""
+    kept = getattr(a_mp, "_svd", None)
+    if kept is not None and kept[0] is a and kept[1] == rank_tol:
+        return kept[2], kept[3]
+    _, s, v, k = _thin_svd(a, rank_tol)
+    return s[:k], v[:, :k]
 
 
 def _transpose_ranks(
@@ -706,17 +735,22 @@ class MatrixInstance(DaggerInstance):
             q *= _phases(q, e.rows * _EPS)
         return _computed(q[:, :k]), _computed(q[:, k:].conj().T)
 
-    def positive_part(self, f: ComplexMatrix) -> tuple[ComplexMatrix, ComplexMatrix]:
+    def positive_part(
+        self, f: ComplexMatrix, f_mp: Optional[ComplexMatrix] = None
+    ) -> tuple[ComplexMatrix, ComplexMatrix]:
         """h = V_k Σ_k V_k† and h° = V_k Σ_k⁻¹ V_k† from the thin SVD of f
-        at the instance's rank_tol (:func:`_thin_svd`, as :func:`pinv`),
-        so f† f is never formed; the zero pair at rank 0.  Each is
-        symmetrized as h/2 + h†/2, which cannot overflow where h does not;
-        unchecked, as the polar form's equations certify both."""
-        _, s, v, k = _thin_svd(f, self.tolerance.rank_tol)
-        if k == 0:
+        at the instance's rank_tol, so f† f is never formed; the zero pair
+        at rank 0.  The factors are those :func:`pinv` kept on f_mp when
+        it built f_mp from this very f at this rank_tol, else those of a
+        new :func:`_thin_svd` (:func:`_leading_factors`); the SVD is
+        deterministic, so both give the same bytes.  Each is symmetrized
+        as h/2 + h†/2, which cannot overflow where h does not; unchecked,
+        as the polar form's equations certify both."""
+        s, v = _leading_factors(f, f_mp, self.tolerance.rank_tol)
+        if not s.size:
             return (ComplexMatrix.zeros(f.cols, f.cols),) * 2
         with np.errstate(over="ignore"):  # NumericError on overflow
-            parts = _congruence(v[:, :k], s[:k]), _congruence(v[:, :k], 1.0 / s[:k])
+            parts = _congruence(v, s), _congruence(v, 1.0 / s)
         return tuple(_computed(h / 2.0 + h.conj().T / 2.0) for h in parts)
 
     def add(self, f: ComplexMatrix, g: ComplexMatrix) -> ComplexMatrix:

@@ -228,7 +228,7 @@ class _RotatedRootInstance(PinnedScaleInstance):
         super().__init__(pinned, eq_tol)
         self._w = w
 
-    def positive_part(self, f):
+    def positive_part(self, f, f_mp=None):
         return rotated_root(f, self._w)
 
 

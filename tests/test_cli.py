@@ -348,6 +348,41 @@ def test_polar_survives_the_scale_of_its_gram(tmp_path, rows):
     assert np.abs(u @ h - f).max() <= 1e-13 * top
 
 
+# Monomial matrices as {(row, col): weight}, with the phases 1, 1j, -1 and
+# -1j and weights 2^±e up to e = 600.  In the first and third, one weight
+# lies below the default cutoff max(rows, cols) eps max|w| and counts as 0.
+MONOMIALS = (
+    (3, 4, {(0, 2): 2.0**600, (1, 0): 1j * 2.0**570, (2, 3): -1.0}),
+    (4, 3, {(0, 1): -1j * 2.0**-600, (2, 0): 2.0**-580, (3, 2): 1j * 2.0**-600}),
+    (4, 4, {(0, 0): -1j * 2.0**300, (1, 3): -(2.0**-300), (3, 1): 2.0**299}),
+)
+
+
+@pytest.mark.parametrize("rows, cols, w", MONOMIALS, ids=["3x4", "4x3", "4x4"])
+def test_pinv_and_polar_of_a_monomial_matrix_are_exact(tmp_path, rows, cols, w):
+    # pinv puts 1/w at the transposed pairs, polar's u is the partial
+    # permutation carrying the phases w / |w| and h is diag(|w|), each
+    # weight at or below the cutoff counting as 0: byte for byte once
+    # the sign of zero is dropped (adding 0.0 makes -0.0 read 0.0).
+    a = np.zeros((rows, cols), dtype=np.complex128)
+    for pair, x in w.items():
+        a[pair] = x
+    cut = max(rows, cols) * np.finfo(np.float64).eps * max(map(abs, w.values()))
+    g = np.zeros((cols, rows), dtype=np.complex128)
+    u, h = np.zeros_like(a), np.zeros((cols, cols), dtype=np.complex128)
+    for (i, j), x in w.items():
+        if abs(x) > cut:
+            g[j, i], u[i, j], h[j, j] = 1 / x, x / abs(x), abs(x)
+    path = write_json(tmp_path, "a.json", matrix_to_obj(ComplexMatrix(a)))
+    docs = {}
+    for command in ("pinv", "polar"):
+        code, out, err = run_cli(command, "--in", path)
+        assert code == 0, err
+        docs[command] = json.loads(out)
+    for obj, ref in ((docs["pinv"], g), (docs["polar"]["u"], u), (docs["polar"]["h"], h)):
+        assert (matrix_from_obj(obj).array + 0.0).tobytes() == (ref + 0.0).tobytes()
+
+
 def test_polar_accepts_every_diagonal_of_a_power_of_two_gap(tmp_path):
     # diag(1, 2^-e): the gram's eigen cutoff refused e = 26-45 (ROADMAP
     # defect 2).  h has the rank that pinv keeps, and u h is f with the

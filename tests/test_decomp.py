@@ -4,8 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 
-from conftest import SCALING, PinnedScaleInstance, monomials, rotated_root, uniform_complex
+from conftest import (
+    SCALING,
+    PinnedScaleInstance,
+    monomials,
+    rotated_root,
+    seeded_product,
+    uniform_complex,
+)
 from daggermp import (
+    _jacobi,
     CapabilityError,
     ComplexMatrix,
     DecompositionError,
@@ -379,13 +387,13 @@ def test_polar_of_rectangular_map(minst):
 
 
 class _NotSelfAdjointRoot(MatrixInstance):
-    def positive_part(self, f):
+    def positive_part(self, f, f_mp=None):
         return M([[0, 1], [0, 0]]), M([[0, 0], [1, 0]])
 
 
 class _WrongRootInverse(MatrixInstance):
-    def positive_part(self, f):
-        return super().positive_part(f)[0], ComplexMatrix.identity(2)
+    def positive_part(self, f, f_mp=None):
+        return super().positive_part(f, f_mp)[0], ComplexMatrix.identity(2)
 
 
 def test_polar_provider_output_is_checked():
@@ -401,7 +409,7 @@ class _RotatedRoot(MatrixInstance):
         super().__init__(tolerance)
         self._w = w
 
-    def positive_part(self, f):
+    def positive_part(self, f, f_mp=None):
         return rotated_root(f, self._w)
 
 
@@ -454,6 +462,99 @@ def test_polar_of_a_monomial_matrix_is_exact(case):
     pair = polar_from_mp(inst, f, g)
     assert (pair.u.array + 0.0).tobytes() == (u + 0.0).tobytes()
     assert (pair.h.array + 0.0).tobytes() == (h + 0.0).tobytes()
+
+
+# --- the positive part from the SVD that built f° ----------------------------
+
+
+def _count_svds(monkeypatch):
+    """Record each call of _jacobi.one_sided_svd."""
+    original, calls = _jacobi.one_sided_svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_jacobi, "one_sided_svd", counted)
+    return calls
+
+
+def _polar_bytes(pair):
+    """The bytes of u, h and h° and the residuals of a polar record."""
+    arrays = [x.array.tobytes() for x in (pair.u, pair.h, pair.h_mp)]
+    return arrays, [(k, v.hex()) for k, v in pair.residuals.items()]
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-9])
+@pytest.mark.parametrize("shape", [(6, 5, 2), (4, 7, 3), (5, 5, 5), (3, 4, 0)])
+def test_polar_reads_the_svd_that_pinv_kept(shape, rank_tol, monkeypatch):
+    # pinv's g keeps the SVD it was built from; a plain copy of g carries
+    # none, so its positive part runs the SVD again, which is
+    # deterministic: both polar records match byte for byte.
+    f = ComplexMatrix(seeded_product(71, *shape))
+    inst = MatrixInstance(Tolerance(rank_tol=rank_tol, eq_tol=1e-9))
+    g = pinv(f, rank_tol=rank_tol)
+    copy = ComplexMatrix(g.array)
+    svds = _count_svds(monkeypatch)
+    kept = polar_from_mp(inst, f, g)
+    assert len(svds) == 0
+    plain = polar_from_mp(inst, f, copy)
+    assert len(svds) == 1
+    assert _polar_bytes(kept) == _polar_bytes(plain)
+    assert set(vars(f)) <= {"array", "_norm"}
+
+
+def test_a_kept_svd_is_used_only_for_its_own_f_and_rank_tol(monkeypatch):
+    f = ComplexMatrix(seeded_product(72, 6, 5, 2))
+    g = pinv(f)
+    inst = MatrixInstance(Tolerance(eq_tol=1e-9))
+    twin = ComplexMatrix(f.array)  # equal entries, another object
+    svds = _count_svds(monkeypatch)
+    reference = _polar_bytes(polar_from_mp(inst, twin, g))
+    assert len(svds) == 1
+    assert _polar_bytes(polar_from_mp(inst, f, g)) == reference
+    assert len(svds) == 1
+    # Another rank_tol, 0.0 against None included, runs its own SVD.
+    for rank_tol in (0.0, 1e-9):
+        MatrixInstance(Tolerance(rank_tol=rank_tol)).positive_part(f, g)
+    assert len(svds) == 3
+    g0 = pinv(f, rank_tol=0.0)
+    MatrixInstance().positive_part(f, g0)
+    assert len(svds) == 5
+    MatrixInstance(Tolerance(rank_tol=0.0)).positive_part(f, g0)
+    assert len(svds) == 5
+
+
+@pytest.mark.parametrize("shape", [(6, 5, 2), (4, 7, 3), (3, 4, 0), (0, 3, 0)])
+def test_the_kept_factors_are_read_only(shape):
+    rows, cols, rank = shape
+    f = ComplexMatrix(seeded_product(73, *shape))
+    a, rank_tol, s, v = vars(pinv(f))["_svd"]
+    assert a is f and rank_tol is None
+    assert s.shape == (rank,) and v.shape == (cols, rank)
+    for x in (s, v):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[...] = 0.0
+
+
+@pytest.mark.parametrize("tamper", ["sigma", "columns"])
+@pytest.mark.parametrize("eq_tol", [None, 1e-9])
+def test_a_tampered_kept_svd_is_refused(tamper, eq_tol):
+    # Polar measures whatever the positive part returns: σ scaled by
+    # 1 + 1e-6 or two right vectors swapped still give a self-adjoint h
+    # with its M-P inverse, but no partial isometry u = f h°.
+    f = ComplexMatrix(seeded_product(74, 6, 5, 3))
+    g = pinv(f)
+    a, rank_tol, s, v = vars(g)["_svd"]
+    if tamper == "sigma":
+        s = s * (1.0 + 1e-6)
+    else:
+        v = v[:, [1, 0, 2]]
+    object.__setattr__(g, "_svd", (a, rank_tol, s, v))
+    tol = Tolerance() if eq_tol is None else Tolerance(eq_tol=eq_tol)
+    with pytest.raises(DecompositionError, match="^polar form: partial_isometry"):
+        polar_from_mp(MatrixInstance(tol), f, g)
 
 
 # --- route agreement --------------------------------------------------------

@@ -589,7 +589,7 @@ def test_polar_refuses_a_bad_root_inverse_as_require_mp_does():
     what = "square root inverse fails the axioms"
 
     class BadRoot(MatrixInstance):
-        def positive_part(self, f):
+        def positive_part(self, f, f_mp=None):
             return h, bad
 
     with pytest.raises(dm.PreconditionError) as refused:

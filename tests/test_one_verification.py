@@ -7,7 +7,8 @@ and a later call with all three the same returns without measuring.
 ``verify_mp`` only reports.  ``gsvd_from_mp`` takes the kernels of f and
 of f† from the instance's ``split_with_kernel``, which for matrices
 splits f f° and f° f and gives their kernels from one pivoted QR each;
-no kernel stores anything on its argument.  The CLI's ``karoubi check``
+polar's positive part reads the SVD that ``pinv`` kept on f°.  No route
+stores anything on its input.  The CLI's ``karoubi check``
 hands the inverse it reports to ``mp_in_karoubi`` as its base solver.
 Measurements of the four identities are counted at ``core._mp_report``,
 where each of them runs.
@@ -126,10 +127,11 @@ def test_exact_candidates_take_the_same_path(kind, monkeypatch):
     assert len(measured) == 3
 
 
-def test_the_corpus_routes_verify_each_pair_once_and_run_two_svds(monkeypatch):
+def test_the_corpus_routes_verify_each_pair_once_and_run_one_svd(monkeypatch):
     # The route sequence of one ``corpus`` case on a 6x5 rank-2 input:
-    # two SVDs, one in pinv and one in polar's positive part; gsvd takes
-    # its kernels from the QRs that split its projectors.  13 _mp_report calls, as the routes after the first
+    # one SVD, in pinv; polar's positive part reads the factors pinv kept
+    # on f°, and gsvd takes its kernels from the QRs that split its
+    # projectors.  13 _mp_report calls, as the routes after the first
     # certified (f, f°) skip it, polar's inverse check skips the (h, h°)
     # its constructor proved, and the derived check reads (f°)° = f from
     # the certificate.  Every measurement of the four identities runs in
@@ -147,7 +149,7 @@ def test_the_corpus_routes_verify_each_pair_once_and_run_two_svds(monkeypatch):
     dm.mp_from_polar(inst, dm.polar_from_mp(inst, a, g))
     assert dm.derived_identities_check(inst, a, g).all_hold
     dm.mp_from_iso(inst, *dm.iso_from_mp(inst, a, g))
-    assert len(svds) == 2
+    assert len(svds) == 1
     assert len(measured) == 13
     assert set(vars(a)) <= {"array", "_norm"}
 
@@ -179,6 +181,42 @@ def test_both_kernels_of_gsvd_come_from_one_svd(shape, monkeypatch):
         assert inst.equals(unitary @ unitary.dagger(), ComplexMatrix.identity(n))
         assert inst.equals(unitary.dagger() @ unitary, ComplexMatrix.identity(n))
     assert set(vars(f)) <= {"array", "_norm"}
+
+
+def test_no_route_stores_anything_on_its_input(tmp_path, monkeypatch):
+    # What the package learns about an input lives on what it returns (a
+    # norm, the SVD pinv keeps on f°, a certificate), never on the input:
+    # a memo there would let a repeated call skip its work.  The dense
+    # route sequence, the positivity test, the positive part with and
+    # without f°, the rank, the kernel, and the CLI's polar command, which
+    # hands inst.mp's f° to polar and so runs one SVD.
+    a = ComplexMatrix(seeded_product(12, 7, 5, 3))
+    inst = MatrixInstance(Tolerance(eq_tol=1e-9))
+    g = pinv(a)
+    assert core.verify_mp(inst, a, g).all_hold
+    dm.mp_via_gram(inst, a, lambda p: dm.herm_mp(p, eq_tol=1e-9))
+    p = ComplexMatrix(a.dagger().array @ a.array)
+    assert dm.is_positive(inst, p)
+    inst.positive_part(a)
+    inst.positive_part(a, g)
+    assert dm.numeric_rank(a) == 3
+    assert dagger_kernel(a).rows == 4
+    assert set(vars(a)) <= {"array", "_norm"} and set(vars(p)) <= {"array", "_norm"}
+    seen = []
+    polar = dm.decomp.polar_from_mp
+
+    def spy(inst, f, f_mp):
+        seen.append(f)
+        return polar(inst, f, f_mp)
+
+    monkeypatch.setattr(dm.decomp, "polar_from_mp", spy)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(dm.matrix_to_obj(a)), encoding="utf-8")
+    svds = _counted(monkeypatch, _jacobi, "one_sided_svd")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["polar", "--in", str(path)]) == 0
+    assert len(seen) == 1 and len(svds) == 1
+    assert set(vars(seen[0])) <= {"array", "_norm"}
 
 
 def _first_entries_real(k, unit_tol):

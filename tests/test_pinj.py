@@ -9,8 +9,11 @@ import pytest
 from conftest import all_partial_injections, random_partial_injection
 from daggermp import (
     CapabilityError,
+    FiniteRelation,
     InputError,
     PartialInjection,
+    PInjInstance,
+    RelInstance,
     pinj_from_obj,
     pinj_to_obj,
     verify_inverse_category_laws,
@@ -208,3 +211,19 @@ def test_public_constructors_reject_bad_arguments(method, args):
     build = getattr(PartialInjection, method, PartialInjection)
     with pytest.raises(InputError):
         build(*args)
+
+
+def test_the_graph_functor_carries_the_inverse_to_the_relation_inverse():
+    # The graph of a partial injection is a difunctional relation, and a
+    # dagger functor carries M-P inverses to M-P inverses: RelInstance.mp
+    # of the graph is the graph of PInjInstance.mp, on every partial
+    # injection with both sides up to 3.
+    rel, pinj = RelInstance(), PInjInstance()
+    count = 0
+    for src, tgt in itertools.product(range(4), repeat=2):
+        for f in all_partial_injections(src, tgt):
+            g = pinj.mp(f)
+            graph = FiniteRelation.from_pairs(src, tgt, f.pairs)
+            assert rel.mp(graph) == FiniteRelation.from_pairs(tgt, src, g.pairs)
+            count += 1
+    assert count == 90
